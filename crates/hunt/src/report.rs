@@ -5,8 +5,8 @@
 //! Byte-reproducibility rule: the document carries **no wall-clock
 //! data**. Everything in it is a pure function of `(seed, config,
 //! scenario)`, so two runs of `fgqos hunt --seed N` emit identical
-//! bytes (throughput numbers live in `BENCH_serve.json`, recorded by
-//! `fleet_bench`, not here).
+//! bytes (throughput is measured by perfbench's `hunt_fleet` workload,
+//! not here).
 
 use crate::engine::{HuntConfig, HuntOutcome};
 use crate::space::BaseInfo;

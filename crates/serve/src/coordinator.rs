@@ -1,63 +1,42 @@
-//! The fleet coordinator: one frontend speaking the ordinary
-//! `fgqos.serve` protocol, fanning work out to registered worker
-//! processes.
+//! Fleet mode: a [`ServeCore`] whose lanes forward work to registered
+//! worker processes.
 //!
-//! A coordinator owns no simulator. Workers — full `fgqos-serve`
+//! A fleet front owns no simulator. Workers — full `fgqos-serve`
 //! servers, usually one process per core group — announce themselves
-//! with the v3 `register_worker` op, and the coordinator forwards
-//! `submit` / `submit_batch` traffic to them over the normal [`Client`]:
+//! with the v3 `register_worker` op, and the front adds one **remote
+//! lane** per worker thread (the `serve.workers` gauge of the worker's
+//! `metrics` answer). Each remote lane holds one persistent [`Client`]
+//! to its worker. Everything else — job table, queue, deadlines, result
+//! cache, drain and the protocol handler — is the same [`ServeCore`] a
+//! local pool runs:
 //!
-//! * **Placement** is least-loaded: every forward picks the live worker
-//!   with the fewest in-flight coordinator jobs.
-//! * **Sharding**: a `submit_batch`'s uncached points are split into
+//! * **Placement**: a single job goes to whichever worker has a free
+//!   lane first; a `submit_batch`'s uncached points split into
 //!   contiguous slices, one per live worker, so an N-point sweep warms
 //!   on (up to) N processes concurrently while each slice still shares
-//!   its warm boundary within its worker. Results merge back in point
-//!   order under per-point job ids, exactly like a single server.
+//!   its warm boundary within its worker.
 //! * **Fault tolerance**: a heartbeat (`ping`) thread marks unreachable
-//!   workers dead, and any forward that hits a dead, killed or hung
-//!   worker re-queues its jobs onto the remaining fleet. Because
-//!   executors are pure functions of their specs, a re-run returns the
-//!   byte-identical report the lost worker would have produced.
-//! * **Caching**: the coordinator keeps its own content-addressed
-//!   [`ResultCache`] in front of the fleet — optionally persistent
-//!   ([`CoordinatorConfig::cache_dir`]), so repeat submissions are
-//!   answered byte-identically even across coordinator restarts.
+//!   workers dead, and a forward that hits a dead, killed or hung worker
+//!   puts its entry back at the head of the queue for the remaining
+//!   fleet (`coordinator.jobs.requeued`). Because executors are pure
+//!   functions of their specs, a re-run returns the byte-identical
+//!   report the lost worker would have produced.
 //!
-//! `status` / `result` / `metrics` / `ping` are answered locally;
-//! `snapshot` is forwarded to a live worker; `shutdown` drains the
-//! in-flight forwards, shuts the workers down, then stops the
-//! coordinator itself.
+//! `snapshot` is forwarded to a live worker, live runs are refused, and
+//! `shutdown` drains the queue, then shuts the workers down.
 
-use crate::cache::{batch_point_key, job_key, ResultCache};
 use crate::client::{Client, ClientError, SubmitOptions};
-use crate::pool::JobState;
-#[cfg(test)]
-use crate::protocol::BatchKind;
-use crate::protocol::{
-    error_response, parse_request, read_frame, response_head, BatchPoint, BatchSpec, FrameError,
-    JobSpec, MetricsFormat, Request, DEFAULT_MAX_FRAME_BYTES,
-};
+use crate::pool::{Lane, LaneError, Payload, ServeCore};
+use crate::protocol::{from_hex, MetricsFormat};
 use fgqos_sim::json::Value;
 use fgqos_sim::metrics::MetricsRegistry;
-use std::collections::HashMap;
-use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Coordinator configuration; every field has a usable default.
+/// Fleet tuning; every field has a usable default.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
-    /// Listen address. Port 0 picks a free port.
-    pub addr: String,
-    /// Per-frame byte cap on the wire.
-    pub max_frame_bytes: usize,
-    /// Directory for a persistent result cache; `None` keeps it in
-    /// memory only.
-    pub cache_dir: Option<std::path::PathBuf>,
     /// Worker heartbeat interval in milliseconds.
     pub heartbeat_ms: u64,
     /// Read timeout on forwarded requests — the hung-worker detector.
@@ -67,9 +46,6 @@ pub struct CoordinatorConfig {
 impl Default for CoordinatorConfig {
     fn default() -> Self {
         CoordinatorConfig {
-            addr: "127.0.0.1:0".to_string(),
-            max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-            cache_dir: None,
             heartbeat_ms: 250,
             forward_read_timeout_ms: 5_000,
         }
@@ -77,453 +53,93 @@ impl Default for CoordinatorConfig {
 }
 
 /// One registered worker.
-struct WorkerEntry {
+pub(crate) struct WorkerEntry {
+    /// The lane group its remote lanes share.
+    group: usize,
     addr: String,
     in_flight: AtomicU64,
     alive: AtomicBool,
 }
 
-struct FlightState {
-    active: u64,
-    draining: bool,
-}
-
-/// Why a forward attempt did not produce a report.
-enum Forward {
-    /// The worker is unreachable, dead or hung: re-queue elsewhere.
-    Down(String),
-    /// The worker answered with a deterministic failure: do not retry.
-    Fail(String),
-}
-
-fn classify(e: ClientError) -> Forward {
+fn classify(e: ClientError) -> LaneError {
     match e {
-        ClientError::Io(_) | ClientError::Protocol(_) | ClientError::Timeout => {
-            Forward::Down(e.to_string())
-        }
-        ClientError::Denied(m) | ClientError::Job(m) => Forward::Fail(m),
+        ClientError::Io(_) | ClientError::Protocol(_) | ClientError::Timeout => LaneError::Down,
+        ClientError::Denied(m) | ClientError::Job(m) => LaneError::Fail(m),
     }
 }
 
-/// A job's lifecycle state plus its report once done.
-type JobSlot = (JobState, Option<Arc<Value>>);
+/// Connects and pings: the liveness probe of registration and heartbeat.
+fn probe(addr: &str) -> Result<Client, ClientError> {
+    let mut client = Client::connect(addr)?;
+    let _ = client.set_read_timeout(Some(Duration::from_millis(2_000)));
+    client.ping()?;
+    Ok(client)
+}
 
-/// One `submit_batch` ack entry: the point's job id, plus its report
-/// when the point was answered from the cache.
-type BatchAckEntry = (u64, Option<Arc<Value>>);
-
-/// Shared state of a running coordinator.
-pub struct CoordinatorCore {
+/// The worker registry of a fleet front.
+pub(crate) struct Fleet {
     workers: Mutex<Vec<Arc<WorkerEntry>>>,
-    jobs: Mutex<HashMap<u64, JobSlot>>,
-    next_job: AtomicU64,
-    /// The fleet-level content-addressed result cache.
-    pub cache: ResultCache,
-    flight: Mutex<FlightState>,
-    idle: Condvar,
-    submitted: AtomicU64,
-    executed: AtomicU64,
-    failed: AtomicU64,
-    requeued: AtomicU64,
-    stop_heartbeat: AtomicBool,
+    next_group: AtomicUsize,
     forward_read_timeout: Duration,
-    frames: AtomicU64,
-    malformed: AtomicU64,
+    heartbeat: Duration,
+    stopped: AtomicBool,
 }
 
-impl CoordinatorCore {
-    fn new(cache: ResultCache, forward_read_timeout: Duration) -> Self {
-        CoordinatorCore {
+impl Fleet {
+    pub(crate) fn new(cfg: &CoordinatorConfig) -> Fleet {
+        Fleet {
             workers: Mutex::new(Vec::new()),
-            jobs: Mutex::new(HashMap::new()),
-            next_job: AtomicU64::new(0),
-            cache,
-            flight: Mutex::new(FlightState {
-                active: 0,
-                draining: false,
-            }),
-            idle: Condvar::new(),
-            submitted: AtomicU64::new(0),
-            executed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            requeued: AtomicU64::new(0),
-            stop_heartbeat: AtomicBool::new(false),
-            forward_read_timeout,
-            frames: AtomicU64::new(0),
-            malformed: AtomicU64::new(0),
+            next_group: AtomicUsize::new(0),
+            forward_read_timeout: Duration::from_millis(cfg.forward_read_timeout_ms.max(1)),
+            heartbeat: Duration::from_millis(cfg.heartbeat_ms.max(10)),
+            stopped: AtomicBool::new(false),
         }
-    }
-
-    /// One liveness probe against a serve endpoint.
-    fn probe(addr: &str) -> bool {
-        match Client::connect(addr) {
-            Ok(mut c) => {
-                let _ = c.set_read_timeout(Some(Duration::from_millis(2_000)));
-                c.ping().is_ok()
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Registers (or revives) a worker after probing it; returns the
-    /// live worker count.
-    pub fn register_worker(&self, addr: &str) -> Result<usize, String> {
-        if !Self::probe(addr) {
-            return Err(format!("worker at {addr} did not answer a ping"));
-        }
-        let mut workers = self.workers.lock().expect("coordinator poisoned");
-        // A restarted worker re-registers the same address: drop the
-        // dead entry rather than double-counting it.
-        workers.retain(|w| w.addr != addr || w.alive.load(Ordering::Relaxed));
-        if !workers.iter().any(|w| w.addr == addr) {
-            workers.push(Arc::new(WorkerEntry {
-                addr: addr.to_string(),
-                in_flight: AtomicU64::new(0),
-                alive: AtomicBool::new(true),
-            }));
-        }
-        Ok(workers
-            .iter()
-            .filter(|w| w.alive.load(Ordering::Relaxed))
-            .count())
     }
 
     fn live_workers(&self) -> Vec<Arc<WorkerEntry>> {
         self.workers
             .lock()
-            .expect("coordinator poisoned")
+            .expect("fleet poisoned")
             .iter()
             .filter(|w| w.alive.load(Ordering::Relaxed))
             .cloned()
             .collect()
     }
 
-    /// Number of live workers.
-    pub fn live_worker_count(&self) -> usize {
-        self.live_workers().len()
+    /// Lane groups of the live workers, in registration order.
+    pub(crate) fn live_groups(&self) -> Vec<usize> {
+        self.live_workers().iter().map(|w| w.group).collect()
     }
 
-    /// Least-loaded placement: the live worker with the fewest
-    /// in-flight coordinator forwards (lowest index on ties).
-    fn pick_worker(&self) -> Option<Arc<WorkerEntry>> {
-        self.live_workers()
+    /// Serves the v3 `snapshot` op by forwarding it to the live worker
+    /// with the fewest in-flight forwards.
+    pub(crate) fn snapshot(&self, scenario: &str, warmup: u64) -> Result<Option<Vec<u8>>, String> {
+        let worker = self
+            .live_workers()
             .into_iter()
             .min_by_key(|w| w.in_flight.load(Ordering::Relaxed))
-    }
-
-    fn new_job(&self, state: JobState, report: Option<Arc<Value>>) -> u64 {
-        let id = self.next_job.fetch_add(1, Ordering::Relaxed) + 1;
-        self.jobs
-            .lock()
-            .expect("coordinator poisoned")
-            .insert(id, (state, report));
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        id
-    }
-
-    fn finish_job(&self, id: u64, report: Arc<Value>) {
-        self.jobs
-            .lock()
-            .expect("coordinator poisoned")
-            .insert(id, (JobState::Done, Some(report)));
-        self.executed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn fail_job(&self, id: u64, message: String) {
-        self.jobs
-            .lock()
-            .expect("coordinator poisoned")
-            .insert(id, (JobState::Failed(message), None));
-        self.failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A job's current state.
-    pub fn status(&self, id: u64) -> Option<JobState> {
-        self.jobs
-            .lock()
-            .expect("coordinator poisoned")
-            .get(&id)
-            .map(|(s, _)| s.clone())
-    }
-
-    /// A job's state plus its report once done.
-    pub fn result(&self, id: u64) -> Option<(JobState, Option<Arc<Value>>)> {
-        self.jobs
-            .lock()
-            .expect("coordinator poisoned")
-            .get(&id)
-            .cloned()
-    }
-
-    /// Reserves `n` forward slots, refusing when draining.
-    fn begin_flights(&self, n: u64) -> Result<(), String> {
-        let mut f = self.flight.lock().expect("coordinator poisoned");
-        if f.draining {
-            return Err("coordinator is shutting down".into());
+            .ok_or("no live workers in the fleet")?;
+        let mut req = Value::obj();
+        req.set("op", Value::str("snapshot"));
+        req.set("scenario", Value::str(scenario));
+        req.set("warmup", Value::from(warmup));
+        let doc = Client::connect(&worker.addr)
+            .and_then(|mut c| {
+                let _ = c.set_read_timeout(Some(self.forward_read_timeout));
+                c.request(&req)
+            })
+            .map_err(|e| format!("worker lost mid-request: {e}"))?;
+        if doc.get("ok") != Some(&Value::Bool(true)) {
+            let error = doc.get("error").and_then(Value::as_str);
+            return Err(error.unwrap_or("unspecified worker error").to_string());
         }
-        f.active += n;
-        Ok(())
+        let hex = doc.get("blob_hex").and_then(Value::as_str).unwrap_or("");
+        from_hex(hex).map(Some)
     }
 
-    fn end_flight(&self) {
-        let mut f = self.flight.lock().expect("coordinator poisoned");
-        f.active -= 1;
-        if f.active == 0 {
-            self.idle.notify_all();
-        }
-    }
-
-    fn connect_worker(&self, worker: &WorkerEntry) -> Result<Client, Forward> {
-        let client = Client::connect(&worker.addr).map_err(classify)?;
-        let _ = client.set_read_timeout(Some(self.forward_read_timeout));
-        Ok(client)
-    }
-
-    /// Polls a forwarded job on `client` until it resolves, watching
-    /// the worker's liveness between polls so a heartbeat-detected
-    /// death aborts promptly.
-    fn poll_report(
-        &self,
-        worker: &WorkerEntry,
-        client: &mut Client,
-        job: u64,
-    ) -> Result<Value, Forward> {
-        let mut backoff = Duration::from_micros(200);
-        loop {
-            if !worker.alive.load(Ordering::Relaxed) {
-                return Err(Forward::Down("worker marked dead by heartbeat".into()));
-            }
-            let doc = client.result(job).map_err(classify)?;
-            if doc.get("ok") != Some(&Value::Bool(true)) {
-                let message = doc
-                    .get("error")
-                    .and_then(Value::as_str)
-                    .unwrap_or("unspecified worker error")
-                    .to_string();
-                return Err(Forward::Fail(message));
-            }
-            match doc.get("state").and_then(Value::as_str) {
-                Some("done") => {
-                    return doc
-                        .get("report")
-                        .cloned()
-                        .ok_or_else(|| Forward::Down("done job missing its report".into()))
-                }
-                Some("queued") | Some("running") => {}
-                other => return Err(Forward::Fail(format!("unexpected job state {other:?}"))),
-            }
-            std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(Duration::from_millis(5));
-        }
-    }
-
-    fn forward_submit(&self, worker: &WorkerEntry, spec: &JobSpec) -> Result<Value, Forward> {
-        let mut client = self.connect_worker(worker)?;
-        let opts = SubmitOptions {
-            until_done: spec.until_done.clone(),
-            client: Some("fgqos-coordinator".into()),
-            deadline_ms: None,
-        };
-        let ack = client
-            .submit(&spec.scenario, spec.cycles, &opts)
-            .map_err(classify)?;
-        self.poll_report(worker, &mut client, ack.job)
-    }
-
-    fn forward_batch(&self, worker: &WorkerEntry, spec: &BatchSpec) -> Result<Vec<Value>, Forward> {
-        let mut client = self.connect_worker(worker)?;
-        let opts = SubmitOptions {
-            until_done: None,
-            client: Some("fgqos-coordinator".into()),
-            deadline_ms: None,
-        };
-        let ack = client.submit_batch(spec, &opts).map_err(classify)?;
-        if ack.jobs.len() != spec.points.len() {
-            return Err(Forward::Fail(format!(
-                "worker acknowledged {} jobs for {} points",
-                ack.jobs.len(),
-                spec.points.len()
-            )));
-        }
-        ack.jobs
-            .iter()
-            .map(|&job| self.poll_report(worker, &mut client, job))
-            .collect()
-    }
-
-    /// Accepts a single job: cache hits are born done, misses are
-    /// forwarded on a fresh thread (re-queued across workers on
-    /// failure).
-    pub fn submit(self: &Arc<Self>, spec: JobSpec) -> Result<(u64, Option<Arc<Value>>), String> {
-        let (hash, key) = job_key(&spec);
-        if let Some(hit) = self.cache.get(hash, &key) {
-            let id = self.new_job(JobState::Done, Some(Arc::clone(&hit)));
-            return Ok((id, Some(hit)));
-        }
-        self.begin_flights(1)?;
-        let id = self.new_job(JobState::Running, None);
-        let core = Arc::clone(self);
-        std::thread::spawn(move || {
-            core.run_single(id, spec, hash, key);
-            core.end_flight();
-        });
-        Ok((id, None))
-    }
-
-    fn run_single(&self, id: u64, spec: JobSpec, hash: u64, key: String) {
-        loop {
-            let Some(worker) = self.pick_worker() else {
-                self.fail_job(id, "no live workers in the fleet".into());
-                return;
-            };
-            worker.in_flight.fetch_add(1, Ordering::Relaxed);
-            let outcome = self.forward_submit(&worker, &spec);
-            worker.in_flight.fetch_sub(1, Ordering::Relaxed);
-            match outcome {
-                Ok(report) => {
-                    let report = Arc::new(report);
-                    self.cache.insert(hash, key, Arc::clone(&report));
-                    self.finish_job(id, report);
-                    return;
-                }
-                Err(Forward::Down(_)) => {
-                    worker.alive.store(false, Ordering::Relaxed);
-                    self.requeued.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(Forward::Fail(message)) => {
-                    self.fail_job(id, message);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Accepts a warm-start batch: per-point cache hits are born done,
-    /// the uncached remainder is sharded into contiguous slices across
-    /// the live workers and merged back in point order.
-    pub fn submit_batch(self: &Arc<Self>, spec: BatchSpec) -> Result<Vec<BatchAckEntry>, String> {
-        struct PendingPoint {
-            id: u64,
-            hash: u64,
-            key: String,
-            point: BatchPoint,
-        }
-        let mut acks = Vec::with_capacity(spec.points.len());
-        let mut pending: Vec<PendingPoint> = Vec::new();
-        for point in &spec.points {
-            let (hash, key) = batch_point_key(&spec, point);
-            match self.cache.get(hash, &key) {
-                Some(hit) => {
-                    let id = self.new_job(JobState::Done, Some(Arc::clone(&hit)));
-                    acks.push((id, Some(hit)));
-                }
-                None => {
-                    let id = self.new_job(JobState::Running, None);
-                    acks.push((id, None));
-                    pending.push(PendingPoint {
-                        id,
-                        hash,
-                        key,
-                        point: *point,
-                    });
-                }
-            }
-        }
-        if pending.is_empty() {
-            return Ok(acks);
-        }
-        // Contiguous slices, one per live worker (at least one slice
-        // even with an empty fleet — the forward loop reports the
-        // failure per job). Earlier slices get the rounding remainder.
-        let slices = self.live_worker_count().max(1).min(pending.len());
-        let base = pending.len() / slices;
-        let extra = pending.len() % slices;
-        self.begin_flights(slices as u64)?;
-        let mut rest = pending;
-        for i in 0..slices {
-            let take = base + usize::from(i < extra);
-            let slice: Vec<PendingPoint> = rest.drain(..take).collect();
-            let sub = BatchSpec {
-                points: slice.iter().map(|p| p.point).collect(),
-                ..spec.clone()
-            };
-            let ids: Vec<u64> = slice.iter().map(|p| p.id).collect();
-            let keys: Vec<(u64, String)> = slice.into_iter().map(|p| (p.hash, p.key)).collect();
-            let core = Arc::clone(self);
-            std::thread::spawn(move || {
-                core.run_batch_slice(ids, keys, sub);
-                core.end_flight();
-            });
-        }
-        Ok(acks)
-    }
-
-    fn run_batch_slice(&self, ids: Vec<u64>, keys: Vec<(u64, String)>, spec: BatchSpec) {
-        loop {
-            let Some(worker) = self.pick_worker() else {
-                for id in &ids {
-                    self.fail_job(*id, "no live workers in the fleet".into());
-                }
-                return;
-            };
-            worker.in_flight.fetch_add(1, Ordering::Relaxed);
-            let outcome = self.forward_batch(&worker, &spec);
-            worker.in_flight.fetch_sub(1, Ordering::Relaxed);
-            match outcome {
-                Ok(reports) => {
-                    for ((id, (hash, key)), report) in ids.iter().zip(keys).zip(reports) {
-                        let report = Arc::new(report);
-                        self.cache.insert(hash, key, Arc::clone(&report));
-                        self.finish_job(*id, report);
-                    }
-                    return;
-                }
-                Err(Forward::Down(_)) => {
-                    worker.alive.store(false, Ordering::Relaxed);
-                    self.requeued.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(Forward::Fail(message)) => {
-                    for id in &ids {
-                        self.fail_job(*id, message.clone());
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Forwards a raw request to the least-loaded live worker and
-    /// returns the worker's response verbatim (used for `snapshot`).
-    fn forward_raw(&self, op: &str, request: &Value) -> Value {
-        let Some(worker) = self.pick_worker() else {
-            return error_response(op, "no live workers in the fleet");
-        };
-        worker.in_flight.fetch_add(1, Ordering::Relaxed);
-        let outcome = self
-            .connect_worker(&worker)
-            .and_then(|mut c| c.request(request).map_err(classify));
-        worker.in_flight.fetch_sub(1, Ordering::Relaxed);
-        match outcome {
-            Ok(doc) => doc,
-            Err(Forward::Down(m)) => {
-                worker.alive.store(false, Ordering::Relaxed);
-                error_response(op, format!("worker lost mid-request: {m}"))
-            }
-            Err(Forward::Fail(m)) => error_response(op, m),
-        }
-    }
-
-    /// Drains in-flight forwards, shuts every live worker down and
-    /// returns `(submitted, executed, failed, requeued)`.
-    pub fn drain(&self) -> (u64, u64, u64, u64) {
-        {
-            let mut f = self.flight.lock().expect("coordinator poisoned");
-            f.draining = true;
-            while f.active > 0 {
-                f = self.idle.wait(f).expect("coordinator poisoned");
-            }
-        }
-        self.stop_heartbeat.store(true, Ordering::Relaxed);
+    /// Stops the heartbeat and shuts every live worker down.
+    pub(crate) fn shutdown_workers(&self) {
+        self.stopped.store(true, Ordering::Relaxed);
         for worker in self.live_workers() {
             if let Ok(mut client) = Client::connect(&worker.addr) {
                 let _ = client.set_read_timeout(Some(Duration::from_millis(10_000)));
@@ -531,27 +147,15 @@ impl CoordinatorCore {
             }
             worker.alive.store(false, Ordering::Relaxed);
         }
-        (
-            self.submitted.load(Ordering::Relaxed),
-            self.executed.load(Ordering::Relaxed),
-            self.failed.load(Ordering::Relaxed),
-            self.requeued.load(Ordering::Relaxed),
-        )
     }
 
-    /// Fleet metrics under stable `coordinator.*` names (plus the
-    /// shared `serve.cache.*` cache counters).
-    pub fn metrics(&self) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        let workers = self.workers.lock().expect("coordinator poisoned");
+    /// The per-worker `coordinator.*` gauges.
+    pub(crate) fn export(&self, reg: &mut MetricsRegistry) {
+        let workers = self.workers.lock().expect("fleet poisoned");
+        let alive = |w: &WorkerEntry| w.alive.load(Ordering::Relaxed);
         reg.gauge("coordinator.workers", workers.len() as f64);
-        reg.gauge(
-            "coordinator.workers.live",
-            workers
-                .iter()
-                .filter(|w| w.alive.load(Ordering::Relaxed))
-                .count() as f64,
-        );
+        let live = workers.iter().filter(|w| alive(w)).count();
+        reg.gauge("coordinator.workers.live", live as f64);
         for (i, w) in workers.iter().enumerate() {
             reg.gauge(
                 format!("coordinator.worker.{i}.in_flight"),
@@ -559,294 +163,174 @@ impl CoordinatorCore {
             );
             reg.gauge(
                 format!("coordinator.worker.{i}.alive"),
-                if w.alive.load(Ordering::Relaxed) {
-                    1.0
-                } else {
-                    0.0
-                },
+                f64::from(u8::from(alive(w))),
             );
         }
-        drop(workers);
-        reg.counter("coordinator.frames", self.frames.load(Ordering::Relaxed));
-        reg.counter(
-            "coordinator.frames.malformed",
-            self.malformed.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            "coordinator.jobs.submitted",
-            self.submitted.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            "coordinator.jobs.executed",
-            self.executed.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            "coordinator.jobs.failed",
-            self.failed.load(Ordering::Relaxed),
-        );
-        reg.counter(
-            "coordinator.jobs.requeued",
-            self.requeued.load(Ordering::Relaxed),
-        );
-        reg.counter("serve.cache.entries", self.cache.len() as u64);
-        reg.counter("serve.cache.hits", self.cache.hits());
-        reg.counter("serve.cache.misses", self.cache.misses());
-        reg.gauge("serve.cache.hit_rate", self.cache.hit_rate());
-        reg
     }
 }
 
-/// A running coordinator. Stop it with a `shutdown` request, then
-/// [`join`](Self::join).
-pub struct CoordinatorHandle {
-    addr: SocketAddr,
-    core: Arc<CoordinatorCore>,
-    accept: Option<JoinHandle<()>>,
-    heartbeat: Option<JoinHandle<()>>,
+/// A lane forwarding its entries to one worker over a persistent
+/// connection.
+pub(crate) struct RemoteLane {
+    worker: Arc<WorkerEntry>,
+    client: Option<Client>,
+    timeout: Duration,
 }
 
-impl CoordinatorHandle {
-    /// The bound listen address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+impl RemoteLane {
+    pub(crate) fn alive(&self) -> bool {
+        self.worker.alive.load(Ordering::Relaxed)
     }
 
-    /// The shared core, for in-process registration and inspection.
-    pub fn core(&self) -> &Arc<CoordinatorCore> {
-        &self.core
-    }
-
-    /// Waits for the accept loop and heartbeat to exit (useful only
-    /// after a `shutdown` request was served).
-    pub fn join(mut self) {
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
+    /// Forwards one entry; a `Down` outcome marks the worker dead.
+    pub(crate) fn run(&mut self, payload: &Payload) -> Result<Vec<Value>, LaneError> {
+        self.worker.in_flight.fetch_add(1, Ordering::Relaxed);
+        let outcome = self.forward(payload);
+        self.worker.in_flight.fetch_sub(1, Ordering::Relaxed);
+        if let Err(LaneError::Down) = outcome {
+            self.worker.alive.store(false, Ordering::Relaxed);
+            self.client = None;
         }
-        if let Some(hb) = self.heartbeat.take() {
-            let _ = hb.join();
+        outcome
+    }
+
+    fn forward(&mut self, payload: &Payload) -> Result<Vec<Value>, LaneError> {
+        if self.client.is_none() {
+            let client = Client::connect(&self.worker.addr).map_err(classify)?;
+            let _ = client.set_read_timeout(Some(self.timeout));
+            self.client = Some(client);
         }
+        let client = self.client.as_mut().expect("connected above");
+        let opts = |until_done| SubmitOptions {
+            until_done,
+            client: Some("fgqos-coordinator".into()),
+            deadline_ms: None,
+        };
+        let jobs = match payload {
+            Payload::Single(spec) => {
+                let opts = opts(spec.until_done.clone());
+                vec![
+                    client
+                        .submit(&spec.scenario, spec.cycles, &opts)
+                        .map_err(classify)?
+                        .job,
+                ]
+            }
+            Payload::Batch(spec) => {
+                client
+                    .submit_batch(spec, &opts(None))
+                    .map_err(classify)?
+                    .jobs
+            }
+        };
+        jobs.into_iter()
+            .map(|job| poll_report(&self.worker, client, job))
+            .collect()
     }
 }
 
-/// Binds the coordinator's listener and starts its accept loop and
-/// heartbeat thread. Workers register themselves afterwards (v3
-/// `register_worker`, usually via `fgqos worker --connect`).
-pub fn start_coordinator(cfg: CoordinatorConfig) -> io::Result<CoordinatorHandle> {
-    let listener = TcpListener::bind(&cfg.addr)?;
-    let addr = listener.local_addr()?;
-    let cache = match &cfg.cache_dir {
-        Some(dir) => ResultCache::persistent(dir)?,
-        None => ResultCache::new(),
-    };
-    let core = Arc::new(CoordinatorCore::new(
-        cache,
-        Duration::from_millis(cfg.forward_read_timeout_ms.max(1)),
-    ));
-    let heartbeat = {
-        let core = Arc::clone(&core);
-        let interval = Duration::from_millis(cfg.heartbeat_ms.max(10));
-        std::thread::spawn(move || {
-            while !core.stop_heartbeat.load(Ordering::Relaxed) {
-                for worker in core.live_workers() {
-                    if !CoordinatorCore::probe(&worker.addr) {
-                        worker.alive.store(false, Ordering::Relaxed);
-                    }
-                }
-                std::thread::sleep(interval);
-            }
-        })
-    };
-    let stop = Arc::new(AtomicBool::new(false));
-    let accept = {
-        let core = Arc::clone(&core);
-        let stop = Arc::clone(&stop);
-        let max_frame = cfg.max_frame_bytes;
-        std::thread::spawn(move || {
-            for incoming in listener.incoming() {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = incoming else { continue };
-                let core = Arc::clone(&core);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    handle_connection(core, stream, max_frame, stop, addr);
-                });
-            }
-        })
-    };
-    Ok(CoordinatorHandle {
-        addr,
-        core,
-        accept: Some(accept),
-        heartbeat: Some(heartbeat),
-    })
-}
-
-fn send(writer: &mut TcpStream, response: &Value) -> io::Result<()> {
-    writer.write_all(response.to_compact().as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
-
-fn handle_connection(
-    core: Arc<CoordinatorCore>,
-    stream: TcpStream,
-    max_frame: usize,
-    stop: Arc<AtomicBool>,
-    addr: SocketAddr,
-) {
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
+/// Polls a forwarded job until it resolves, watching the worker's
+/// liveness between polls so a heartbeat-detected death aborts promptly.
+fn poll_report(worker: &WorkerEntry, client: &mut Client, job: u64) -> Result<Value, LaneError> {
+    let mut backoff = Duration::from_micros(200);
     loop {
-        let line = match read_frame(&mut reader, max_frame) {
-            Ok(None) | Err(FrameError::Io(_)) => return,
-            Err(FrameError::TooLarge { limit }) => {
-                core.frames.fetch_add(1, Ordering::Relaxed);
-                let resp = error_response("error", format!("frame exceeds {limit} bytes"));
-                if send(&mut writer, &resp).is_err() {
-                    return;
-                }
-                continue;
-            }
-            Ok(Some(line)) => line,
-        };
-        core.frames.fetch_add(1, Ordering::Relaxed);
-        let request = match parse_request(&line) {
-            Ok(request) => request,
-            Err(message) => {
-                core.malformed.fetch_add(1, Ordering::Relaxed);
-                if send(&mut writer, &error_response("error", message)).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        let shutting_down = matches!(request, Request::Shutdown);
-        let response = dispatch(&core, request);
-        if send(&mut writer, &response).is_err() && !shutting_down {
-            return;
+        if !worker.alive.load(Ordering::Relaxed) {
+            return Err(LaneError::Down);
         }
-        if shutting_down {
-            stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(addr);
-            return;
+        let doc = client.result(job).map_err(classify)?;
+        if doc.get("ok") != Some(&Value::Bool(true)) {
+            let error = doc.get("error").and_then(Value::as_str);
+            return Err(LaneError::Fail(
+                error.unwrap_or("unspecified worker error").to_string(),
+            ));
         }
+        match doc.get("state").and_then(Value::as_str) {
+            Some("done") => return doc.get("report").cloned().ok_or(LaneError::Down),
+            Some("queued") | Some("running") => {}
+            other => return Err(LaneError::Fail(format!("unexpected job state {other:?}"))),
+        }
+        std::thread::sleep(backoff);
+        backoff = (backoff * 2).min(Duration::from_millis(5));
     }
 }
 
-fn dispatch(core: &Arc<CoordinatorCore>, request: Request) -> Value {
-    match request {
-        Request::Ping => response_head("ping", true),
-        Request::RegisterWorker { addr } => match core.register_worker(&addr) {
-            Err(message) => error_response("register_worker", message),
-            Ok(live) => {
-                let mut resp = response_head("register_worker", true);
-                resp.set("workers", Value::from(live as u64));
-                resp
+impl ServeCore {
+    /// Registers (or revives) a worker after probing it and starts one
+    /// remote lane per thread it reports; returns the live worker count.
+    /// Refused unless this core fronts a fleet.
+    pub fn register_worker(self: &Arc<Self>, addr: &str) -> Result<usize, String> {
+        let fleet = self
+            .fleet
+            .as_ref()
+            .ok_or("this server is not a coordinator")?;
+        let mut client =
+            probe(addr).map_err(|_| format!("worker at {addr} did not answer a ping"))?;
+        let threads = client
+            .metrics(MetricsFormat::Json)
+            .ok()
+            .and_then(|doc| {
+                doc.get("metrics")?
+                    .get("metrics")?
+                    .get("serve.workers")?
+                    .as_u64()
+            })
+            .unwrap_or(1)
+            .max(1);
+        let entry = {
+            let mut workers = fleet.workers.lock().expect("fleet poisoned");
+            // A restarted worker re-registers the same address: drop the
+            // dead entry rather than double-counting it.
+            workers.retain(|w| w.addr != addr || w.alive.load(Ordering::Relaxed));
+            if workers.iter().any(|w| w.addr == addr) {
+                None
+            } else {
+                let entry = Arc::new(WorkerEntry {
+                    group: fleet.next_group.fetch_add(1, Ordering::Relaxed),
+                    addr: addr.to_string(),
+                    in_flight: AtomicU64::new(0),
+                    alive: AtomicBool::new(true),
+                });
+                workers.push(Arc::clone(&entry));
+                Some(entry)
             }
-        },
-        Request::Submit { spec, .. } => match core.submit(spec) {
-            Err(message) => error_response("submit", message),
-            Ok((job, cached)) => {
-                let mut resp = response_head("submit", true);
-                resp.set("job", Value::from(job));
-                resp.set("cached", Value::Bool(cached.is_some()));
-                resp.set(
-                    "state",
-                    Value::str(if cached.is_some() { "done" } else { "running" }),
-                );
-                resp
+        };
+        if let Some(worker) = entry {
+            for _ in 0..threads {
+                let lane = self.add_lane(worker.group);
+                let remote = RemoteLane {
+                    worker: Arc::clone(&worker),
+                    client: None,
+                    timeout: fleet.forward_read_timeout,
+                };
+                let core = Arc::clone(self);
+                std::thread::spawn(move || core.run_lane(lane, Lane::Remote(remote)));
             }
-        },
-        Request::SubmitBatch { spec, .. } => match core.submit_batch(spec) {
-            Err(message) => error_response("submit_batch", message),
-            Ok(acks) => {
-                let mut resp = response_head("submit_batch", true);
-                let mut jobs = Value::arr();
-                let mut cached = Value::arr();
-                for (id, hit) in &acks {
-                    jobs.push(Value::from(*id));
-                    cached.push(Value::Bool(hit.is_some()));
-                }
-                resp.set("jobs", jobs);
-                resp.set("cached", cached);
-                resp
-            }
-        },
-        Request::Status { job } => match core.status(job) {
-            None => error_response("status", format!("unknown job {job}")),
-            Some(state) => {
-                let mut resp = response_head("status", true);
-                resp.set("job", Value::from(job));
-                resp.set("state", Value::str(state.wire_name()));
-                if let JobState::Failed(message) = state {
-                    resp.set("error", Value::str(message));
-                }
-                resp
-            }
-        },
-        Request::Result { job } => match core.result(job) {
-            None => error_response("result", format!("unknown job {job}")),
-            Some((state, report)) => match state {
-                JobState::Done => {
-                    let mut resp = response_head("result", true);
-                    resp.set("job", Value::from(job));
-                    resp.set("state", Value::str("done"));
-                    let report = report.expect("done jobs carry a report");
-                    resp.set("report", (*report).clone());
-                    resp
-                }
-                JobState::Failed(message) => {
-                    let mut resp = error_response("result", message);
-                    resp.set("job", Value::from(job));
-                    resp.set("state", Value::str("failed"));
-                    resp
-                }
-                pending => {
-                    let mut resp = response_head("result", true);
-                    resp.set("job", Value::from(job));
-                    resp.set("state", Value::str(pending.wire_name()));
-                    resp
-                }
-            },
-        },
-        Request::Metrics { format } => {
-            let registry = core.metrics();
-            let mut resp = response_head("metrics", true);
-            match format {
-                MetricsFormat::Json => resp.set("metrics", registry.to_json()),
-                MetricsFormat::Csv => resp.set("csv", Value::str(registry.to_csv())),
-            };
-            resp
         }
-        Request::Snapshot { scenario, warmup } => {
-            let mut req = Value::obj();
-            req.set("op", Value::str("snapshot"));
-            req.set("scenario", Value::str(scenario));
-            req.set("warmup", Value::from(warmup));
-            core.forward_raw("snapshot", &req)
-        }
-        // Live runs are bound to one executing process; a coordinator
-        // only routes batch work, so the streaming plane is refused here
-        // — point `subscribe`/`control` at a worker directly.
-        Request::Subscribe { .. } => {
-            error_response("subscribe", "coordinator does not host live runs")
-        }
-        Request::Control { .. } => error_response("control", "coordinator does not host live runs"),
-        Request::Journal { .. } => error_response("journal", "coordinator does not host live runs"),
-        Request::Shutdown => {
-            let (submitted, executed, failed, requeued) = core.drain();
-            let mut resp = response_head("shutdown", true);
-            resp.set("submitted", Value::from(submitted));
-            resp.set("executed", Value::from(executed));
-            resp.set("failed", Value::from(failed));
-            resp.set("requeued", Value::from(requeued));
-            resp
+        Ok(self.live_worker_count())
+    }
+
+    /// Number of live fleet workers (0 on a local pool).
+    pub fn live_worker_count(&self) -> usize {
+        self.fleet.as_ref().map_or(0, |f| f.live_workers().len())
+    }
+
+    /// Heartbeat thread body: pings every live worker each interval and
+    /// re-homes the queued work of any that stopped answering. Returns
+    /// once the fleet is shut down.
+    pub(crate) fn heartbeat(&self) {
+        let Some(fleet) = &self.fleet else { return };
+        while !fleet.stopped.load(Ordering::Relaxed) {
+            let mut lost = false;
+            for worker in fleet.live_workers() {
+                if probe(&worker.addr).is_err() {
+                    worker.alive.store(false, Ordering::Relaxed);
+                    lost = true;
+                }
+            }
+            if lost {
+                self.worker_lost();
+            }
+            std::thread::sleep(fleet.heartbeat);
         }
     }
 }
@@ -854,13 +338,12 @@ fn dispatch(core: &Arc<CoordinatorCore>, request: Request) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{start, ServeConfig, ServerHandle};
+    use crate::protocol::{BatchKind, BatchPoint, BatchSpec, JobSpec};
+    use crate::server::{start, start_fleet, ServeConfig, ServerHandle};
     use crate::Executor;
     use fgqos_bench::report::Report;
+    use fgqos_sim::metrics::MetricValue;
 
-    /// An executor tagging its report with the worker process identity
-    /// (here: a label) so tests can see which worker served a job —
-    /// while staying a pure function of the spec for cache purposes.
     fn stub_executor() -> Executor {
         Arc::new(|spec: &JobSpec| {
             let mut r = Report::new("stub");
@@ -880,13 +363,26 @@ mod tests {
         .expect("bind worker")
     }
 
-    fn coordinator() -> CoordinatorHandle {
-        start_coordinator(CoordinatorConfig {
-            heartbeat_ms: 50,
-            forward_read_timeout_ms: 2_000,
-            ..CoordinatorConfig::default()
-        })
+    fn coordinator() -> ServerHandle {
+        start_fleet(
+            ServeConfig::default(),
+            CoordinatorConfig {
+                heartbeat_ms: 50,
+                forward_read_timeout_ms: 2_000,
+            },
+        )
         .expect("bind coordinator")
+    }
+
+    /// Polls a job until it leaves `queued`/`running`.
+    fn settled(client: &mut Client, job: u64) -> Value {
+        loop {
+            let doc = client.result(job).expect("result answers");
+            match doc.get("state").and_then(Value::as_str) {
+                Some("queued") | Some("running") => std::thread::sleep(Duration::from_millis(1)),
+                _ => return doc,
+            }
+        }
     }
 
     #[test]
@@ -900,6 +396,11 @@ mod tests {
             .register_worker(&w.addr().to_string())
             .expect("registers");
         assert_eq!(live, 1);
+        assert_eq!(
+            c.core().metrics().get("serve.workers"),
+            Some(&MetricValue::Gauge(2.0)),
+            "one remote lane per worker thread"
+        );
         let (ack, report) = client
             .submit_and_wait("s", 123, &SubmitOptions::default(), Duration::from_secs(10))
             .expect("forwarded job completes");
@@ -931,13 +432,7 @@ mod tests {
         let ack = client
             .submit("s", 1, &SubmitOptions::default())
             .expect("submit is accepted");
-        let doc = loop {
-            let doc = client.result(ack.job).expect("result answers");
-            if doc.get("state").and_then(Value::as_str) != Some("running") {
-                break doc;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        };
+        let doc = settled(&mut client, ack.job);
         assert_eq!(doc.get("state").and_then(Value::as_str), Some("failed"));
         assert!(doc
             .get("error")
@@ -946,6 +441,19 @@ mod tests {
             .contains("no live workers"));
         client.shutdown().expect("shuts down");
         c.join();
+    }
+
+    #[test]
+    fn plain_servers_refuse_registration() {
+        let w = worker();
+        let err = w
+            .core()
+            .register_worker("127.0.0.1:1")
+            .expect_err("not a fleet front");
+        assert!(err.contains("not a coordinator"));
+        let mut client = Client::connect(w.addr()).expect("connect");
+        client.shutdown().expect("shuts down");
+        w.join();
     }
 
     #[test]
@@ -1021,19 +529,20 @@ mod tests {
         assert_eq!(ack.jobs.len(), 5);
         assert!(ack.cached.iter().all(|c| !c));
         for &job in &ack.jobs {
-            let doc = loop {
-                let doc = client.result(job).expect("answers");
-                if doc.get("state").and_then(Value::as_str) != Some("running") {
-                    break doc;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            };
+            let doc = settled(&mut client, job);
             assert_eq!(doc.get("state").and_then(Value::as_str), Some("failed"));
             assert!(doc
                 .get("error")
                 .and_then(Value::as_str)
                 .unwrap()
                 .contains("no batch executor"));
+        }
+        // One slice per worker: each worker's server saw one batch.
+        for w in [&w1, &w2] {
+            assert_eq!(
+                w.core().metrics().get("serve.jobs.batches"),
+                Some(&MetricValue::Counter(1))
+            );
         }
         client.shutdown().expect("drains");
         c.join();

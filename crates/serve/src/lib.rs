@@ -9,12 +9,14 @@
 //!   `shutdown`), with versioned `fgqos.serve v2` responses carrying the
 //!   same [`fgqos_bench::report::Report`] document the `exp_*` binaries
 //!   emit.
-//! * [`pool`] — a job queue + worker pool on the
-//!   `fgqos_bench::sweep` threading model (FIFO order-stable,
-//!   `FGQOS_SERVE_THREADS` override), with per-job deadlines and a
-//!   graceful drain on shutdown. Workers have stable lane identities:
-//!   a `submit_batch`'s uncached points are pinned to one lane so the
-//!   warm boundary snapshot is captured once and forked per point.
+//! * [`pool`] — the dispatcher every topology shares: job table, FIFO
+//!   queue and worker lanes on the `fgqos_bench::sweep` threading model
+//!   (order-stable, `FGQOS_SERVE_THREADS` override), with per-job
+//!   deadlines, panic isolation and a graceful drain on shutdown. A
+//!   local pool pins a `submit_batch`'s uncached points to one lane so
+//!   the warm boundary snapshot is captured once and forked per point.
+//! * [`coordinator`] — fleet mode: the same dispatcher with remote
+//!   lanes, each forwarding to one registered worker process.
 //! * [`cache`] — a content-addressed in-memory result cache keyed by a
 //!   hash of (scenario text, cycles, options): resubmitting a job
 //!   returns byte-identical cached JSON without re-simulating.
@@ -46,6 +48,18 @@ pub mod server;
 use fgqos_bench::report::Report;
 use std::sync::Arc;
 
+/// Renders a caught executor panic as a job error.
+pub(crate) fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
+    let message = match panic.downcast::<String>() {
+        Ok(message) => *message,
+        Err(panic) => match panic.downcast::<&str>() {
+            Ok(message) => message.to_string(),
+            Err(_) => "non-string payload".to_string(),
+        },
+    };
+    format!("executor panicked: {message}")
+}
+
 /// Executes one scenario job into a [`Report`].
 ///
 /// Implementations must be pure functions of the [`protocol::JobSpec`]:
@@ -57,7 +71,7 @@ pub type Executor = Arc<dyn Fn(&protocol::JobSpec) -> Result<Report, String> + S
 /// [`protocol::BatchSpec`], in point order.
 ///
 /// The pool hands an executor only the *uncached* points of a
-/// submission, always on a single worker lane — the intended
+/// submission, always on a single lane — the intended
 /// implementation (the umbrella's `fgqos::runner::serve_batch_executor`)
 /// warms the scenario once to a quiesced boundary, captures it as a
 /// `SocSnapshot`, and forks it per point. Like [`Executor`], the result
@@ -94,9 +108,9 @@ pub fn unsupported_snapshot_executor() -> SnapshotExecutor {
 ///
 /// The server spawns one dedicated thread per live run around this call
 /// (live runs are long-lived streams, so they never occupy a pool
-/// worker lane). The umbrella's `fgqos::runner::serve_live_executor` is
-/// the real implementation. A returned `Err` is recorded on the session
-/// when the executor did not already `finish` it.
+/// lane). The umbrella's `fgqos::runner::serve_live_executor` is the
+/// real implementation. A returned `Err` or a panic is recorded on the
+/// session when the executor did not already `finish` it.
 pub type LiveExecutor =
     Arc<dyn Fn(&protocol::LiveSpec, Arc<live::LiveSession>) -> Result<(), String> + Send + Sync>;
 

@@ -1,36 +1,46 @@
-//! Job queue + worker pool.
+//! The serve stack's dispatcher: one job table, one FIFO queue and a set
+//! of worker **lanes**, shared by the in-process pool and the fleet front.
 //!
 //! Same threading model as `fgqos_bench::sweep`: plain `std` threads
 //! over a mutex-protected FIFO queue, no external dependencies. The
-//! queue is strictly order-stable — with one worker
-//! (`FGQOS_SERVE_THREADS=1`) jobs execute exactly in submission order —
-//! and because a `Soc` is `!Send`, each worker builds its simulator
-//! locally inside the injected [`Executor`], exactly as sweep workers
-//! do.
+//! queue is strictly order-stable — with one lane
+//! (`FGQOS_SERVE_THREADS=1`) jobs execute exactly in submission order.
+//!
+//! A lane is one thread popping queue entries. A **local** lane calls
+//! the injected [`Executor`] / [`BatchExecutor`]; because a `Soc` is
+//! `!Send`, each call builds its simulator locally, exactly as sweep
+//! workers do. A **remote** lane forwards the entry to one registered
+//! worker process (see [`crate::coordinator`]). Executor panics are
+//! caught: the entry's jobs fail with the panic message and the lane
+//! keeps serving.
 //!
 //! Lifecycle of a job: `queued → running → done | failed`, or
-//! `queued → expired` when its deadline passes before a worker picks it
+//! `queued → expired` when its deadline passes before a lane picks it
 //! up. Shutdown is a *graceful drain*: no new submissions are accepted,
-//! every already-queued job still executes, and
-//! [`ServeCore::drain`] returns only when the queue is empty and all
-//! workers are idle.
+//! every already-queued job still executes, and [`ServeCore::drain`]
+//! returns only when the queue is empty and every lane is idle.
 //!
-//! Workers carry stable **lane** indices (`0..workers`). Ordinary jobs
-//! are unpinned — any lane pops them — but a `submit_batch`'s uncached
-//! points travel as one queue entry pinned to a single lane, so the
-//! batch executor can capture the warm boundary snapshot once and fork
-//! it per point without the `!Send` simulator ever crossing a thread.
+//! Every lane belongs to a **group**: a local lane is its own group, and
+//! the remote lanes of one worker share that worker's group. A queue
+//! entry is either unpinned (any lane pops it) or pinned to one group.
+//! On a local pool a `submit_batch`'s uncached points travel as one
+//! entry pinned to the least-loaded lane, so the batch executor captures
+//! the warm boundary once and forks it per point; on a fleet they split
+//! into one contiguous slice per live worker.
 
 use crate::admission::{AdmissionConfig, AdmissionControl};
 use crate::cache::{batch_point_key, job_key, ResultCache};
+use crate::coordinator::{Fleet, RemoteLane};
 use crate::live::LiveRegistry;
-use crate::protocol::{BatchSpec, JobSpec};
-use crate::{BatchExecutor, Executor};
+use crate::protocol::{BatchPoint, BatchSpec, JobSpec};
+use crate::{panic_message, BatchExecutor, Executor};
+use fgqos_bench::report::Report;
 use fgqos_sim::json::Value;
 use fgqos_sim::metrics::MetricsRegistry;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Lifecycle state of a submitted job.
@@ -38,13 +48,13 @@ use std::time::Instant;
 pub enum JobState {
     /// Waiting in the FIFO queue.
     Queued,
-    /// Currently executing on a worker.
+    /// Currently executing on a lane.
     Running,
     /// Finished; the report is available.
     Done,
     /// The executor reported an error.
     Failed(String),
-    /// The deadline passed before a worker picked the job up.
+    /// The deadline passed before a lane picked the job up.
     Expired,
 }
 
@@ -61,50 +71,83 @@ impl JobState {
     }
 }
 
-/// One uncached point of a queued batch: its job id, cache address and
-/// overrides.
-struct BatchPointJob {
+/// A queued job's id and cache address.
+struct JobKey {
     id: u64,
     hash: u64,
     key: String,
-    point: crate::protocol::BatchPoint,
 }
 
-enum Work {
-    Single {
-        id: u64,
-        spec: JobSpec,
-        hash: u64,
-        key: String,
-    },
-    Batch {
-        spec: BatchSpec,
-        points: Vec<BatchPointJob>,
-    },
-}
-
-impl Work {
-    /// Job ids this queue entry resolves (one for a single, one per
-    /// uncached point for a batch).
-    fn ids(&self) -> Vec<u64> {
-        match self {
-            Work::Single { id, .. } => vec![*id],
-            Work::Batch { points, .. } => points.iter().map(|p| p.id).collect(),
-        }
-    }
-
-    fn contains(&self, id: u64) -> bool {
-        match self {
-            Work::Single { id: own, .. } => *own == id,
-            Work::Batch { points, .. } => points.iter().any(|p| p.id == id),
-        }
-    }
+/// What a queue entry asks a lane to run.
+pub(crate) enum Payload {
+    /// One `submit`.
+    Single(JobSpec),
+    /// A `submit_batch` slice holding only uncached points, in point
+    /// order.
+    Batch(BatchSpec),
 }
 
 struct QueuedJob {
-    work: Work,
-    lane: Option<usize>,
+    payload: Payload,
+    /// One job per report the payload yields, in order.
+    jobs: Vec<JobKey>,
+    /// The lane group allowed to pop this entry; `None` means any lane.
+    group: Option<usize>,
     deadline: Option<Instant>,
+}
+
+/// Why a lane produced no reports for an entry.
+pub(crate) enum LaneError {
+    /// The lane's worker is unreachable, dead or hung: re-queue.
+    Down,
+    /// A deterministic failure: fail the entry's jobs.
+    Fail(String),
+}
+
+/// How a lane executes its entries.
+pub(crate) enum Lane {
+    /// In process, through the injected executors.
+    Local {
+        executor: Executor,
+        batch_executor: BatchExecutor,
+    },
+    /// Forwarded to one registered worker.
+    Remote(RemoteLane),
+}
+
+impl Lane {
+    /// `false` once the lane can never run anything again.
+    fn alive(&self) -> bool {
+        match self {
+            Lane::Local { .. } => true,
+            Lane::Remote(remote) => remote.alive(),
+        }
+    }
+
+    /// One report document per job of the entry, in order.
+    fn run(&mut self, payload: &Payload) -> Result<Vec<Value>, LaneError> {
+        match self {
+            Lane::Local {
+                executor,
+                batch_executor,
+            } => catch_unwind(AssertUnwindSafe(|| match payload {
+                Payload::Single(spec) => executor(spec).map(|report| vec![report]),
+                Payload::Batch(spec) => batch_executor(spec),
+            }))
+            .unwrap_or_else(|panic| Err(panic_message(panic)))
+            .map(|reports| reports.iter().map(Report::to_json).collect())
+            .map_err(LaneError::Fail),
+            Lane::Remote(remote) => remote.run(payload),
+        }
+    }
+}
+
+#[derive(Default)]
+struct LaneSlot {
+    group: usize,
+    executed: u64,
+    /// Set when a remote lane exits because its worker died.
+    retired: bool,
 }
 
 struct JobEntry {
@@ -116,16 +159,46 @@ struct JobEntry {
 struct PoolState {
     queue: VecDeque<QueuedJob>,
     jobs: HashMap<u64, JobEntry>,
+    lanes: Vec<LaneSlot>,
     next_job: u64,
     draining: bool,
-    busy_workers: usize,
-    live_workers: usize,
+    busy_lanes: usize,
+    live_lanes: usize,
     submitted: u64,
     executed: u64,
     failed: u64,
     expired: u64,
     batches: u64,
-    lane_executed: Vec<u64>,
+    requeued: u64,
+}
+
+impl PoolState {
+    /// Opens a job: born `Done` with `cached`, else `Queued`.
+    fn open_job(&mut self, cached: &Option<Arc<Value>>) -> u64 {
+        self.next_job += 1;
+        self.submitted += 1;
+        let state = match cached {
+            Some(_) => JobState::Done,
+            None => JobState::Queued,
+        };
+        let report = cached.clone();
+        self.jobs.insert(self.next_job, JobEntry { state, report });
+        self.next_job
+    }
+
+    fn set(&mut self, id: u64, state: JobState, report: Option<Arc<Value>>) {
+        if let Some(entry) = self.jobs.get_mut(&id) {
+            entry.state = state;
+            entry.report = report;
+        }
+    }
+
+    fn fail(&mut self, jobs: &[JobKey], message: &str) {
+        for job in jobs {
+            self.set(job.id, JobState::Failed(message.to_string()), None);
+            self.failed += 1;
+        }
+    }
 }
 
 /// Counters returned by [`ServeCore::drain`], embedded in the
@@ -134,12 +207,15 @@ struct PoolState {
 pub struct DrainSummary {
     /// Jobs accepted over the server's lifetime (cache hits included).
     pub submitted: u64,
-    /// Jobs actually executed by a worker.
+    /// Jobs actually executed by a lane.
     pub executed: u64,
     /// Jobs whose executor returned an error.
     pub failed: u64,
     /// Jobs that expired in the queue.
     pub expired: u64,
+    /// Entries re-queued after their fleet worker was lost (always 0 on
+    /// a local pool).
+    pub requeued: u64,
 }
 
 /// Number of pool workers: `FGQOS_SERVE_THREADS` override, else the
@@ -155,9 +231,9 @@ pub fn worker_count() -> usize {
         .unwrap_or(hw)
 }
 
-/// Shared state of a running service: queue, jobs, cache, admission and
-/// telemetry. Connection handlers and workers all operate on an
-/// `Arc<ServeCore>`.
+/// Shared state of a running service: queue, jobs, lanes, cache,
+/// admission and telemetry. Connection handlers and lanes all operate
+/// on an `Arc<ServeCore>`.
 pub struct ServeCore {
     state: Mutex<PoolState>,
     wakeup: Condvar,
@@ -167,7 +243,8 @@ pub struct ServeCore {
     pub admission: AdmissionControl,
     /// The live-run table (v4 `subscribe`/`control`/`journal`).
     pub live: LiveRegistry,
-    workers: usize,
+    /// The worker registry when this core fronts a fleet.
+    pub(crate) fleet: Option<Arc<Fleet>>,
     started: Instant,
     busy_nanos: AtomicU64,
     frames: AtomicU64,
@@ -176,8 +253,8 @@ pub struct ServeCore {
 }
 
 impl ServeCore {
-    /// Creates the shared state for a pool of `workers` threads with an
-    /// in-memory result cache.
+    /// Creates the shared state for a pool of `workers` local lanes with
+    /// an in-memory result cache.
     pub fn new(workers: usize, admission: AdmissionConfig) -> Self {
         Self::with_cache(workers, admission, ResultCache::new())
     }
@@ -185,16 +262,33 @@ impl ServeCore {
     /// [`ServeCore::new`] with a caller-supplied cache — how a server
     /// gets a [`ResultCache::persistent`] one that survives restarts.
     pub fn with_cache(workers: usize, admission: AdmissionConfig, cache: ResultCache) -> Self {
+        Self::build(workers, admission, cache, None)
+    }
+
+    /// A core with `local_lanes` lane slots (lane `i` is group `i`), plus
+    /// the worker registry when it fronts a fleet.
+    pub(crate) fn build(
+        local_lanes: usize,
+        admission: AdmissionConfig,
+        cache: ResultCache,
+        fleet: Option<Arc<Fleet>>,
+    ) -> Self {
+        let lanes = (0..local_lanes)
+            .map(|group| LaneSlot {
+                group,
+                ..LaneSlot::default()
+            })
+            .collect();
         ServeCore {
             state: Mutex::new(PoolState {
-                lane_executed: vec![0; workers],
+                lanes,
                 ..PoolState::default()
             }),
             wakeup: Condvar::new(),
             cache,
             admission: AdmissionControl::new(admission),
             live: LiveRegistry::new(),
-            workers,
+            fleet,
             started: Instant::now(),
             busy_nanos: AtomicU64::new(0),
             frames: AtomicU64::new(0),
@@ -203,9 +297,8 @@ impl ServeCore {
         }
     }
 
-    /// Number of workers this core was sized for.
-    pub fn workers(&self) -> usize {
-        self.workers
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().expect("pool poisoned")
     }
 
     /// Counts one received frame (any op).
@@ -233,53 +326,30 @@ impl ServeCore {
     ) -> Result<(u64, Option<Arc<Value>>), String> {
         let (hash, key) = job_key(&spec);
         let cached = self.cache.get(hash, &key);
-        let mut st = self.state.lock().expect("pool poisoned");
+        let mut st = self.lock();
         if st.draining {
             return Err("server is shutting down".into());
         }
-        let id = st.next_job + 1;
-        st.next_job = id;
-        st.submitted += 1;
-        match cached {
-            Some(report) => {
-                st.jobs.insert(
-                    id,
-                    JobEntry {
-                        state: JobState::Done,
-                        report: Some(Arc::clone(&report)),
-                    },
-                );
-                Ok((id, Some(report)))
-            }
-            None => {
-                st.jobs.insert(
-                    id,
-                    JobEntry {
-                        state: JobState::Queued,
-                        report: None,
-                    },
-                );
-                st.queue.push_back(QueuedJob {
-                    work: Work::Single {
-                        id,
-                        spec,
-                        hash,
-                        key,
-                    },
-                    lane: None,
-                    deadline,
-                });
-                self.wakeup.notify_one();
-                Ok((id, None))
-            }
+        let id = st.open_job(&cached);
+        if cached.is_none() {
+            st.queue.push_back(QueuedJob {
+                payload: Payload::Single(spec),
+                jobs: vec![JobKey { id, hash, key }],
+                group: None,
+                deadline,
+            });
+            self.enqueued(&mut st);
         }
+        Ok((id, cached))
     }
 
     /// Accepts a warm-start batch: one job id per point, in point order,
-    /// with the cached points born `Done`. The uncached remainder is
-    /// enqueued as a single entry pinned to the least-loaded lane
-    /// (returned as the second element; `None` when the whole batch was
-    /// answered from the cache). `Err` when the server is draining.
+    /// with the cached points born `Done`. On a local pool the uncached
+    /// remainder is enqueued as one entry pinned to the least-loaded
+    /// lane (returned as the second element); on a fleet it splits into
+    /// one contiguous slice per live worker and no lane is returned.
+    /// `None` also when the whole batch was answered from the cache.
+    /// `Err` when the server is draining.
     #[allow(clippy::type_complexity)]
     pub fn submit_batch(
         &self,
@@ -295,77 +365,114 @@ impl ServeCore {
                 (hash, key, cached)
             })
             .collect();
-        let mut st = self.state.lock().expect("pool poisoned");
+        let mut st = self.lock();
         if st.draining {
             return Err("server is shutting down".into());
         }
         st.batches += 1;
         let mut acks = Vec::with_capacity(spec.points.len());
-        let mut pending: Vec<BatchPointJob> = Vec::new();
-        for (i, (hash, key, cached)) in addressed.into_iter().enumerate() {
-            let id = st.next_job + 1;
-            st.next_job = id;
-            st.submitted += 1;
-            match cached {
-                Some(report) => {
-                    st.jobs.insert(
-                        id,
-                        JobEntry {
-                            state: JobState::Done,
-                            report: Some(Arc::clone(&report)),
-                        },
-                    );
-                    acks.push((id, Some(report)));
-                }
-                None => {
-                    st.jobs.insert(
-                        id,
-                        JobEntry {
-                            state: JobState::Queued,
-                            report: None,
-                        },
-                    );
-                    pending.push(BatchPointJob {
-                        id,
-                        hash,
-                        key,
-                        point: spec.points[i],
-                    });
-                    acks.push((id, None));
-                }
+        let mut pending: Vec<(JobKey, BatchPoint)> = Vec::new();
+        for ((hash, key, cached), point) in addressed.into_iter().zip(&spec.points) {
+            let id = st.open_job(&cached);
+            if cached.is_none() {
+                pending.push((JobKey { id, hash, key }, *point));
             }
+            acks.push((id, cached));
         }
         if pending.is_empty() {
             return Ok((acks, None));
         }
-        // Pin to the lane with the fewest queued pinned entries —
-        // deterministic given the queue state, lowest index on ties.
-        let mut depth = vec![0usize; self.workers.max(1)];
-        for j in &st.queue {
-            if let Some(lane) = j.lane {
-                depth[lane] += 1;
+        let (groups, lane) = match &self.fleet {
+            None => {
+                // Pin to the lane with the fewest queued pinned entries —
+                // deterministic given the queue state, lowest index on
+                // ties.
+                let depth =
+                    |lane: &usize| st.queue.iter().filter(|j| j.group == Some(*lane)).count();
+                let lane = (0..st.lanes.len()).min_by_key(depth).unwrap_or(0);
+                (vec![Some(lane)], Some(lane))
+            }
+            // An empty fleet still gets one (unpinned) entry: the sweep in
+            // `enqueued` fails it.
+            Some(fleet) => match fleet.live_groups() {
+                live if live.is_empty() => (vec![None], None),
+                live => (live.into_iter().map(Some).collect(), None),
+            },
+        };
+        // Contiguous slices; earlier slices get the rounding remainder.
+        let slices = groups.len().min(pending.len());
+        let (base, extra) = (pending.len() / slices, pending.len() % slices);
+        let mut rest = pending.into_iter();
+        for (i, group) in groups.into_iter().take(slices).enumerate() {
+            let (jobs, points): (Vec<JobKey>, Vec<BatchPoint>) =
+                rest.by_ref().take(base + usize::from(i < extra)).unzip();
+            st.queue.push_back(QueuedJob {
+                payload: Payload::Batch(BatchSpec {
+                    points,
+                    ..spec.clone()
+                }),
+                jobs,
+                group,
+                deadline,
+            });
+        }
+        self.enqueued(&mut st);
+        Ok((acks, lane))
+    }
+
+    /// Wakes the lanes after new queue entries (all of them: a pinned
+    /// entry is only for its group's lanes).
+    fn enqueued(&self, st: &mut PoolState) {
+        self.sweep(st);
+        self.wakeup.notify_all();
+    }
+
+    /// Fleet bookkeeping after a worker died (or before any registered):
+    /// entries pinned to a dead worker are unpinned so the rest of the
+    /// fleet takes them, and with no live worker left every queued job
+    /// fails. A no-op on a local pool.
+    fn sweep(&self, st: &mut PoolState) {
+        let Some(fleet) = &self.fleet else { return };
+        let live = fleet.live_groups();
+        if live.is_empty() {
+            for job in std::mem::take(&mut st.queue) {
+                st.fail(&job.jobs, "no live workers in the fleet");
             }
         }
-        let lane = (0..depth.len()).min_by_key(|&l| depth[l]).unwrap_or(0);
-        st.queue.push_back(QueuedJob {
-            work: Work::Batch {
-                spec,
-                points: pending,
-            },
-            lane: Some(lane),
-            deadline,
-        });
-        // notify_all: only the pinned lane's worker can take this entry.
+        for job in &mut st.queue {
+            if job.group.is_some_and(|g| !live.contains(&g)) {
+                job.group = None;
+            }
+        }
+    }
+
+    /// Re-homes queued work after the heartbeat marked a worker dead.
+    pub(crate) fn worker_lost(&self) {
+        let mut st = self.lock();
+        self.sweep(&mut st);
         self.wakeup.notify_all();
-        Ok((acks, Some(lane)))
+    }
+
+    /// Adds a lane slot in `group`; returns its lane index for
+    /// [`run_lane`](Self::run_lane).
+    pub(crate) fn add_lane(&self, group: usize) -> usize {
+        let mut st = self.lock();
+        st.lanes.push(LaneSlot {
+            group,
+            ..LaneSlot::default()
+        });
+        st.lanes.len() - 1
     }
 
     /// A job's state plus, while queued, its 0-based queue position.
     pub fn status(&self, id: u64) -> Option<(JobState, Option<usize>)> {
-        let st = self.state.lock().expect("pool poisoned");
+        let st = self.lock();
         let entry = st.jobs.get(&id)?;
         let position = match entry.state {
-            JobState::Queued => st.queue.iter().position(|j| j.work.contains(id)),
+            JobState::Queued => st
+                .queue
+                .iter()
+                .position(|j| j.jobs.iter().any(|k| k.id == id)),
             _ => None,
         };
         Some((entry.state.clone(), position))
@@ -373,247 +480,183 @@ impl ServeCore {
 
     /// A finished job's report (`None` until it is done).
     pub fn result(&self, id: u64) -> Option<(JobState, Option<Arc<Value>>)> {
-        let st = self.state.lock().expect("pool poisoned");
+        let st = self.lock();
         let entry = st.jobs.get(&id)?;
         Some((entry.state.clone(), entry.report.clone()))
     }
 
-    /// Worker thread body for the worker on `lane`: pop the first queue
-    /// entry this lane may take (unpinned, or pinned to it), check the
-    /// deadline, execute, publish. Returns when the core is draining and
-    /// no eligible work remains.
-    pub fn worker_loop(&self, lane: usize, executor: Executor, batch_executor: BatchExecutor) {
-        {
-            let mut st = self.state.lock().expect("pool poisoned");
-            st.live_workers += 1;
-        }
+    /// Lane thread body: pop the first entry this lane may take
+    /// (unpinned, or pinned to its group), expire it if its deadline
+    /// passed, else execute and publish. Returns when the core is draining and the queue is
+    /// empty, or when a remote lane's worker died.
+    pub(crate) fn run_lane(&self, lane: usize, mut exec: Lane) {
+        self.lock().live_lanes += 1;
         loop {
             let job = {
-                let mut st = self.state.lock().expect("pool poisoned");
+                let mut st = self.lock();
                 loop {
+                    if !exec.alive() {
+                        st.lanes[lane].retired = true;
+                        break None;
+                    }
+                    let group = st.lanes[lane].group;
                     let eligible = st
                         .queue
                         .iter()
-                        .position(|j| j.lane.is_none_or(|l| l == lane));
-                    if let Some(pos) = eligible {
-                        let job = st.queue.remove(pos).expect("position just found");
-                        st.busy_workers += 1;
+                        .position(|j| j.group.is_none_or(|g| g == group));
+                    if let Some(job) = eligible.and_then(|pos| st.queue.remove(pos)) {
+                        if job.deadline.is_some_and(|d| Instant::now() > d) {
+                            for k in &job.jobs {
+                                st.set(k.id, JobState::Expired, None);
+                                st.expired += 1;
+                            }
+                            continue;
+                        }
+                        for k in &job.jobs {
+                            st.set(k.id, JobState::Running, None);
+                        }
+                        st.busy_lanes += 1;
                         break Some(job);
                     }
-                    if st.draining {
+                    // Even while draining, stay until the queue is empty:
+                    // a dead worker's entry may come back unpinned.
+                    if st.draining && st.queue.is_empty() {
                         break None;
                     }
                     st = self.wakeup.wait(st).expect("pool poisoned");
                 }
             };
             let Some(job) = job else {
-                let mut st = self.state.lock().expect("pool poisoned");
-                st.live_workers -= 1;
+                self.lock().live_lanes -= 1;
                 self.wakeup.notify_all();
                 return;
             };
-            if job.deadline.is_some_and(|d| Instant::now() > d) {
-                let mut st = self.state.lock().expect("pool poisoned");
-                for id in job.work.ids() {
-                    if let Some(entry) = st.jobs.get_mut(&id) {
-                        entry.state = JobState::Expired;
-                    }
-                    st.expired += 1;
-                }
-                st.busy_workers -= 1;
-                self.wakeup.notify_all();
-                continue;
-            }
-            {
-                let mut st = self.state.lock().expect("pool poisoned");
-                for id in job.work.ids() {
-                    if let Some(entry) = st.jobs.get_mut(&id) {
-                        entry.state = JobState::Running;
-                    }
-                }
-            }
             let t0 = Instant::now();
-            match job.work {
-                Work::Single {
-                    id,
-                    spec,
-                    hash,
-                    key,
-                } => {
-                    let outcome = executor(&spec);
-                    self.busy_nanos
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    let mut st = self.state.lock().expect("pool poisoned");
-                    st.lane_executed[lane] += 1;
-                    match outcome {
-                        Ok(report) => {
-                            let report = Arc::new(report.to_json());
-                            self.cache.insert(hash, key, Arc::clone(&report));
-                            if let Some(entry) = st.jobs.get_mut(&id) {
-                                entry.state = JobState::Done;
-                                entry.report = Some(report);
-                            }
-                            st.executed += 1;
-                        }
-                        Err(e) => {
-                            if let Some(entry) = st.jobs.get_mut(&id) {
-                                entry.state = JobState::Failed(e);
-                            }
-                            st.failed += 1;
-                        }
+            let outcome = exec.run(&job.payload).and_then(|reports| {
+                if reports.len() == job.jobs.len() {
+                    Ok(reports)
+                } else {
+                    Err(LaneError::Fail(format!(
+                        "batch executor returned {} reports for {} points",
+                        reports.len(),
+                        job.jobs.len()
+                    )))
+                }
+            });
+            self.busy_nanos
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            let mut st = self.lock();
+            st.busy_lanes -= 1;
+            match outcome {
+                Ok(reports) => {
+                    st.lanes[lane].executed += 1;
+                    for (k, report) in job.jobs.into_iter().zip(reports) {
+                        let report = Arc::new(report);
+                        self.cache.insert(k.hash, k.key, Arc::clone(&report));
+                        st.set(k.id, JobState::Done, Some(report));
+                        st.executed += 1;
                     }
                 }
-                Work::Batch { spec, points } => {
-                    // Hand the executor only the uncached points, in
-                    // their original order.
-                    let run = BatchSpec {
-                        points: points.iter().map(|p| p.point).collect(),
-                        ..spec
-                    };
-                    let outcome = batch_executor(&run).and_then(|reports| {
-                        if reports.len() == points.len() {
-                            Ok(reports)
-                        } else {
-                            Err(format!(
-                                "batch executor returned {} reports for {} points",
-                                reports.len(),
-                                points.len()
-                            ))
-                        }
-                    });
-                    self.busy_nanos
-                        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    let mut st = self.state.lock().expect("pool poisoned");
-                    st.lane_executed[lane] += 1;
-                    match outcome {
-                        Ok(reports) => {
-                            for (p, report) in points.into_iter().zip(reports) {
-                                let report = Arc::new(report.to_json());
-                                self.cache.insert(p.hash, p.key, Arc::clone(&report));
-                                if let Some(entry) = st.jobs.get_mut(&p.id) {
-                                    entry.state = JobState::Done;
-                                    entry.report = Some(report);
-                                }
-                                st.executed += 1;
-                            }
-                        }
-                        Err(e) => {
-                            for p in points {
-                                if let Some(entry) = st.jobs.get_mut(&p.id) {
-                                    entry.state = JobState::Failed(e.clone());
-                                }
-                                st.failed += 1;
-                            }
-                        }
+                Err(LaneError::Fail(message)) => {
+                    st.lanes[lane].executed += 1;
+                    st.fail(&job.jobs, &message);
+                }
+                Err(LaneError::Down) => {
+                    // The worker died under the entry: hand it back to the
+                    // head of the queue for the rest of the fleet.
+                    // Executors are pure, so the re-run is byte-identical.
+                    for k in &job.jobs {
+                        st.set(k.id, JobState::Queued, None);
                     }
+                    st.requeued += 1;
+                    st.queue.push_front(QueuedJob {
+                        group: None,
+                        deadline: None,
+                        ..job
+                    });
+                    self.sweep(&mut st);
                 }
             }
-            let mut st = self.state.lock().expect("pool poisoned");
-            st.busy_workers -= 1;
             self.wakeup.notify_all();
         }
     }
 
     /// Graceful drain: refuse new submissions, execute everything
-    /// already queued, and return once every worker is idle or exited.
-    /// Idempotent; concurrent callers all block until the drain ends.
+    /// already queued, and return once every lane is idle or exited; a
+    /// fleet front then shuts its workers down. Idempotent; concurrent
+    /// callers all block until the drain ends.
     pub fn drain(&self) -> DrainSummary {
         // Live runs first: tell each to finish at its next window
         // boundary and wait for the executors to let go. A live run
         // reacts within one window (plus its pacing sleep), so the
         // bound below is generous.
         self.live.drain(std::time::Duration::from_secs(60));
-        let mut st = self.state.lock().expect("pool poisoned");
-        st.draining = true;
-        self.wakeup.notify_all();
-        while !st.queue.is_empty() || st.busy_workers > 0 || st.live_workers > 0 {
-            st = self.wakeup.wait(st).expect("pool poisoned");
-        }
-        DrainSummary {
-            submitted: st.submitted,
-            executed: st.executed,
-            failed: st.failed,
-            expired: st.expired,
-        }
-    }
-
-    /// `true` once [`drain`](Self::drain) has started.
-    pub fn draining(&self) -> bool {
-        self.state.lock().expect("pool poisoned").draining
-    }
-
-    /// Current queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.state.lock().expect("pool poisoned").queue.len()
-    }
-
-    /// Snapshot of the service's metrics under stable `serve.*` names,
-    /// exportable through the standard
-    /// [`MetricsRegistry`] JSON/CSV exporters.
-    pub fn metrics(&self) -> MetricsRegistry {
-        let (queue_depth, submitted, executed, failed, expired, busy, batches, lanes) = {
-            let st = self.state.lock().expect("pool poisoned");
-            let mut lanes: Vec<(u64, u64)> = st
-                .lane_executed
-                .iter()
-                .map(|&executed| (0u64, executed))
-                .collect();
-            for j in &st.queue {
-                if let Some(lane) = j.lane {
-                    if let Some(entry) = lanes.get_mut(lane) {
-                        entry.0 += 1;
-                    }
-                }
+        let summary = {
+            let mut st = self.lock();
+            st.draining = true;
+            self.wakeup.notify_all();
+            while !st.queue.is_empty() || st.busy_lanes > 0 || st.live_lanes > 0 {
+                st = self.wakeup.wait(st).expect("pool poisoned");
             }
-            (
-                st.queue.len(),
-                st.submitted,
-                st.executed,
-                st.failed,
-                st.expired,
-                st.busy_workers,
-                st.batches,
-                lanes,
-            )
+            DrainSummary {
+                submitted: st.submitted,
+                executed: st.executed,
+                failed: st.failed,
+                expired: st.expired,
+                requeued: st.requeued,
+            }
         };
+        if let Some(fleet) = &self.fleet {
+            fleet.shutdown_workers();
+        }
+        summary
+    }
+
+    /// Snapshot of the service's metrics under stable `serve.*` names
+    /// (plus `coordinator.*` on a fleet front), exportable through the
+    /// standard [`MetricsRegistry`] JSON/CSV exporters.
+    pub fn metrics(&self) -> MetricsRegistry {
         let mut reg = MetricsRegistry::new();
-        reg.counter("serve.frames", self.frames.load(Ordering::Relaxed));
-        reg.counter(
-            "serve.frames.malformed",
-            self.malformed.load(Ordering::Relaxed),
-        );
+        let st = self.lock();
+        let frames = self.frames.load(Ordering::Relaxed);
+        let malformed = self.malformed.load(Ordering::Relaxed);
+        reg.counter("serve.frames", frames);
+        reg.counter("serve.frames.malformed", malformed);
         reg.counter(
             "serve.frames.oversized",
             self.oversized.load(Ordering::Relaxed),
         );
-        reg.gauge("serve.queue_depth", queue_depth as f64);
-        reg.counter("serve.jobs.submitted", submitted);
-        reg.counter("serve.jobs.executed", executed);
-        reg.counter("serve.jobs.failed", failed);
-        reg.counter("serve.jobs.expired", expired);
+        reg.gauge("serve.queue_depth", st.queue.len() as f64);
+        reg.counter("serve.jobs.submitted", st.submitted);
+        reg.counter("serve.jobs.executed", st.executed);
+        reg.counter("serve.jobs.failed", st.failed);
+        reg.counter("serve.jobs.expired", st.expired);
         reg.counter("serve.cache.entries", self.cache.len() as u64);
         reg.counter("serve.cache.hits", self.cache.hits());
         reg.counter("serve.cache.misses", self.cache.misses());
         reg.gauge("serve.cache.hit_rate", self.cache.hit_rate());
-        reg.counter("serve.jobs.batches", batches);
-        reg.gauge("serve.workers", self.workers as f64);
-        reg.gauge("serve.workers.busy", busy as f64);
+        reg.counter("serve.jobs.batches", st.batches);
+        let lanes = st.lanes.iter().filter(|l| !l.retired).count();
+        reg.gauge("serve.workers", lanes as f64);
+        reg.gauge("serve.workers.busy", st.busy_lanes as f64);
         let live = self.live.metrics();
         reg.counter("serve.live.sessions", live.sessions);
         reg.gauge("serve.live.active", live.active as f64);
         reg.counter("serve.live.frames", live.frames);
         reg.counter("serve.live.controls", live.controls);
         reg.counter("serve.live.dropped", live.dropped);
-        for (lane, (pinned_depth, executed)) in lanes.iter().enumerate() {
-            reg.gauge(
-                format!("serve.lane.{lane}.queue_depth"),
-                *pinned_depth as f64,
-            );
-            reg.counter(format!("serve.lane.{lane}.executed"), *executed);
+        for (lane, slot) in st.lanes.iter().enumerate() {
+            let pinned = st
+                .queue
+                .iter()
+                .filter(|j| j.group == Some(slot.group))
+                .count();
+            reg.gauge(format!("serve.lane.{lane}.queue_depth"), pinned as f64);
+            reg.counter(format!("serve.lane.{lane}.executed"), slot.executed);
         }
         let elapsed = self.started.elapsed().as_nanos() as f64;
         let busy_ratio = if elapsed > 0.0 {
-            self.busy_nanos.load(Ordering::Relaxed) as f64 / (elapsed * self.workers.max(1) as f64)
+            self.busy_nanos.load(Ordering::Relaxed) as f64 / (elapsed * lanes.max(1) as f64)
         } else {
             0.0
         };
@@ -621,6 +664,15 @@ impl ServeCore {
         for (client, accepted, denied) in self.admission.snapshot() {
             reg.counter(format!("serve.client.{client}.accepted"), accepted);
             reg.counter(format!("serve.client.{client}.denied"), denied);
+        }
+        if let Some(fleet) = &self.fleet {
+            fleet.export(&mut reg);
+            reg.counter("coordinator.frames", frames);
+            reg.counter("coordinator.frames.malformed", malformed);
+            reg.counter("coordinator.jobs.submitted", st.submitted);
+            reg.counter("coordinator.jobs.executed", st.executed);
+            reg.counter("coordinator.jobs.failed", st.failed);
+            reg.counter("coordinator.jobs.requeued", st.requeued);
         }
         reg
     }
@@ -668,9 +720,11 @@ mod tests {
         (0..n)
             .map(|lane| {
                 let core = Arc::clone(core);
-                let exec = Arc::clone(&exec);
-                let batch = Arc::clone(&batch);
-                std::thread::spawn(move || core.worker_loop(lane, exec, batch))
+                let lane_exec = Lane::Local {
+                    executor: Arc::clone(&exec),
+                    batch_executor: Arc::clone(&batch),
+                };
+                std::thread::spawn(move || core.run_lane(lane, lane_exec))
             })
             .collect()
     }
@@ -785,6 +839,39 @@ mod tests {
         assert_eq!(state, JobState::Failed("boom".into()));
         assert!(report.is_none());
         assert_eq!(core.drain().failed, 1);
+        for w in workers {
+            w.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn panicking_executor_fails_its_job_and_the_lane_keeps_serving() {
+        let core = Arc::new(ServeCore::new(1, AdmissionConfig::default()));
+        let exec: Executor = Arc::new(|spec: &JobSpec| {
+            assert!(spec.cycles != 13, "unlucky cycle count");
+            Ok(Report::new("stub"))
+        });
+        let workers = start(&core, 1, exec);
+        let mut doomed = spec("panic");
+        doomed.cycles = 13;
+        let (bad, _) = core.submit(doomed, None).unwrap();
+        let (good, _) = core.submit(spec("fine"), None).unwrap();
+        match wait_done(&core, bad).0 {
+            JobState::Failed(message) => assert!(
+                message.contains("unlucky cycle count"),
+                "panic message carried: {message}"
+            ),
+            other => panic!("panicking job ended {other:?}"),
+        }
+        assert_eq!(wait_done(&core, good).0, JobState::Done, "lane survived");
+        // The drain must come back: the lane is alive and idle.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let drainer = Arc::clone(&core);
+        std::thread::spawn(move || tx.send(drainer.drain()).unwrap());
+        let summary = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("drain returned");
+        assert_eq!((summary.failed, summary.executed), (1, 1));
         for w in workers {
             w.join().unwrap();
         }

@@ -293,7 +293,9 @@ mod tests {
         assert_eq!(t.max(u), u);
     }
 
+    // The check is a `debug_assert!`: release builds do not panic.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic]
     fn cycle_since_future_panics_in_debug() {
         let _ = Cycle::new(5).cycles_since(Cycle::new(6));

@@ -107,15 +107,15 @@ use fgqos::runner::{
 use fgqos::scenario::{load_scenario_text, ScenarioSpec};
 use fgqos::serve::admission::AdmissionConfig;
 use fgqos::serve::client::{Client, ClientError, SubmitOptions};
-use fgqos::serve::coordinator::{start_coordinator, CoordinatorConfig};
+use fgqos::serve::coordinator::CoordinatorConfig;
 use fgqos::serve::live::{JOURNAL_SCHEMA, JOURNAL_VERSION, LIVE_SCHEMA, LIVE_VERSION};
 use fgqos::serve::protocol::{
     ControlSet, LiveSpec, DEFAULT_LIVE_WINDOW, DEFAULT_MAX_FRAME_BYTES, SERVE_VERSION,
 };
-use fgqos::serve::server::{start_live, ServeConfig};
-use fgqos::serve::BatchExecutor;
+use fgqos::serve::server::{start_fleet, start_live, ServeConfig, ServerHandle};
 use fgqos::sim::axi::MasterId;
 use fgqos::sim::json::Value;
+use std::ffi::OsString;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -811,83 +811,57 @@ fn hunt(args: HuntArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn batch_executor_for(blob_dir: &Option<PathBuf>) -> BatchExecutor {
-    match blob_dir {
+/// A server with the real simulator-backed executors.
+fn start_local(cfg: ServeConfig, blob_dir: &Option<PathBuf>) -> std::io::Result<ServerHandle> {
+    let batch_executor = match blob_dir {
         Some(dir) => serve_batch_executor_with_store(dir.clone()),
         None => serve_batch_executor(),
-    }
-}
-
-fn serve(args: ServeArgs) -> Result<(), String> {
-    if args.workers.is_some() {
-        return serve_fleet(args);
-    }
-    let handle = start_live(
-        ServeConfig {
-            addr: args.addr,
-            threads: args.threads,
-            max_frame_bytes: args.max_frame_bytes,
-            admission: args.admission,
-            default_deadline_ms: args.default_deadline_ms,
-            cache_dir: args.cache_dir,
-        },
+    };
+    start_live(
+        cfg,
         serve_executor(),
-        batch_executor_for(&args.blob_dir),
+        batch_executor,
         serve_snapshot_executor(),
         serve_live_executor(),
     )
-    .map_err(|e| format!("cannot start server: {e}"))?;
-    // Scripts (and CI) parse this line for the bound port.
-    println!("listening on {}", handle.addr());
-    handle.join();
-    println!("server drained and stopped");
-    Ok(())
 }
 
-/// Fleet mode: a coordinator plus `--workers N` spawned worker
-/// processes (re-invocations of this binary as `fgqos worker`).
-fn serve_fleet(args: ServeArgs) -> Result<(), String> {
-    let n = args.workers.unwrap_or(0);
-    let handle = start_coordinator(CoordinatorConfig {
-        addr: args.addr,
+fn serve(args: ServeArgs) -> Result<(), String> {
+    let cfg = ServeConfig {
+        addr: args.addr.clone(),
+        threads: args.threads,
         max_frame_bytes: args.max_frame_bytes,
-        cache_dir: args.cache_dir,
-        ..CoordinatorConfig::default()
-    })
-    .map_err(|e| format!("cannot start coordinator: {e}"))?;
+        admission: args.admission,
+        default_deadline_ms: args.default_deadline_ms,
+        cache_dir: args.cache_dir.clone(),
+    };
+    let Some(n) = args.workers else {
+        let handle =
+            start_local(cfg, &args.blob_dir).map_err(|e| format!("cannot start server: {e}"))?;
+        // Scripts (and CI) parse this line for the bound port.
+        println!("listening on {}", handle.addr());
+        handle.join();
+        println!("server drained and stopped");
+        return Ok(());
+    };
+    // Fleet mode: a front plus N spawned worker processes
+    // (re-invocations of this binary as `fgqos worker`). The front does
+    // not throttle; the `--admit-*` knobs apply on the workers.
+    let front = ServeConfig {
+        admission: UNTHROTTLED,
+        ..cfg
+    };
+    let handle = start_fleet(front, CoordinatorConfig::default())
+        .map_err(|e| format!("cannot start coordinator: {e}"))?;
     println!("listening on {}", handle.addr());
-
     let exe = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
     let mut children = Vec::with_capacity(n);
     for _ in 0..n {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("worker")
-            .arg("--connect")
-            .arg(handle.addr().to_string())
+        let child = std::process::Command::new(&exe)
+            .args(worker_argv(&args, &handle.addr().to_string()))
             // Workers print their own "listening on" line; keep the
-            // coordinator's the only one on stdout for port-scraping
-            // scripts.
-            .stdout(std::process::Stdio::null());
-        if args.threads != 0 {
-            cmd.arg("--threads").arg(args.threads.to_string());
-        }
-        if let Some(dir) = &args.blob_dir {
-            cmd.arg("--blob-dir").arg(dir);
-        }
-        if args.admit_overridden {
-            cmd.arg("--admit-budget")
-                .arg(args.admission.budget_bytes.to_string());
-            cmd.arg("--admit-depth")
-                .arg(args.admission.depth_bytes.to_string());
-        } else {
-            // All fleet ingress funnels through one coordinator
-            // principal, so per-client throttling defaults sized for
-            // external clients would strangle it; effectively disable
-            // admission on spawned workers unless the operator asked.
-            cmd.arg("--admit-budget").arg((1u32 << 30).to_string());
-            cmd.arg("--admit-depth").arg((1u32 << 30).to_string());
-        }
-        let child = cmd
+            // front's the only one on stdout for port-scraping scripts.
+            .stdout(std::process::Stdio::null())
             .spawn()
             .map_err(|e| format!("cannot spawn worker: {e}"))?;
         eprintln!("spawned worker pid {}", child.id());
@@ -915,22 +889,51 @@ fn serve_fleet(args: ServeArgs) -> Result<(), String> {
     Ok(())
 }
 
+/// Admission that never denies: 1 GiB per period and of burst.
+const UNTHROTTLED: AdmissionConfig = AdmissionConfig {
+    budget_bytes: 1 << 30,
+    period_cycles: 1_000_000,
+    depth_bytes: 1 << 30,
+};
+
+/// The arguments `fgqos serve --workers N` spawns each worker with.
+fn worker_argv(args: &ServeArgs, front: &str) -> Vec<OsString> {
+    // All fleet ingress reaches a worker under one coordinator
+    // principal, so per-client defaults sized for external clients would
+    // strangle it: workers only throttle when the operator asked.
+    let admission = if args.admit_overridden {
+        args.admission
+    } else {
+        UNTHROTTLED
+    };
+    let mut argv: Vec<OsString> = vec!["worker".into(), "--connect".into(), front.into()];
+    for (flag, value) in [
+        ("--admit-budget", admission.budget_bytes),
+        ("--admit-period-ms", admission.period_cycles / 1_000),
+        ("--admit-depth", admission.depth_bytes),
+    ] {
+        argv.extend([flag.into(), value.to_string().into()]);
+    }
+    if args.threads != 0 {
+        argv.extend(["--threads".into(), args.threads.to_string().into()]);
+    }
+    if let Some(dir) = &args.blob_dir {
+        argv.extend(["--blob-dir".into(), dir.into()]);
+    }
+    argv
+}
+
 fn worker(args: WorkerArgs) -> Result<(), String> {
-    let handle = start_live(
-        ServeConfig {
-            addr: args.addr,
-            threads: args.threads,
-            max_frame_bytes: args.max_frame_bytes,
-            admission: args.admission,
-            default_deadline_ms: None,
-            cache_dir: None,
-        },
-        serve_executor(),
-        batch_executor_for(&args.blob_dir),
-        serve_snapshot_executor(),
-        serve_live_executor(),
-    )
-    .map_err(|e| format!("cannot start worker: {e}"))?;
+    let cfg = ServeConfig {
+        addr: args.addr,
+        threads: args.threads,
+        max_frame_bytes: args.max_frame_bytes,
+        admission: args.admission,
+        default_deadline_ms: None,
+        cache_dir: None,
+    };
+    let handle =
+        start_local(cfg, &args.blob_dir).map_err(|e| format!("cannot start worker: {e}"))?;
     println!("listening on {}", handle.addr());
     // The coordinator may still be binding when we come up; retry the
     // registration briefly before giving up.
@@ -1406,6 +1409,46 @@ mod tests {
         assert_eq!(w.connect, "127.0.0.1:7171");
         assert_eq!(w.addr, "127.0.0.1:0");
         assert!(args(&["worker"]).is_err(), "worker requires --connect");
+    }
+
+    #[test]
+    fn fleet_workers_get_the_admission_knobs() {
+        let argv = |list: &[&str]| {
+            let Ok(Cmd::Serve(s)) = args(list) else {
+                panic!("expected serve");
+            };
+            worker_argv(&s, "127.0.0.1:9")
+                .into_iter()
+                .map(|a| a.into_string().unwrap())
+                .collect::<Vec<_>>()
+                .join(" ")
+        };
+        let tuned = argv(&[
+            "serve",
+            "--workers",
+            "2",
+            "--threads",
+            "3",
+            "--admit-budget",
+            "4096",
+            "--admit-period-ms",
+            "50",
+            "--admit-depth",
+            "8192",
+            "--blob-dir",
+            "/tmp/blobs",
+        ]);
+        assert_eq!(
+            tuned,
+            "worker --connect 127.0.0.1:9 --admit-budget 4096 --admit-period-ms 50 \
+             --admit-depth 8192 --threads 3 --blob-dir /tmp/blobs"
+        );
+        // Untuned fleets run unthrottled workers.
+        assert_eq!(
+            argv(&["serve", "--workers", "2"]),
+            "worker --connect 127.0.0.1:9 --admit-budget 1073741824 \
+             --admit-period-ms 1000 --admit-depth 1073741824"
+        );
     }
 
     #[test]

@@ -4,15 +4,18 @@
 //! the admission-control isolation guarantee from the paper's
 //! window/budget regulation (here applied to the server's own ingress).
 
+use fgqos::hunt::{run_hunt, HuntOptions};
+use fgqos::hunt_engine::HuntConfig;
 use fgqos::runner::{
     batch_reports, live_run, scenario_report, serve_batch_executor, serve_executor,
     serve_live_executor, serve_snapshot_executor, LiveOptions, RunOptions,
 };
 use fgqos::serve::admission::AdmissionConfig;
 use fgqos::serve::client::{Client, ClientError, SubmitOptions};
+use fgqos::serve::coordinator::CoordinatorConfig;
 use fgqos::serve::live::{ControlWrite, LiveRegistry};
 use fgqos::serve::protocol::{BatchKind, BatchPoint, BatchSpec, ControlSet, JobSpec};
-use fgqos::serve::server::{start, start_live, start_with, ServeConfig, ServerHandle};
+use fgqos::serve::server::{start, start_fleet, start_live, start_with, ServeConfig, ServerHandle};
 use fgqos::serve::Executor;
 use fgqos::sim::json::Value;
 use proptest::prelude::*;
@@ -786,4 +789,145 @@ fn live_frame_and_journal_schema_match_golden() {
         golden, expected,
         "live wire schema drifted; rerun with FGQOS_BLESS=1 and review the diff"
     );
+}
+
+/// A fleet front over in-process workers, each registered with it.
+fn fleet_of(workers: &[&ServerHandle]) -> ServerHandle {
+    let front = start_fleet(ServeConfig::default(), CoordinatorConfig::default())
+        .expect("bind fleet front");
+    for w in workers {
+        front
+            .core()
+            .register_worker(&w.addr().to_string())
+            .expect("worker registers");
+    }
+    front
+}
+
+/// The transport is invisible to the hunt: evaluating candidates
+/// through a fleet front with two workers (sharded batch slices over
+/// remote lanes) yields the byte-identical report of the in-process
+/// batch pool.
+#[test]
+fn hunt_through_a_fleet_matches_the_local_pool() {
+    let opts = |addr: Option<String>| HuntOptions {
+        config: HuntConfig {
+            seed: 5,
+            evals: 6,
+            explore: 4,
+            bisect: 2,
+            ..HuntConfig::default()
+        },
+        warmup: 20_000,
+        tail_cycles: 30_000,
+        addr,
+    };
+    let local = run_hunt(SCENARIO, &opts(None)).expect("local hunt");
+
+    let w1 = live_server(two_threads());
+    let w2 = live_server(two_threads());
+    let front = fleet_of(&[&w1, &w2]);
+    let served = run_hunt(SCENARIO, &opts(Some(front.addr().to_string()))).expect("fleet hunt");
+    assert_eq!(
+        local.report.to_compact(),
+        served.report.to_compact(),
+        "local-pool and fleet hunts must produce byte-identical reports"
+    );
+    // Shutting the front down shuts its workers down too.
+    finish(front);
+    w1.join();
+    w2.join();
+}
+
+/// The fleet front runs the same job table as a single server: a queued
+/// job is acknowledged `queued`, and a `deadline_ms` that passes while
+/// the job waits for a free lane expires it unexecuted.
+#[test]
+fn fleet_front_expires_queued_jobs_past_their_deadline() {
+    let slow: Executor = Arc::new(|_spec: &JobSpec| {
+        std::thread::sleep(Duration::from_millis(200));
+        Ok(fgqos::bench::report::Report::new("slow"))
+    });
+    let worker = start(
+        ServeConfig {
+            threads: 1,
+            ..ServeConfig::default()
+        },
+        slow,
+    )
+    .expect("bind worker");
+    let front = fleet_of(&[&worker]);
+    let mut client = Client::connect(front.addr()).expect("connect");
+    let submit = |client: &mut Client, scenario: &str, deadline_ms: Option<u64>| {
+        let mut req = Value::obj();
+        req.set("op", Value::str("submit"));
+        req.set("scenario", Value::str(scenario));
+        if let Some(ms) = deadline_ms {
+            req.set("deadline_ms", Value::from(ms));
+        }
+        let ack = client.request(&req).expect("submit answers");
+        assert_eq!(ack.get("state").and_then(Value::as_str), Some("queued"));
+        ack.get("job").and_then(Value::as_u64).expect("job id")
+    };
+    // The worker's one thread gives the front one lane: the blocker
+    // holds it while the doomed job's 5 ms deadline passes.
+    let blocker = submit(&mut client, "a", None);
+    let doomed = submit(&mut client, "b", Some(5));
+    client
+        .wait_report(blocker, Duration::from_secs(30))
+        .expect("blocker completes");
+    let doc = loop {
+        let doc = client.result(doomed).expect("result answers");
+        match doc.get("state").and_then(Value::as_str) {
+            Some("queued") | Some("running") => std::thread::sleep(Duration::from_millis(2)),
+            _ => break doc,
+        }
+    };
+    assert_eq!(doc.get("state").and_then(Value::as_str), Some("expired"));
+    let summary = client.shutdown().expect("drains");
+    assert_eq!(summary.get("executed").and_then(Value::as_u64), Some(1));
+    assert_eq!(summary.get("expired").and_then(Value::as_u64), Some(1));
+    front.join();
+    worker.join();
+}
+
+/// A panicking live executor ends its run with an error end-of-stream
+/// object instead of leaving subscribers waiting forever.
+#[test]
+fn panicking_live_executor_ends_the_stream_with_an_error() {
+    let server = start_live(
+        ServeConfig::default(),
+        serve_executor(),
+        serve_batch_executor(),
+        serve_snapshot_executor(),
+        Arc::new(
+            |_spec: &fgqos::serve::protocol::LiveSpec, _session| -> Result<(), String> {
+                panic!("live executor blew up")
+            },
+        ),
+    )
+    .expect("bind loopback");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let spec = fgqos::serve::protocol::LiveSpec {
+        scenario: SCENARIO.to_string(),
+        cycles: CYCLES,
+        window: 10_000,
+        pace_ms: 0,
+    };
+    client
+        .subscribe(&spec, None)
+        .expect("subscribe acknowledged");
+    let end = client.next_live_frame().expect("end-of-stream object");
+    assert_eq!(end.get("stream").and_then(Value::as_str), Some("end"));
+    let error = end.get("error").and_then(Value::as_str).unwrap_or("");
+    assert!(
+        error.contains("live executor blew up"),
+        "end object: {end:?}"
+    );
+    client.set_read_timeout(None).expect("clear timeout");
+    drop(client);
+    finish(server);
 }
