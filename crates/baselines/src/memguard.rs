@@ -21,7 +21,7 @@
 use fgqos_sim::axi::Request;
 use fgqos_sim::gate::{GateDecision, PortGate};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateHasher};
+use fgqos_sim::{ForkCtx, StateWalker};
 
 /// MemGuard parameters.
 #[derive(Debug, Clone, Copy)]
@@ -179,59 +179,22 @@ impl PortGate for MemGuardGate {
         Some(Box::new(self.clone()))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("memguard");
-        h.write_u64(self.cfg.tick_cycles);
-        h.write_u64(self.cfg.budget_bytes);
-        h.write_u64(self.cfg.irq_latency_cycles);
-        h.write_u64(self.tick_start.get());
-        h.write_u64(self.bytes_in_tick);
-        match self.overflow_at {
-            None => h.write_bool(false),
-            Some(t) => {
-                h.write_bool(true);
-                h.write_u64(t.get());
-            }
-        }
-        h.write_u64(self.total_bytes);
-        h.write_u64(self.stall_cycles);
-        h.write_u64(self.max_tick_bytes);
-    }
-
-    fn snap_load(
-        &mut self,
-        r: &mut fgqos_sim::SnapReader<'_>,
-    ) -> Result<(), fgqos_sim::SnapDecodeError> {
-        use fgqos_sim::SnapDecodeError;
-        r.section("memguard")?;
+    fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section("memguard");
         // Configuration travels in the stream for verification only: the
         // skeleton this state loads into must have been built with the
         // same parameters.
-        for (what, built) in [
-            ("memguard tick_cycles", self.cfg.tick_cycles),
-            ("memguard budget_bytes", self.cfg.budget_bytes),
-            ("memguard irq_latency_cycles", self.cfg.irq_latency_cycles),
-        ] {
-            let at = r.position();
-            let streamed = r.read_u64(what)?;
-            if streamed != built {
-                return Err(SnapDecodeError::BadValue {
-                    what: format!("{what} {streamed} in stream, skeleton has {built}"),
-                    at,
-                });
-            }
+        w.fixed(self.cfg.tick_cycles, "memguard tick_cycles");
+        w.fixed(self.cfg.budget_bytes, "memguard budget_bytes");
+        w.fixed(self.cfg.irq_latency_cycles, "memguard irq_latency_cycles");
+        w.plain(&mut self.tick_start);
+        w.plain(&mut self.bytes_in_tick);
+        if let Some(t) = w.option(&mut self.overflow_at) {
+            w.plain(t);
         }
-        self.tick_start = Cycle::new(r.read_u64("memguard tick_start")?);
-        self.bytes_in_tick = r.read_u64("memguard bytes_in_tick")?;
-        self.overflow_at = if r.read_bool("memguard overflow flag")? {
-            Some(Cycle::new(r.read_u64("memguard overflow_at")?))
-        } else {
-            None
-        };
-        self.total_bytes = r.read_u64("memguard total_bytes")?;
-        self.stall_cycles = r.read_u64("memguard stall_cycles")?;
-        self.max_tick_bytes = r.read_u64("memguard max_tick_bytes")?;
-        Ok(())
+        w.plain(&mut self.total_bytes);
+        w.plain(&mut self.stall_cycles);
+        w.plain(&mut self.max_tick_bytes);
     }
 }
 

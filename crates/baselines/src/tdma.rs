@@ -16,7 +16,7 @@
 use fgqos_sim::axi::Request;
 use fgqos_sim::gate::{GateDecision, PortGate};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateHasher};
+use fgqos_sim::{ForkCtx, StateWalker};
 
 /// A static TDMA schedule shared by all ports of a system.
 #[derive(Debug, Clone)]
@@ -159,84 +159,19 @@ impl PortGate for TdmaGate {
         Some(Box::new(self.clone()))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("tdma");
-        h.write_u64(self.schedule.slot_cycles);
-        h.write_usize(self.schedule.num_slots);
-        h.write_usize(self.my_slots.len());
-        for &s in &self.my_slots {
-            h.write_usize(s);
-        }
-        h.write_u64(self.guard_cycles);
-        h.write_u64(self.stall_cycles);
-        h.write_u64(self.accepted);
-    }
-
-    fn snap_load(
-        &mut self,
-        r: &mut fgqos_sim::SnapReader<'_>,
-    ) -> Result<(), fgqos_sim::SnapDecodeError> {
-        use fgqos_sim::SnapDecodeError;
-        r.section("tdma")?;
+    fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section("tdma");
         // The schedule and slot assignment are structural configuration:
         // verified against the skeleton, never overwritten.
-        let at = r.position();
-        let slot_cycles = r.read_u64("tdma slot_cycles")?;
-        if slot_cycles != self.schedule.slot_cycles {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "tdma slot length {slot_cycles} in stream, skeleton has {}",
-                    self.schedule.slot_cycles
-                ),
-                at,
-            });
+        w.fixed(self.schedule.slot_cycles, "tdma slot length");
+        w.fixed(self.schedule.num_slots, "tdma slot count");
+        w.fixed(self.my_slots.len(), "tdma owned slot count");
+        for &slot in &self.my_slots {
+            w.fixed(slot, "tdma owned slot");
         }
-        let at = r.position();
-        let num_slots = r.read_usize("tdma num_slots")?;
-        if num_slots != self.schedule.num_slots {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "tdma slot count {num_slots} in stream, skeleton has {}",
-                    self.schedule.num_slots
-                ),
-                at,
-            });
-        }
-        let at = r.position();
-        let mine = r.read_usize("tdma my_slots length")?;
-        if mine != self.my_slots.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "tdma owns {mine} slot(s) in stream, skeleton owns {}",
-                    self.my_slots.len()
-                ),
-                at,
-            });
-        }
-        for (i, &built) in self.my_slots.iter().enumerate() {
-            let at = r.position();
-            let slot = r.read_usize("tdma slot index")?;
-            if slot != built {
-                return Err(SnapDecodeError::BadValue {
-                    what: format!("tdma slot[{i}] is {slot} in stream, skeleton has {built}"),
-                    at,
-                });
-            }
-        }
-        let at = r.position();
-        let guard = r.read_u64("tdma guard_cycles")?;
-        if guard != self.guard_cycles {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "tdma guard band {guard} in stream, skeleton has {}",
-                    self.guard_cycles
-                ),
-                at,
-            });
-        }
-        self.stall_cycles = r.read_u64("tdma stall_cycles")?;
-        self.accepted = r.read_u64("tdma accepted")?;
-        Ok(())
+        w.fixed(self.guard_cycles, "tdma guard band");
+        w.plain(&mut self.stall_cycles);
+        w.plain(&mut self.accepted);
     }
 }
 

@@ -16,7 +16,7 @@ use crate::regulator::OvershootPolicy;
 use fgqos_sim::axi::Request;
 use fgqos_sim::gate::{GateDecision, PortGate};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, SnapDecodeError, SnapReader, StateHasher};
+use fgqos_sim::{ForkCtx, StateWalker};
 
 /// Configuration of a [`LeakyBucketRegulator`].
 #[derive(Debug, Clone, Copy)]
@@ -153,55 +153,22 @@ impl PortGate for LeakyBucketRegulator {
         Some(Box::new(self.clone()))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("leaky-bucket");
-        h.write_u32(self.cfg.budget_bytes);
-        h.write_u32(self.cfg.period_cycles);
-        h.write_u32(self.cfg.depth_bytes);
-        h.write_bool(self.cfg.overshoot == OvershootPolicy::FinalBurst);
-        h.write_u64(self.tokens);
-        h.write_u64(self.carry);
-        h.write_u64(self.last_tick.get());
-        h.write_u64(self.stall_cycles);
-        h.write_u64(self.total_bytes);
-    }
-
-    fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        r.section("leaky-bucket")?;
+    fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section("leaky-bucket");
         // Configuration travels in the stream for verification only: the
         // skeleton this state loads into must match it.
-        for (what, built) in [
-            ("leaky-bucket budget_bytes", self.cfg.budget_bytes),
-            ("leaky-bucket period_cycles", self.cfg.period_cycles),
-            ("leaky-bucket depth_bytes", self.cfg.depth_bytes),
-        ] {
-            let at = r.position();
-            let streamed = r.read_u32(what)?;
-            if streamed != built {
-                return Err(SnapDecodeError::BadValue {
-                    what: format!("{what} {streamed} in stream, skeleton has {built}"),
-                    at,
-                });
-            }
-        }
-        let at = r.position();
-        let final_burst = r.read_bool("leaky-bucket overshoot policy")?;
-        if final_burst != (self.cfg.overshoot == OvershootPolicy::FinalBurst) {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "leaky-bucket overshoot policy {:?} in stream, skeleton has {:?}",
-                    final_burst,
-                    self.cfg.overshoot == OvershootPolicy::FinalBurst
-                ),
-                at,
-            });
-        }
-        self.tokens = r.read_u64("leaky-bucket tokens")?;
-        self.carry = r.read_u64("leaky-bucket carry")?;
-        self.last_tick = Cycle::new(r.read_u64("leaky-bucket last_tick")?);
-        self.stall_cycles = r.read_u64("leaky-bucket stall_cycles")?;
-        self.total_bytes = r.read_u64("leaky-bucket total_bytes")?;
-        Ok(())
+        w.fixed(self.cfg.budget_bytes, "leaky-bucket budget_bytes");
+        w.fixed(self.cfg.period_cycles, "leaky-bucket period_cycles");
+        w.fixed(self.cfg.depth_bytes, "leaky-bucket depth_bytes");
+        w.fixed(
+            self.cfg.overshoot == OvershootPolicy::FinalBurst,
+            "leaky-bucket final-burst overshoot",
+        );
+        w.plain(&mut self.tokens);
+        w.plain(&mut self.carry);
+        w.plain(&mut self.last_tick);
+        w.plain(&mut self.stall_cycles);
+        w.plain(&mut self.total_bytes);
     }
 }
 

@@ -201,15 +201,6 @@ impl QosFabric {
             .collect()
     }
 
-    /// Programs every best-effort port to the same period/budget.
-    pub fn set_best_effort_budgets(&self, period_cycles: u32, budget_bytes: u32) {
-        for d in self.best_effort_drivers() {
-            d.set_period_cycles(period_cycles);
-            d.set_budget_bytes(budget_bytes);
-            d.set_enabled(true);
-        }
-    }
-
     /// Builds a CMRI-style reclaim policy over this fabric: the first
     /// critical port's telemetry drives redistribution across all
     /// best-effort ports.
@@ -333,19 +324,6 @@ mod tests {
         let f = fabric();
         assert!(f.driver("dma0").unwrap().enabled());
         assert_eq!(f.driver("dma1").unwrap().budget_bytes(), 2_048);
-    }
-
-    #[test]
-    fn bulk_budget_programming() {
-        let f = fabric();
-        f.set_best_effort_budgets(500, 640);
-        for name in f.best_effort_names() {
-            let d = f.driver(name).unwrap();
-            assert_eq!(d.period_cycles(), 500);
-            assert_eq!(d.budget_bytes(), 640);
-        }
-        // Critical untouched.
-        assert_eq!(f.driver("cpu").unwrap().period_cycles(), 1_000);
     }
 
     #[test]

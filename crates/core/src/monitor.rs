@@ -14,7 +14,7 @@ use crate::regfile::{Reg, RegFile};
 use fgqos_sim::axi::Dir;
 use fgqos_sim::json::Value;
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateHasher};
+use fgqos_sim::{ForkCtx, StateWalker};
 use std::sync::Arc;
 
 /// Default capacity of a [`WindowLog`] (64 Ki windows ≈ 4 MiB).
@@ -345,83 +345,42 @@ impl WindowMonitor {
         }
     }
 
-    /// Feeds the monitor state (latched period, open-window counters,
-    /// lifetime totals, log occupancy) into a snapshot fingerprint
-    /// stream. The register block itself is hashed by the owning gate.
-    pub(crate) fn snap(&self, h: &mut StateHasher) {
-        h.section("window-monitor");
-        h.write_cycle(self.window_start.get());
-        h.write_u64(self.period);
-        // Open-window counters stay plain: a steady-state period always
-        // spans whole windows, so they recur exactly at the boundary.
-        h.write_u64(self.win_bytes);
-        h.write_u64(self.win_rd_bytes);
-        h.write_u64(self.win_wr_bytes);
-        h.write_u64(self.win_txns);
-        h.write_counter_u64(self.total_bytes);
-        h.write_counter_u64(self.total_txns);
-        h.write_counter_u64(self.windows);
-        h.write_u64(self.max_overshoot);
-        match &self.log {
-            None => h.write_bool(false),
-            Some(log) => {
-                h.write_bool(true);
-                h.write_usize(log.records.len());
-                h.write_u64(log.dropped);
-            }
-        }
-    }
-
-    /// Restores the monitor state from a serialized snapshot stream (the
-    /// decode mirror of [`WindowMonitor::snap`]). The register block is
-    /// restored separately by the owning gate.
+    /// Walks the monitor state — latched period, open-window counters,
+    /// lifetime totals, log occupancy (see [`StateWalker`]). The register
+    /// block itself is walked by the owning gate.
     ///
     /// The stream records only the window log's *occupancy*, not its
-    /// records, so a log is restorable only while still empty (the
-    /// warm-boundary case: logging enabled, no window closed yet); a
-    /// populated log is a diagnostic error rather than silent data loss.
-    ///
-    /// # Errors
-    ///
-    /// Any [`fgqos_sim::SnapDecodeError`] aborts the whole load.
-    pub(crate) fn snap_load(
-        &mut self,
-        r: &mut fgqos_sim::SnapReader<'_>,
-    ) -> Result<(), fgqos_sim::SnapDecodeError> {
-        use fgqos_sim::SnapDecodeError;
-        r.section("window-monitor")?;
-        self.window_start = Cycle::new(r.read_u64("window-monitor window_start")?);
-        self.period = r.read_u64("window-monitor period")?;
-        self.win_bytes = r.read_u64("window-monitor win_bytes")?;
-        self.win_rd_bytes = r.read_u64("window-monitor win_rd_bytes")?;
-        self.win_wr_bytes = r.read_u64("window-monitor win_wr_bytes")?;
-        self.win_txns = r.read_u64("window-monitor win_txns")?;
-        self.total_bytes = r.read_u64("window-monitor total_bytes")?;
-        self.total_txns = r.read_u64("window-monitor total_txns")?;
-        self.windows = r.read_u64("window-monitor windows")?;
-        self.max_overshoot = r.read_u64("window-monitor max_overshoot")?;
-        if r.read_bool("window-monitor log flag")? {
-            let at = r.position();
-            let records = r.read_usize("window-monitor log records")?;
-            let dropped = r.read_u64("window-monitor log dropped")?;
-            if records != 0 || dropped != 0 {
-                return Err(SnapDecodeError::BadValue {
-                    what: format!(
-                        "window log holds {records} record(s) ({dropped} dropped); \
-                         only empty logs are restorable"
-                    ),
-                    at,
-                });
+    /// records, so a log loads only while still empty (the warm-boundary
+    /// case: logging enabled, no window closed yet); a populated log is a
+    /// diagnostic error rather than silent data loss.
+    pub(crate) fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section("window-monitor");
+        w.cycle(&mut self.window_start);
+        w.plain(&mut self.period);
+        // Open-window counters stay plain: a steady-state period always
+        // spans whole windows, so they recur exactly at the boundary.
+        w.plain(&mut self.win_bytes);
+        w.plain(&mut self.win_rd_bytes);
+        w.plain(&mut self.win_wr_bytes);
+        w.plain(&mut self.win_txns);
+        w.counter(&mut self.total_bytes);
+        w.counter(&mut self.total_txns);
+        w.counter(&mut self.windows);
+        w.plain(&mut self.max_overshoot);
+        let capacity = self
+            .log
+            .as_ref()
+            .map_or(DEFAULT_LOG_WINDOWS, |l| l.capacity);
+        if let Some(log) = w.option_with(&mut self.log, || WindowLog::new(capacity)) {
+            w.drained(log.records.len(), "window log");
+            let mut dropped = log.dropped;
+            w.plain(&mut dropped);
+            if dropped != 0 {
+                w.bad(format!(
+                    "window log dropped {dropped} record(s); only empty logs load"
+                ));
             }
-            let capacity = self
-                .log
-                .as_ref()
-                .map_or(DEFAULT_LOG_WINDOWS, |log| log.capacity);
-            self.log = Some(WindowLog::new(capacity));
-        } else {
-            self.log = None;
         }
-        Ok(())
     }
 
     /// Clears all telemetry (including any window log's records) and

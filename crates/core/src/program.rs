@@ -19,7 +19,7 @@
 use crate::driver::RegulatorDriver;
 use fgqos_sim::system::Controller;
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, SnapDecodeError, SnapReader, StateHasher};
+use fgqos_sim::{ForkCtx, StateWalker};
 
 /// One register write a [`ScenarioProgram`] can apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,6 +98,20 @@ impl ScenarioProgram {
         ScenarioProgram { ops, applied: 0 }
     }
 
+    /// Replaces the schedule with `ops` (stable-sorted by `at`), keeping
+    /// the count of ops already applied: `ops` must repeat the applied
+    /// prefix and differ only in writes not yet fired — e.g. the schedule
+    /// rebuilt with one more phase at the current cycle.
+    ///
+    /// # Panics
+    ///
+    /// Like [`ScenarioProgram::new`], on a zero window period.
+    pub fn reschedule(&mut self, ops: Vec<TimedOp>) {
+        let applied = self.applied;
+        *self = ScenarioProgram::new(ops);
+        self.applied = applied.min(self.ops.len());
+    }
+
     /// Number of ops applied so far.
     pub fn applied(&self) -> usize {
         self.applied
@@ -160,32 +174,23 @@ impl Controller for ScenarioProgram {
         }))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        // Hash (and serialize) the *pending* op count, not the list
-        // length: a program that replayed a control journal as extra
-        // `[phase]` ops and one whose writes arrived live both end
-        // fully drained, and from there on they behave identically —
-        // which is exactly what equal fingerprints promise. The live
-        // replay byte/bit-identity tests pin this equivalence.
-        h.section("scenario-program");
-        h.write_usize(self.ops.len() - self.applied);
-    }
-
-    fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        r.section("scenario-program")?;
-        let at = r.position();
-        let pending = r.read_usize("program pending op count")?;
+    fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        // Walk the *pending* op count, not the list length: a program
+        // that replayed a control journal as extra `[phase]` ops and one
+        // whose writes arrived live both end fully drained, and from
+        // there on they behave identically — which is exactly what equal
+        // fingerprints promise. The live replay byte/bit-identity tests
+        // pin this equivalence.
+        w.section("scenario-program");
+        let mut pending = self.ops.len() - self.applied;
+        w.plain(&mut pending);
         if pending > self.ops.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "{pending} pending program op(s) in stream, skeleton has only {}",
-                    self.ops.len()
-                ),
-                at,
-            });
+            return w.bad(format!(
+                "{pending} pending program op(s) in stream, skeleton has only {}",
+                self.ops.len()
+            ));
         }
         self.applied = self.ops.len() - pending;
-        Ok(())
     }
 }
 
@@ -251,24 +256,10 @@ impl Controller for FusedController {
         }))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("fused");
-        h.write_u64(self.until);
-        self.inner.snap_state(h);
-    }
-
-    fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        r.section("fused")?;
-        let at = r.position();
-        let until = r.read_u64("fuse cycle")?;
-        if until != self.until {
-            return Err(SnapDecodeError::BadValue {
-                what: format!("fuse cycle {until} in stream, skeleton has {}", self.until),
-                at,
-            });
-        }
-        self.inner.snap_load(r)?;
-        Ok(())
+    fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section("fused");
+        w.fixed(self.until, "fuse cycle");
+        self.inner.visit_state(w);
     }
 }
 
@@ -343,13 +334,13 @@ mod tests {
         };
         let mut a = mk(&d);
         a.on_cycle(Cycle::new(100));
-        let mut h = StateHasher::recording();
-        a.snap_state(&mut h);
-        let bytes = h.take_bytes();
+        let mut w = StateWalker::recording();
+        a.visit_state(&mut w);
+        let bytes = w.take_bytes();
         let mut b = mk(&d);
-        let mut r = SnapReader::new(&bytes);
-        b.snap_load(&mut r).expect("loads");
-        r.expect_end().expect("stream fully consumed");
+        let mut r = StateWalker::loader(&bytes);
+        b.visit_state(&mut r);
+        r.finish_load().expect("loads, stream fully consumed");
         assert_eq!(b.applied(), 1);
     }
 

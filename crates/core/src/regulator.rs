@@ -25,7 +25,7 @@ use fgqos_sim::axi::Dir;
 use fgqos_sim::axi::{Request, Response};
 use fgqos_sim::gate::{GateDecision, PortGate};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateHasher};
+use fgqos_sim::{ForkCtx, StateWalker};
 use std::sync::Arc;
 
 /// When accepted transactions are debited from the window budget.
@@ -311,42 +311,26 @@ impl PortGate for TcRegulator {
         }))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("tc-regulator");
-        self.regs.snap(h);
-        self.monitor.snap(h);
-        h.write_u64(self.budget);
-        h.write_u64(self.budget_rd);
-        h.write_u64(self.budget_wr);
-        h.write_bool(self.charge == ChargePolicy::Completion);
-        h.write_bool(self.overshoot == OvershootPolicy::FinalBurst);
-        h.write_counter_u64(self.stall_cycles);
-    }
-
-    fn snap_load(
-        &mut self,
-        r: &mut fgqos_sim::SnapReader<'_>,
-    ) -> Result<(), fgqos_sim::SnapDecodeError> {
-        r.section("tc-regulator")?;
-        // Restoring through the shared handle also restores the driver's
+    fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section("tc-regulator");
+        // Loading through the shared handle also restores the driver's
         // view — gate and driver stay MMIO-coupled, exactly as in a fork.
-        self.regs.snap_load(r)?;
-        self.monitor.snap_load(r)?;
-        self.budget = r.read_u64("tc-regulator budget")?;
-        self.budget_rd = r.read_u64("tc-regulator budget_rd")?;
-        self.budget_wr = r.read_u64("tc-regulator budget_wr")?;
-        self.charge = if r.read_bool("tc-regulator charge policy")? {
-            ChargePolicy::Completion
-        } else {
-            ChargePolicy::Acceptance
-        };
-        self.overshoot = if r.read_bool("tc-regulator overshoot policy")? {
-            OvershootPolicy::FinalBurst
-        } else {
-            OvershootPolicy::Conservative
-        };
-        self.stall_cycles = r.read_u64("tc-regulator stall_cycles")?;
-        Ok(())
+        self.regs.visit_state(w);
+        self.monitor.visit_state(w);
+        w.plain(&mut self.budget);
+        w.plain(&mut self.budget_rd);
+        w.plain(&mut self.budget_wr);
+        w.flag(
+            &mut self.charge,
+            ChargePolicy::Completion,
+            ChargePolicy::Acceptance,
+        );
+        w.flag(
+            &mut self.overshoot,
+            OvershootPolicy::FinalBurst,
+            OvershootPolicy::Conservative,
+        );
+        w.counter(&mut self.stall_cycles);
     }
 
     fn collect_metrics(&self, prefix: &str, registry: &mut fgqos_sim::metrics::MetricsRegistry) {

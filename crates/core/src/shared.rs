@@ -16,7 +16,7 @@
 use fgqos_sim::axi::Request;
 use fgqos_sim::gate::{GateDecision, PortGate};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateHasher};
+use fgqos_sim::{ForkCtx, StateWalker};
 use std::sync::{Arc, Mutex};
 
 #[derive(Debug, Clone)]
@@ -185,18 +185,20 @@ impl PortGate for SharedBudgetGate {
         }))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("shared-budget");
-        let s = self.state.lock().expect("regulator lock");
-        h.write_u64(s.period);
-        h.write_u64(s.budget);
-        h.write_u64(s.window_start.get());
-        h.write_u64(s.used);
-        h.write_u64(s.windows);
-        h.write_u64(s.max_window_bytes);
+    fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section("shared-budget");
+        // Every member walks the group state; loading it once per member
+        // writes the same values through the shared handle.
+        let mut s = self.state.lock().expect("regulator lock");
+        w.fixed(s.period, "shared-budget period");
+        w.plain(&mut s.budget);
+        w.plain(&mut s.window_start);
+        w.plain(&mut s.used);
+        w.plain(&mut s.windows);
+        w.plain(&mut s.max_window_bytes);
         drop(s);
-        h.write_u64(self.stall_cycles);
-        h.write_u64(self.accepted_bytes);
+        w.plain(&mut self.stall_cycles);
+        w.plain(&mut self.accepted_bytes);
     }
 }
 

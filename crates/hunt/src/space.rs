@@ -140,7 +140,7 @@ impl FamilySpec {
     /// Renders the candidate scenario: the filtered base text plus this
     /// family's overlay sections.
     pub fn render(&self, base: &BaseInfo) -> String {
-        let mut out = filter_base(&base.text);
+        let mut out = filter_base(&base.text, self.aggressors.len());
         if self.aggressors.is_empty() && self.faults.is_empty() {
             return out;
         }
@@ -200,14 +200,28 @@ impl FamilySpec {
 /// stale base assertion must not fail the winning scenario's replay.
 /// (All three are global keys in the DSL, never section-scoped content,
 /// so line-level filtering is exact.)
-pub fn filter_base(text: &str) -> String {
+///
+/// A declared `weights` list (an `[xbar]`-only key) gains weight 1 — what
+/// an unweighted port gets — for each of `extra_masters` generated
+/// aggressors, so it keeps listing one weight per master.
+pub fn filter_base(text: &str, extra_masters: usize) -> String {
     let mut out = String::with_capacity(text.len());
     for line in text.lines() {
         let first = line.split_whitespace().next().unwrap_or("");
         if matches!(first, "expect" | "cycles" | "until_done") {
             continue;
         }
-        out.push_str(line);
+        if first == "weights" {
+            let (body, comment) = line.split_once('#').unwrap_or((line, ""));
+            out.push_str(body.trim_end());
+            out.push_str(&",1".repeat(extra_masters));
+            if !comment.is_empty() {
+                out.push_str(" #");
+                out.push_str(comment);
+            }
+        } else {
+            out.push_str(line);
+        }
         out.push('\n');
     }
     out
@@ -638,11 +652,22 @@ mod tests {
 
     #[test]
     fn filter_strips_only_global_directives() {
-        let filtered = filter_base(&base().text);
+        let filtered = filter_base(&base().text, 0);
         assert!(!filtered.contains("expect"));
         assert!(!filtered.contains("cycles 400000"));
         assert!(filtered.contains("[master cpu]"));
         assert!(filtered.contains("clock_mhz 1000"));
+    }
+
+    #[test]
+    fn weights_gain_one_per_generated_aggressor() {
+        let text = "[xbar]\narbitration weighted\nweights 4,1 # cpu first\n\n[master cpu]\n";
+        let filtered = filter_base(text, 2);
+        assert!(
+            filtered.contains("weights 4,1,1,1 # cpu first\n"),
+            "{filtered}"
+        );
+        assert_eq!(filter_base(text, 0), text);
     }
 
     #[test]

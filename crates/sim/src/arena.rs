@@ -157,82 +157,50 @@ impl TxnArena {
         req
     }
 
-    /// Feeds the arena's slot-recycling state into a snapshot
-    /// fingerprint.
+    /// Walks the arena's slot-recycling state (see
+    /// [`StateWalker`](fgqos_snap::StateWalker)).
     ///
     /// At a quiesced boundary no transaction is live, but the generation
     /// counters and free-list order still determine which `TxnId`s
     /// future allocations receive, so they are architectural state: two
     /// arenas that differ here diverge on the very next `alloc`.
-    pub fn snap(&self, h: &mut fgqos_snap::StateHasher) {
-        h.section("arena");
-        h.write_usize(self.live);
-        h.write_usize(self.gen.len());
-        for &g in &self.gen {
+    ///
+    /// Only quiesced arenas load: live slots would need their SoA payload
+    /// columns, which the stream (rightly) does not carry. With zero live
+    /// slots the free list spans every slot, and the payload columns
+    /// hold only dead values that the next `alloc` overwrites —
+    /// placeholders suffice.
+    pub fn visit_state(&mut self, w: &mut fgqos_snap::StateWalker<'_>) {
+        w.section("arena");
+        w.drained(self.live, "arena");
+        let slots = w.len(self.gen.len());
+        if w.loading() {
+            *self = TxnArena {
+                master: vec![MasterId::new(0); slots],
+                serial: vec![0; slots],
+                addr: vec![0; slots],
+                beats: vec![0; slots],
+                dir: vec![Dir::Read; slots],
+                issued_at: vec![Cycle::ZERO; slots],
+                accepted_at: vec![Cycle::ZERO; slots],
+                gen: vec![0; slots],
+                free: vec![0; slots],
+                live: 0,
+            };
+        }
+        for g in &mut self.gen {
             // Slot generations accumulate with wrapping arithmetic (see
             // `take`), so a leap advances them as wrapping counters.
-            h.write_counter_u32(g);
+            w.counter(g);
         }
-        for &f in &self.free {
-            h.write_u32(f);
-        }
-    }
-
-    /// Restores the arena from a serialized snapshot stream (the decode
-    /// mirror of [`TxnArena::snap`]).
-    ///
-    /// Only quiesced arenas can be loaded: live slots would need their
-    /// SoA payload columns reconstructed, which the stream (rightly)
-    /// does not carry. With zero live slots the free list spans every
-    /// slot, and the payload columns hold only dead values that the next
-    /// `alloc` overwrites — placeholders suffice.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapDecodeError`](fgqos_snap::SnapDecodeError) aborts the whole load; a non-zero live
-    /// count is a diagnostic [`BadValue`](fgqos_snap::SnapDecodeError::BadValue).
-    pub fn snap_load(
-        &mut self,
-        r: &mut fgqos_snap::SnapReader<'_>,
-    ) -> Result<(), fgqos_snap::SnapDecodeError> {
-        use fgqos_snap::SnapDecodeError;
-        r.section("arena")?;
-        let at = r.position();
-        let live = r.read_usize("arena live")?;
-        if live != 0 {
-            return Err(SnapDecodeError::BadValue {
-                what: format!("arena has {live} live transaction(s); only quiesced snapshots load"),
-                at,
-            });
-        }
-        let slots = r.read_usize("arena slot count")?;
-        let mut gen = Vec::new();
-        for _ in 0..slots {
-            gen.push(r.read_u32("arena generation")?);
-        }
-        let mut free = Vec::new();
-        for _ in 0..slots {
-            let at = r.position();
-            let f = r.read_u32("arena free slot")?;
-            if f as usize >= slots {
-                return Err(SnapDecodeError::BadValue {
-                    what: format!("arena free-list entry {f} out of range for {slots} slot(s)"),
-                    at,
-                });
+        for f in &mut self.free {
+            w.plain(f);
+            if *f as usize >= slots {
+                w.bad(format!(
+                    "arena free-list entry {f} out of range for {slots} slot(s)"
+                ));
             }
-            free.push(f);
         }
-        self.live = 0;
-        self.gen = gen;
-        self.free = free;
-        self.master = vec![MasterId::new(0); slots];
-        self.serial = vec![0; slots];
-        self.addr = vec![0; slots];
-        self.beats = vec![0; slots];
-        self.dir = vec![Dir::Read; slots];
-        self.issued_at = vec![Cycle::ZERO; slots];
-        self.accepted_at = vec![Cycle::ZERO; slots];
-        Ok(())
     }
 
     /// Reconstructs the [`Request`] and releases the slot for reuse.

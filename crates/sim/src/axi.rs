@@ -44,9 +44,10 @@ impl fmt::Display for MasterId {
 }
 
 /// Transfer direction of a transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Dir {
     /// Read transaction (AR channel + R beats).
+    #[default]
     Read,
     /// Write transaction (AW channel + W beats + B response).
     Write,

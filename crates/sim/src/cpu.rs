@@ -12,7 +12,7 @@
 use crate::axi::{Dir, Response, BEAT_BYTES};
 use crate::master::{PendingRequest, TrafficSource};
 use crate::time::Cycle;
-use fgqos_snap::{ForkCtx, StateHasher};
+use fgqos_snap::{ForkCtx, StateWalker};
 use std::collections::VecDeque;
 
 /// Geometry and timing of a [`Cache`].
@@ -191,25 +191,23 @@ impl Cache {
         addr - addr % self.cfg.line_bytes
     }
 
-    /// Feeds the full cache state (geometry, every line, LRU clock,
-    /// counters) into a snapshot fingerprint stream.
-    pub fn snap(&self, h: &mut StateHasher) {
-        h.section("cache");
-        h.write_u64(self.cfg.size_bytes);
-        h.write_u64(self.cfg.line_bytes);
-        h.write_usize(self.cfg.ways);
-        h.write_u64(self.cfg.hit_latency);
-        h.write_u64(self.tick);
-        h.write_u64(self.stats.hits);
-        h.write_u64(self.stats.misses);
-        h.write_u64(self.stats.writebacks);
-        for set in &self.sets {
-            for line in set {
-                h.write_u64(line.tag);
-                h.write_bool(line.valid);
-                h.write_bool(line.dirty);
-                h.write_u64(line.lru);
-            }
+    /// Walks the full cache state — geometry (fixed), every line, LRU
+    /// clock, counters (see [`StateWalker`]).
+    pub fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section("cache");
+        w.fixed(self.cfg.size_bytes, "cache size_bytes");
+        w.fixed(self.cfg.line_bytes, "cache line_bytes");
+        w.fixed(self.cfg.ways, "cache ways");
+        w.fixed(self.cfg.hit_latency, "cache hit_latency");
+        w.plain(&mut self.tick);
+        w.plain(&mut self.stats.hits);
+        w.plain(&mut self.stats.misses);
+        w.plain(&mut self.stats.writebacks);
+        for line in self.sets.iter_mut().flatten() {
+            w.plain(&mut line.tag);
+            w.plain(&mut line.valid);
+            w.plain(&mut line.dirty);
+            w.plain(&mut line.lru);
         }
     }
 
@@ -366,19 +364,20 @@ impl<S: TrafficSource + Clone + 'static> TrafficSource for CachedSource<S> {
         Some(Box::new(self.clone()))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("cached-source");
-        self.inner.snap_state(h);
-        self.cache.snap(h);
-        h.write_u64(self.cursor.get());
-        h.write_usize(self.queue.len());
-        for p in &self.queue {
-            h.write_u64(p.addr);
-            h.write_u16(p.beats);
-            h.write_bool(p.dir == Dir::Write);
-            h.write_u64(p.not_before.get());
+    fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section("cached-source");
+        self.inner.visit_state(w);
+        self.cache.visit_state(w);
+        w.plain(&mut self.cursor);
+        let n = w.len(self.queue.len());
+        self.queue.resize(n, PendingRequest::default());
+        for p in &mut self.queue {
+            w.plain(&mut p.addr);
+            w.plain(&mut p.beats);
+            w.flag(&mut p.dir, Dir::Write, Dir::Read);
+            w.plain(&mut p.not_before);
         }
-        h.write_u64(self.accesses_done);
+        w.plain(&mut self.accesses_done);
     }
 }
 

@@ -519,53 +519,54 @@ impl DramController {
         self.queue.is_empty() && self.in_service.is_empty()
     }
 
-    /// Feeds the controller's architectural state — queue, bank rows,
-    /// bus/turnaround state, refresh schedule and statistics — into a
-    /// snapshot fingerprint.
-    pub fn snap(&self, h: &mut fgqos_snap::StateHasher) {
-        h.section("dram");
-        h.write_usize(self.queue.len());
-        for q in &self.queue {
-            h.write_usize(q.txn.index());
-            h.write_u64(q.addr);
-            h.write_u16(q.beats);
-            h.write_bool(q.dir == Dir::Write);
-            h.write_u64(q.arrived.get());
+    /// Walks the controller's architectural state — queue, bank rows,
+    /// bus/turnaround state, refresh schedule and statistics (see
+    /// [`StateWalker`](fgqos_snap::StateWalker)). Only quiesced streams —
+    /// empty request queue, nothing in service — load, since queue
+    /// entries are handles into the transaction arena, which serializes
+    /// no live slots. The bank count comes from the configuration (the
+    /// bank records are unprefixed).
+    pub fn visit_state(&mut self, w: &mut fgqos_snap::StateWalker<'_>) {
+        w.section("dram");
+        let n = w.drained(self.queue.len(), "dram queue");
+        for q in self.queue.iter().take(n) {
+            w.plain(&mut q.txn.index());
+            w.plain(&mut { q.addr });
+            w.plain(&mut { q.beats });
+            w.plain(&mut (q.dir == Dir::Write));
+            w.plain(&mut q.arrived.get());
         }
-        for b in &self.banks {
-            match b.open_row {
-                Some(r) => {
-                    h.write_bool(true);
-                    h.write_u64(r);
-                }
-                None => h.write_bool(false),
+        for b in &mut self.banks {
+            if let Some(row) = w.option(&mut b.open_row) {
+                w.plain(row);
             }
-            h.write_cycle(b.ready_at.get());
+            w.cycle(&mut b.ready_at);
         }
-        h.write_cycle(self.bus_free_at.get());
-        match self.last_dir {
-            Some(d) => {
-                h.write_bool(true);
-                h.write_bool(d == Dir::Write);
-            }
-            None => h.write_bool(false),
+        w.cycle(&mut self.bus_free_at);
+        if let Some(d) = w.option_with(&mut self.last_dir, || Dir::Read) {
+            w.flag(d, Dir::Write, Dir::Read);
         }
-        h.write_usize(self.in_service.len());
-        for s in &self.in_service {
-            h.write_usize(s.txn.index());
-            h.write_u64(s.complete_at.get());
+        let n = w.drained(self.in_service.len(), "dram in-service set");
+        for s in self.in_service.iter().take(n) {
+            w.plain(&mut s.txn.index());
+            w.plain(&mut s.complete_at.get());
         }
-        h.write_cycle(self.next_refresh.get());
-        h.write_u32(self.hit_streak);
-        h.write_bool(self.draining_writes);
-        h.write_counter_u64(self.stats.bytes_completed);
-        h.write_counter_u64(self.stats.reads);
-        h.write_counter_u64(self.stats.writes);
-        h.write_counter_u64(self.stats.row_hits);
-        h.write_counter_u64(self.stats.row_misses);
-        h.write_counter_u64(self.stats.bus_busy_cycles);
-        h.write_counter_u64(self.stats.refreshes);
-        self.stats.queue_wait.snap(h);
+        w.cycle(&mut self.next_refresh);
+        w.plain(&mut self.hit_streak);
+        w.plain(&mut self.draining_writes);
+        let st = &mut self.stats;
+        for c in [
+            &mut st.bytes_completed,
+            &mut st.reads,
+            &mut st.writes,
+            &mut st.row_hits,
+            &mut st.row_misses,
+            &mut st.bus_busy_cycles,
+            &mut st.refreshes,
+        ] {
+            w.counter(c);
+        }
+        st.queue_wait.visit_state(w);
     }
 
     /// Leap constraints of the refresh schedule (see [`crate::leap`]).
@@ -593,73 +594,6 @@ impl DramController {
             }
         }
         LeapSupport::clear()
-    }
-
-    /// Restores the controller from a serialized snapshot stream (the
-    /// decode mirror of [`DramController::snap`]). Only quiesced streams
-    /// — empty request queue, nothing in service — can be loaded, since
-    /// queue entries are handles into the transaction arena, which
-    /// serializes no live slots. The bank count comes from the rebuilt
-    /// configuration (the stream's bank records are unprefixed).
-    ///
-    /// # Errors
-    ///
-    /// Any [`fgqos_snap::SnapDecodeError`] aborts the whole load.
-    pub fn snap_load(
-        &mut self,
-        r: &mut fgqos_snap::SnapReader<'_>,
-    ) -> Result<(), fgqos_snap::SnapDecodeError> {
-        use fgqos_snap::SnapDecodeError;
-        r.section("dram")?;
-        let at = r.position();
-        let qlen = r.read_usize("dram queue length")?;
-        if qlen != 0 {
-            return Err(SnapDecodeError::BadValue {
-                what: format!("dram queue holds {qlen} request(s); only quiesced snapshots load"),
-                at,
-            });
-        }
-        self.queue.clear();
-        for b in &mut self.banks {
-            b.open_row = if r.read_bool("dram bank open flag")? {
-                Some(r.read_u64("dram bank open row")?)
-            } else {
-                None
-            };
-            b.ready_at = Cycle::new(r.read_u64("dram bank ready_at")?);
-        }
-        self.bus_free_at = Cycle::new(r.read_u64("dram bus_free_at")?);
-        self.last_dir = if r.read_bool("dram last_dir flag")? {
-            Some(if r.read_bool("dram last_dir")? {
-                Dir::Write
-            } else {
-                Dir::Read
-            })
-        } else {
-            None
-        };
-        let at = r.position();
-        let in_service = r.read_usize("dram in-service length")?;
-        if in_service != 0 {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "dram has {in_service} access(es) in service; only quiesced snapshots load"
-                ),
-                at,
-            });
-        }
-        self.in_service.clear();
-        self.next_refresh = Cycle::new(r.read_u64("dram next_refresh")?);
-        self.hit_streak = r.read_u32("dram hit_streak")?;
-        self.draining_writes = r.read_bool("dram draining_writes")?;
-        self.stats.bytes_completed = r.read_u64("dram bytes_completed")?;
-        self.stats.reads = r.read_u64("dram reads")?;
-        self.stats.writes = r.read_u64("dram writes")?;
-        self.stats.row_hits = r.read_u64("dram row_hits")?;
-        self.stats.row_misses = r.read_u64("dram row_misses")?;
-        self.stats.bus_busy_cycles = r.read_u64("dram bus_busy_cycles")?;
-        self.stats.refreshes = r.read_u64("dram refreshes")?;
-        self.stats.queue_wait.snap_load(r)
     }
 }
 

@@ -15,7 +15,7 @@ use crate::axi::{Request, Response};
 use crate::leap::LeapSupport;
 use crate::metrics::MetricsRegistry;
 use crate::time::Cycle;
-use fgqos_snap::{ForkCtx, SnapDecodeError, SnapReader, StateHasher};
+use fgqos_snap::{ForkCtx, StateWalker};
 
 /// Outcome of presenting a request to a gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,28 +122,30 @@ pub trait PortGate {
         None
     }
 
-    /// Feeds this gate's architectural state into a snapshot fingerprint.
+    /// Walks this gate's architectural state — every field covered by
+    /// [`PortGate::fork_gate`] — in one list that hashes, records and
+    /// loads (see [`StateWalker`]). The default opens a section named by
+    /// the label and refuses to load with a diagnostic
+    /// [`SnapDecodeError::Unsupported`](fgqos_snap::SnapDecodeError::Unsupported):
+    /// gate kinds that never opted into persistence cannot silently
+    /// desynchronize the stream. Stateless gates override it with the
+    /// section alone.
     ///
-    /// The default writes only the label, which is sufficient for
-    /// stateless gates; stateful gates must hash every field covered by
-    /// [`PortGate::fork_gate`].
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section(self.label());
-    }
-
-    /// Restores this gate's architectural state from a serialized
-    /// snapshot stream, reading exactly the fields
-    /// [`PortGate::snap_state`] wrote, in the same order.
-    ///
-    /// The default refuses: gate kinds that never opted into persistence
-    /// surface a diagnostic [`SnapDecodeError::Unsupported`] instead of
-    /// silently desynchronizing the stream.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapDecodeError`] aborts the whole load.
-    fn snap_load(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        Err(SnapDecodeError::unsupported(self.label()))
+    /// One walk serves every purpose: the same field list hashes the
+    /// fingerprint, records the blob stream, tags the typed spans the
+    /// leap engine rebases, and loads a recorded stream back. Walk each
+    /// field with its kind: [`plain`](StateWalker::plain) for mutable
+    /// state (overwritten on load), [`cycle`](StateWalker::cycle) for
+    /// absolute cycle stamps, [`counter`](StateWalker::counter) /
+    /// [`counter_sat`](StateWalker::counter_sat) for accumulators, and
+    /// [`fixed`](StateWalker::fixed) / [`fixed_str`](StateWalker::fixed_str)
+    /// for configuration facts the rebuilt skeleton already holds — a
+    /// load compares those and fails with
+    /// [`SnapDecodeError::BadValue`](fgqos_snap::SnapDecodeError::BadValue)
+    /// on a mismatch, never overwriting them.
+    fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section(self.label());
+        w.unsupported(self.label());
     }
 }
 
@@ -184,12 +186,8 @@ impl PortGate for Box<dyn PortGate> {
         self.as_ref().fork_gate(ctx)
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        self.as_ref().snap_state(h);
-    }
-
-    fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        self.as_mut().snap_load(r)
+    fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        self.as_mut().visit_state(w);
     }
 }
 
@@ -228,9 +226,9 @@ impl PortGate for OpenGate {
         Some(Box::new(*self))
     }
 
-    fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
+    fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         // Stateless: the stream carries only the section tag.
-        r.section("open")
+        w.section("open");
     }
 }
 

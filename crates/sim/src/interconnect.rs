@@ -187,116 +187,33 @@ impl Crossbar {
         }
     }
 
-    /// Feeds the crossbar's architectural state — FIFO contents,
-    /// arbitration cursor and weighted-round-robin credit — into a
-    /// snapshot fingerprint.
-    pub fn snap(&self, h: &mut fgqos_snap::StateHasher) {
-        h.section("xbar");
-        h.write_str(self.cfg.arbitration.label());
-        h.write_usize(self.cfg.port_fifo_depth);
-        h.write_usize(self.ports.len());
+    /// Walks the crossbar's architectural state — FIFO contents,
+    /// arbitration cursor and weighted-round-robin credit (see
+    /// [`StateWalker`](fgqos_snap::StateWalker)). Configuration —
+    /// arbitration policy, FIFO depth, port count, weights — is fixed;
+    /// only quiesced streams (empty FIFOs) load, because FIFO entries are
+    /// handles into the transaction arena, which serializes no live slots.
+    pub fn visit_state(&mut self, w: &mut fgqos_snap::StateWalker<'_>) {
+        w.section("xbar");
+        w.fixed_str(self.cfg.arbitration.label(), "xbar arbitration");
+        w.fixed(self.cfg.port_fifo_depth, "xbar FIFO depth");
+        w.fixed(self.ports.len(), "xbar port count");
         for port in &self.ports {
-            h.write_usize(port.len());
-            for id in port {
-                h.write_usize(id.index());
+            let n = w.drained(port.len(), "xbar port FIFO");
+            for id in port.iter().take(n) {
+                w.plain(&mut id.index());
             }
         }
-        h.write_usize(self.queued);
-        h.write_usize(self.rr_next);
-        for &w in &self.weights {
-            h.write_u32(w);
-        }
-        for &c in &self.swrr_credit {
-            h.write_u64(c as u64);
-        }
-    }
-
-    /// Restores the crossbar from a serialized snapshot stream (the
-    /// decode mirror of [`Crossbar::snap`]). Configuration-derived
-    /// fields — arbitration policy, FIFO depth, port count, weights —
-    /// are verified against the rebuilt skeleton; only quiesced streams
-    /// (empty FIFOs) can be loaded, because FIFO entries are handles
-    /// into the transaction arena, which serializes no live slots.
-    ///
-    /// # Errors
-    ///
-    /// Any [`fgqos_snap::SnapDecodeError`] aborts the whole load.
-    pub fn snap_load(
-        &mut self,
-        r: &mut fgqos_snap::SnapReader<'_>,
-    ) -> Result<(), fgqos_snap::SnapDecodeError> {
-        use fgqos_snap::SnapDecodeError;
-        r.section("xbar")?;
-        let at = r.position();
-        let arb = r.read_str("xbar arbitration")?;
-        if arb != self.cfg.arbitration.label() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "xbar arbitration {arb:?} in stream, skeleton has {:?}",
-                    self.cfg.arbitration.label()
-                ),
-                at,
-            });
-        }
-        let at = r.position();
-        let depth = r.read_usize("xbar port_fifo_depth")?;
-        if depth != self.cfg.port_fifo_depth {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "xbar FIFO depth {depth} in stream, skeleton has {}",
-                    self.cfg.port_fifo_depth
-                ),
-                at,
-            });
-        }
-        let at = r.position();
-        let nports = r.read_usize("xbar port count")?;
-        if nports != self.ports.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "xbar has {nports} port(s) in stream, skeleton has {}",
-                    self.ports.len()
-                ),
-                at,
-            });
-        }
-        for (p, port) in self.ports.iter_mut().enumerate() {
-            let at = r.position();
-            let len = r.read_usize("xbar port FIFO length")?;
-            if len != 0 {
-                return Err(SnapDecodeError::BadValue {
-                    what: format!(
-                        "xbar port {p} FIFO holds {len} entr(ies); only quiesced snapshots load"
-                    ),
-                    at,
-                });
-            }
-            port.clear();
-        }
-        let at = r.position();
-        let queued = r.read_usize("xbar queued")?;
-        if queued != 0 {
-            return Err(SnapDecodeError::BadValue {
-                what: format!("xbar queued count {queued} with empty FIFOs"),
-                at,
-            });
-        }
-        self.queued = 0;
-        self.rr_next = r.read_usize("xbar rr_next")?;
-        for (p, w) in self.weights.iter().enumerate() {
-            let at = r.position();
-            let sw = r.read_u32("xbar weight")?;
-            if sw != *w {
-                return Err(SnapDecodeError::BadValue {
-                    what: format!("xbar port {p} weight {sw} in stream, skeleton has {w}"),
-                    at,
-                });
-            }
+        w.drained(self.queued, "xbar");
+        w.plain(&mut self.rr_next);
+        for &weight in &self.weights {
+            w.fixed(weight, "xbar port weight");
         }
         for c in &mut self.swrr_credit {
-            *c = r.read_u64("xbar swrr credit")? as i64;
+            let mut bits = *c as u64;
+            w.plain(&mut bits);
+            *c = bits as i64;
         }
-        Ok(())
     }
 
     /// One arbitration round: forwards at most one request into the DRAM

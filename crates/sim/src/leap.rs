@@ -11,7 +11,7 @@
 //! # How a leap is proven legal
 //!
 //! 1. At an eligible boundary the full snapshot stream is captured
-//!    through [`StateHasher::typed_recording`] and keyed by its
+//!    through [`StateWalker::typed_recording`] and keyed by its
 //!    [`TypedSnapshot::rebased_key`] — a fingerprint invariant under
 //!    time translation (cycle stamps rebased to the boundary, counter
 //!    values excluded) plus the per-component pending-wake structure.
@@ -43,7 +43,7 @@
 use crate::calendar::NEVER;
 use crate::system::Soc;
 use crate::time::Cycle;
-use fgqos_snap::{StateHasher, TypedSnapshot};
+use fgqos_snap::{StateWalker, TypedSnapshot};
 
 /// Minimum cycles between fingerprinted boundaries: throttles hashing
 /// so short quiesce/wake oscillations cost nothing.
@@ -59,7 +59,7 @@ const MIN_STRIDE: u64 = 64;
 /// O(log horizon) walks per aperiodic run. The cost is detection
 /// latency for machines that only settle into a period late: by then
 /// samples are sparse, and a match must wait for two samples to land
-/// on the same phase (`FGQOS_LEAP_DEBUG=1` shows the sampling).
+/// on the same phase.
 const MAX_STRIDE: u64 = 1 << 22;
 
 /// Recurrence table capacity (boundary records kept, FIFO-evicted).
@@ -320,21 +320,11 @@ impl Soc {
             self.leap.brent = None;
             return false;
         };
-        let mut h = StateHasher::typed_recording();
-        self.snap(&mut h);
-        let record = h.take_typed();
+        let mut w = StateWalker::typed_recording();
+        self.visit_state(&mut w);
+        let record = w.take_typed();
         let key = record.rebased_key(now.get(), &self.wake_offsets(now));
         self.leap.last_boundary = now.get();
-        if std::env::var_os("FGQOS_LEAP_DEBUG").is_some() {
-            let hits = self.leap.table.iter().filter(|e| e.key == key).count();
-            eprintln!(
-                "leap-debug: boundary at {} key {:016x} table {} hits {}",
-                now.get(),
-                key,
-                self.leap.table.len(),
-                hits
-            );
-        }
 
         // Probe: recent boundaries (FIFO table, catches short periods
         // within a few windows) then the Brent anchor (catches periods

@@ -96,8 +96,8 @@ pub use trace::{ChromeTraceBuilder, Trace, TraceEvent, TracingGate};
 // Snapshot building blocks, re-exported so downstream crates implement the
 // fork/snap seams without depending on `fgqos-snap` directly.
 pub use fgqos_snap::{
-    BlobStore, CowVec, ForkCtx, SharedFork, SnapDecodeError, SnapReader, SnapshotBlob,
-    SnapshotError, StateHasher, TypedSnapshot,
+    BlobStore, CowVec, ForkCtx, SharedFork, SnapDecodeError, SnapshotBlob, SnapshotError,
+    StateWalker, TypedSnapshot,
 };
 
 /// Commonly used items, intended for glob import in examples and tests.

@@ -8,11 +8,16 @@
 //! and an empty transaction arena implies every queue between master and
 //! DRAM is drained. What remains is per-component architectural state
 //! (sources, gates, bank rows, statistics), which every component knows
-//! how to deep-copy (`fork_*`) and hash (`snap_state`).
+//! how to deep-copy (`fork_*`) and walk (`visit_state`).
+//!
+//! **One walk.** Every stateful component lists its fields once, in
+//! `visit_state`, against a [`fgqos_snap::StateWalker`]: the same list
+//! hashes the state, records it as the blob wire format, tags the typed
+//! spans the leap engine rebases, and loads a recorded stream back.
 //!
 //! **Fingerprint.** [`Soc::fingerprint`] folds the full architectural
-//! state through a byte-stable FNV-1a stream ([`fgqos_snap::StateHasher`])
-//! prefixed by [`SNAPSHOT_VERSION`]. Two Socs with equal fingerprints
+//! state through the walker's byte-stable FNV-1a stream, prefixed by
+//! [`SNAPSHOT_VERSION`]. Two Socs with equal fingerprints
 //! behave identically for the rest of the run (same future requests,
 //! same decisions, same reports); the fork-vs-cold proptest in
 //! `tests/snapshot.rs` is the evidence.
@@ -33,7 +38,7 @@
 
 use crate::system::Soc;
 use crate::time::Cycle;
-use fgqos_snap::{ForkCtx, SnapDecodeError, SnapReader, SnapshotBlob, SnapshotError, StateHasher};
+use fgqos_snap::{ForkCtx, SnapDecodeError, SnapshotBlob, SnapshotError, StateWalker};
 
 /// Version of the snapshot fingerprint stream. Bumped whenever the
 /// encoding or the component traversal order changes; folded into every
@@ -49,32 +54,41 @@ impl Soc {
     ///
     /// Callable at any cycle (not only quiesced boundaries); two Socs
     /// with equal fingerprints and equal in-flight state behave
-    /// identically from here on.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = StateHasher::new();
-        self.snap(&mut h);
-        h.finish()
+    /// identically from here on. Takes `&mut self` because the one state
+    /// walk also loads; hashing changes nothing.
+    pub fn fingerprint(&mut self) -> u64 {
+        let mut w = StateWalker::hasher();
+        self.visit_state(&mut w);
+        w.finish()
     }
 
-    /// Feeds the full architectural state into `h` (the fingerprint
-    /// stream; see [`Soc::fingerprint`]).
-    pub fn snap(&self, h: &mut StateHasher) {
-        h.section("fgqos.soc-snapshot");
-        h.write_u32(SNAPSHOT_VERSION);
-        h.write_u64(self.freq.hz());
-        h.write_cycle(self.cycle.get());
-        h.write_bool(self.naive);
-        h.write_usize(self.masters.len());
-        for m in &self.masters {
-            m.snap(h);
+    /// Walks the full architectural state (see [`Soc::fingerprint`] and
+    /// [`Soc::load_state`]). Structural facts — clock, master and
+    /// controller counts — are fixed fields: a load verifies them.
+    pub fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section("fgqos.soc-snapshot");
+        let mut version = SNAPSHOT_VERSION;
+        w.plain(&mut version);
+        if version != SNAPSHOT_VERSION {
+            return w.fail(SnapDecodeError::Version {
+                found: version,
+                expected: SNAPSHOT_VERSION,
+            });
         }
-        self.xbar.snap(h);
-        self.dram.snap(h);
-        h.write_usize(self.controllers.len());
-        for c in &self.controllers {
-            c.snap_state(h);
+        w.fixed(self.freq.hz(), "soc clock hz");
+        w.cycle(&mut self.cycle);
+        w.plain(&mut self.naive);
+        w.fixed(self.masters.len(), "soc master count");
+        for m in &mut self.masters {
+            m.visit_state(w);
         }
-        self.arena.snap(h);
+        self.xbar.visit_state(w);
+        self.dram.visit_state(w);
+        w.fixed(self.controllers.len(), "soc controller count");
+        for c in &mut self.controllers {
+            c.visit_state(w);
+        }
+        self.arena.visit_state(w);
     }
 
     /// Deep-copies this Soc, remapping shared handles through `ctx`.
@@ -140,10 +154,13 @@ impl Soc {
         // Probe fork: surfaces Unforkable now instead of per point.
         let mut probe = ForkCtx::new();
         self.fork_with(&mut probe)?;
-        let fingerprint = self.fingerprint();
+        let mut soc = self;
+        let mut w = StateWalker::recording();
+        soc.visit_state(&mut w);
         Ok(SocSnapshot {
-            soc: self,
-            fingerprint,
+            soc,
+            fingerprint: w.finish(),
+            state: w.take_bytes(),
         })
     }
 
@@ -155,7 +172,7 @@ impl Soc {
 
     /// Loads a serialized state stream (see [`SocSnapshot::state_bytes`])
     /// into this Soc, which must be a freshly built skeleton of the same
-    /// scenario: structural, configuration-derived facts (clock, master
+    /// scenario: fixed, configuration-derived fields (clock, master
     /// identities, crossbar configuration, controller count) are
     /// *verified* against the stream, while mutable architectural state
     /// is overwritten. Callers should re-fingerprint afterwards and
@@ -170,60 +187,9 @@ impl Soc {
     /// support loading, or trailing bytes. The Soc is left in an
     /// unspecified partially-loaded state on error and must be discarded.
     pub fn load_state(&mut self, bytes: &[u8]) -> Result<(), SnapDecodeError> {
-        let mut r = SnapReader::new(bytes);
-        r.section("fgqos.soc-snapshot")?;
-        let version = r.read_u32("snapshot version")?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapDecodeError::Version {
-                found: version,
-                expected: SNAPSHOT_VERSION,
-            });
-        }
-        let at = r.position();
-        let hz = r.read_u64("soc clock hz")?;
-        if hz != self.freq.hz() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "soc clock {hz} Hz in stream, skeleton has {}",
-                    self.freq.hz()
-                ),
-                at,
-            });
-        }
-        self.cycle = Cycle::new(r.read_u64("soc cycle")?);
-        self.naive = r.read_bool("soc naive flag")?;
-        let at = r.position();
-        let n = r.read_usize("master count")?;
-        if n != self.masters.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "{n} master(s) in stream, skeleton has {}",
-                    self.masters.len()
-                ),
-                at,
-            });
-        }
-        for m in &mut self.masters {
-            m.snap_load(&mut r)?;
-        }
-        self.xbar.snap_load(&mut r)?;
-        self.dram.snap_load(&mut r)?;
-        let at = r.position();
-        let nc = r.read_usize("controller count")?;
-        if nc != self.controllers.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "{nc} controller(s) in stream, skeleton has {}",
-                    self.controllers.len()
-                ),
-                at,
-            });
-        }
-        for c in &mut self.controllers {
-            c.snap_load(&mut r)?;
-        }
-        self.arena.snap_load(&mut r)?;
-        r.expect_end()
+        let mut w = StateWalker::loader(bytes);
+        self.visit_state(&mut w);
+        w.finish_load()
     }
 }
 
@@ -251,6 +217,8 @@ impl Soc {
 pub struct SocSnapshot {
     soc: Soc,
     fingerprint: u64,
+    /// The state stream, recorded once at capture.
+    state: Vec<u8>,
 }
 
 impl std::fmt::Debug for SocSnapshot {
@@ -297,23 +265,19 @@ impl SocSnapshot {
             .expect("forkability was validated at capture")
     }
 
-    /// Recomputes the captured state's fingerprint and compares it with
+    /// Recomputes the fingerprint of a fresh fork and compares it with
     /// the one recorded at capture (a self-check for tests and debug
     /// assertions; snapshots are immutable, so this can only fail on a
-    /// hashing bug).
+    /// walking or forking bug).
     pub fn verify(&self) -> bool {
-        self.soc.fingerprint() == self.fingerprint
+        self.fork().fingerprint() == self.fingerprint
     }
 
-    /// Serializes the captured state to its canonical byte stream: the
-    /// exact bytes the fingerprint hashes, captured by running the
-    /// [`StateHasher`] in recording mode. By construction,
+    /// The captured state's canonical byte stream: the exact bytes the
+    /// fingerprint hashes, recorded once at capture. By construction,
     /// `fnv64(state_bytes()) == fingerprint()`.
     pub fn state_bytes(&self) -> Vec<u8> {
-        let mut h = StateHasher::recording();
-        self.soc.snap(&mut h);
-        debug_assert_eq!(h.finish(), self.fingerprint);
-        h.take_bytes()
+        self.state.clone()
     }
 
     /// Packages the snapshot as a durable [`SnapshotBlob`], embedding
@@ -358,14 +322,7 @@ impl SocSnapshot {
                 at: 0,
             });
         }
-        let fingerprint = soc.fingerprint();
-        if fingerprint != blob.fingerprint {
-            return Err(SnapDecodeError::FingerprintMismatch {
-                expected: blob.fingerprint,
-                found: fingerprint,
-            });
-        }
-        soc.snapshot().map_err(|e| match e {
+        let snap = soc.snapshot().map_err(|e| match e {
             SnapshotError::Unforkable { label } => {
                 SnapDecodeError::Unsupported { component: label }
             }
@@ -373,7 +330,14 @@ impl SocSnapshot {
                 what: format!("{live_txns} live transaction(s) after load"),
                 at: 0,
             },
-        })
+        })?;
+        if snap.fingerprint != blob.fingerprint {
+            return Err(SnapDecodeError::FingerprintMismatch {
+                expected: blob.fingerprint,
+                found: snap.fingerprint,
+            });
+        }
+        Ok(snap)
     }
 }
 
@@ -468,7 +432,7 @@ mod tests {
         soc.quiesce_point(10_000_000).expect("drains");
         let snap = soc.snapshot().expect("quiesced");
         let mut a = snap.fork();
-        let b = snap.fork();
+        let mut b = snap.fork();
         let b_before = b.fingerprint();
         a.run(100_000);
         assert_eq!(

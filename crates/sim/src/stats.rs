@@ -6,7 +6,7 @@
 //! attached to every master for arbitrarily long runs.
 
 use crate::time::{Bandwidth, Cycle, Freq};
-use fgqos_snap::{CowVec, SnapDecodeError, SnapReader, StateHasher};
+use fgqos_snap::{CowVec, StateWalker};
 
 /// Accumulates transferred bytes over an interval and converts the count
 /// into a [`Bandwidth`].
@@ -68,26 +68,12 @@ impl BandwidthMeter {
         self.start = now;
     }
 
-    /// Feeds the meter's state into a snapshot fingerprint.
-    pub fn snap(&self, h: &mut StateHasher) {
-        h.section("meter");
-        h.write_counter_u64(self.bytes);
-        h.write_counter_u64(self.txns);
-        h.write_cycle(self.start.get());
-    }
-
-    /// Restores the meter from a serialized snapshot stream (the decode
-    /// mirror of [`BandwidthMeter::snap`]).
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapDecodeError`] aborts the whole load.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        r.section("meter")?;
-        self.bytes = r.read_u64("meter bytes")?;
-        self.txns = r.read_u64("meter txns")?;
-        self.start = Cycle::new(r.read_u64("meter start")?);
-        Ok(())
+    /// Walks the meter's state (see [`StateWalker`]).
+    pub fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section("meter");
+        w.counter(&mut self.bytes);
+        w.counter(&mut self.txns);
+        w.cycle(&mut self.start);
     }
 }
 
@@ -269,58 +255,41 @@ impl LatencyStats {
         self.max = self.max.max(other.max);
     }
 
-    /// Feeds the distribution's state into a snapshot fingerprint
-    /// (summary fields plus the non-empty buckets as index/count pairs).
-    pub fn snap(&self, h: &mut StateHasher) {
-        h.section("latency");
-        h.write_counter_u64(self.count);
-        h.write_counter_u128(self.sum);
-        h.write_u64(self.min);
-        h.write_u64(self.max);
-        for (i, &c) in self.buckets.iter().enumerate().filter(|(_, &c)| c > 0) {
-            h.write_usize(i);
-            h.write_counter_u64(c);
+    /// Walks the distribution's state (see [`StateWalker`]): summary
+    /// fields, then the non-empty buckets as index/count pairs. The pairs
+    /// carry no length prefix; a loader reads them until their counts sum
+    /// to the recorded total, with strictly increasing indices — any
+    /// deviation is a diagnostic error.
+    pub fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section("latency");
+        w.counter(&mut self.count);
+        w.counter(&mut self.sum);
+        w.plain(&mut self.min);
+        w.plain(&mut self.max);
+        if !w.loading() {
+            for (i, &c) in self.buckets.iter().enumerate().filter(|(_, &c)| c > 0) {
+                w.plain(&mut { i });
+                w.counter(&mut { c });
+            }
+            return;
         }
-    }
-
-    /// Restores the distribution from a serialized snapshot stream (the
-    /// decode mirror of [`LatencyStats::snap`]). The bucket pairs carry
-    /// no length prefix; they are read until their counts sum to the
-    /// recorded total, with strictly increasing indices — any deviation
-    /// is a diagnostic error.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapDecodeError`] aborts the whole load.
-    pub fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        r.section("latency")?;
-        let count = r.read_u64("latency count")?;
-        let sum = r.read_u128("latency sum")?;
-        let min = r.read_u64("latency min")?;
-        let max = r.read_u64("latency max")?;
-        self.clear();
-        self.count = count;
-        self.sum = sum;
-        self.min = min;
-        self.max = max;
         let buckets = self.buckets.make_mut();
-        let mut acc: u64 = 0;
-        let mut last: Option<usize> = None;
-        while acc < count {
-            let at = r.position();
-            let i = r.read_usize("latency bucket index")?;
-            let c = r.read_u64("latency bucket count")?;
-            if i >= buckets.len() || c == 0 || last.is_some_and(|l| i <= l) || c > count - acc {
-                return Err(SnapDecodeError::BadValue {
-                    what: format!("latency bucket ({i}, {c}) inconsistent with count {count}"),
-                    at,
-                });
+        buckets.fill(0);
+        let (mut acc, mut next) = (0u64, 0usize);
+        while acc < self.count {
+            let (mut i, mut c) = (0usize, 0u64);
+            w.plain(&mut i);
+            w.plain(&mut c);
+            if i >= buckets.len() || i < next || c == 0 || c > self.count - acc {
+                return w.bad(format!(
+                    "latency bucket ({i}, {c}) inconsistent with count {}",
+                    self.count
+                ));
             }
             buckets[i] = c;
             acc += c;
-            last = Some(i);
+            next = i + 1;
         }
-        Ok(())
     }
 }
 
@@ -353,7 +322,7 @@ pub struct WindowRecorder {
 /// Per-window latency summary produced by a [`WindowRecorder`] in latency
 /// mode (one entry per closed window, aligned with
 /// [`WindowRecorder::windows`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowLatency {
     /// Samples recorded within the window.
     pub count: u64,
@@ -457,72 +426,26 @@ impl WindowRecorder {
         self.windows.iter().copied().max().unwrap_or(0)
     }
 
-    /// Feeds the recorder's state into a snapshot fingerprint.
-    pub fn snap(&self, h: &mut StateHasher) {
-        h.section("window-recorder");
-        h.write_u64(self.window_cycles);
-        h.write_u64(self.current_window);
-        h.write_u64(self.current_value);
-        h.write_usize(self.windows.len());
-        for &w in self.windows.iter() {
-            h.write_u64(w);
+    /// Walks the recorder's state (see [`StateWalker`]); the stream
+    /// carries everything, including the window length.
+    pub fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section("window-recorder");
+        w.plain(&mut self.window_cycles);
+        if self.window_cycles == 0 {
+            w.bad("window-recorder window_cycles must be non-zero");
+            self.window_cycles = 1;
         }
-        match &self.lat_scratch {
-            Some(s) => {
-                h.write_bool(true);
-                s.snap(h);
-            }
-            None => h.write_bool(false),
+        w.plain(&mut self.current_window);
+        w.plain(&mut self.current_value);
+        w.cow_vec(&mut self.windows, |w, v| w.plain(v));
+        if let Some(s) = w.option(&mut self.lat_scratch) {
+            s.visit_state(w);
         }
-        h.write_usize(self.lat_windows.len());
-        for lw in self.lat_windows.iter() {
-            h.write_u64(lw.count);
-            h.write_u64(lw.p50);
-            h.write_u64(lw.p99);
-        }
-    }
-
-    /// Reconstructs a recorder from a serialized snapshot stream (the
-    /// decode mirror of [`WindowRecorder::snap`]); the stream carries
-    /// everything, so no pre-built skeleton recorder is needed.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SnapDecodeError`] aborts the whole load.
-    pub fn snap_load(r: &mut SnapReader<'_>) -> Result<WindowRecorder, SnapDecodeError> {
-        r.section("window-recorder")?;
-        let at = r.position();
-        let window_cycles = r.read_u64("window-recorder window_cycles")?;
-        if window_cycles == 0 {
-            return Err(SnapDecodeError::BadValue {
-                what: "window-recorder window_cycles must be non-zero".to_string(),
-                at,
-            });
-        }
-        let mut rec = WindowRecorder::new(window_cycles);
-        rec.current_window = r.read_u64("window-recorder current_window")?;
-        rec.current_value = r.read_u64("window-recorder current_value")?;
-        let n = r.read_usize("window-recorder windows len")?;
-        for _ in 0..n {
-            rec.windows
-                .push(r.read_u64("window-recorder window value")?);
-        }
-        rec.lat_scratch = if r.read_bool("window-recorder scratch flag")? {
-            let mut s = LatencyStats::new();
-            s.snap_load(r)?;
-            Some(s)
-        } else {
-            None
-        };
-        let m = r.read_usize("window-recorder latency windows len")?;
-        for _ in 0..m {
-            rec.lat_windows.push(WindowLatency {
-                count: r.read_u64("window-latency count")?,
-                p50: r.read_u64("window-latency p50")?,
-                p99: r.read_u64("window-latency p99")?,
-            });
-        }
-        Ok(rec)
+        w.cow_vec(&mut self.lat_windows, |w, lw| {
+            w.plain(&mut lw.count);
+            w.plain(&mut lw.p50);
+            w.plain(&mut lw.p99);
+        });
     }
 }
 

@@ -27,7 +27,8 @@ use crate::master::{Master, MasterKind, MasterStats, TrafficSource};
 use crate::metrics::MetricsRegistry;
 use crate::time::{Bandwidth, Cycle, Freq};
 use crate::trace::{ChromeTraceBuilder, Trace};
-use fgqos_snap::{ForkCtx, SnapDecodeError, SnapReader, StateHasher};
+use fgqos_snap::{ForkCtx, StateWalker};
+use std::any::Any;
 
 /// Top-level SoC parameters.
 #[derive(Debug, Clone, Default)]
@@ -46,7 +47,7 @@ pub struct SocConfig {
 /// QoS managers, MemGuard tick handlers). They run "beside" the hardware:
 /// the SoC calls [`Controller::on_cycle`] every cycle and the controller
 /// decides internally when to act (e.g. every OS tick).
-pub trait Controller {
+pub trait Controller: Any {
     /// Called once per simulated cycle.
     ///
     /// Under fast-forward this is only invoked at *executed* cycles, so
@@ -85,22 +86,26 @@ pub trait Controller {
         None
     }
 
-    /// Feeds this controller's architectural state into a snapshot
-    /// fingerprint; the default writes only the label.
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section(self.label());
-    }
-
-    /// Restores this controller's state from a serialized snapshot
-    /// stream (the decode mirror of [`Controller::snap_state`]). The
-    /// default refuses with a diagnostic
-    /// [`SnapDecodeError::Unsupported`].
+    /// Walks this controller's architectural state in one list that
+    /// hashes, records and loads (see [`StateWalker`]). The default opens
+    /// a section named by the label and refuses to load with a diagnostic
+    /// [`SnapDecodeError::Unsupported`](fgqos_snap::SnapDecodeError::Unsupported).
     ///
-    /// # Errors
-    ///
-    /// Any [`SnapDecodeError`] aborts the whole load.
-    fn snap_load(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        Err(SnapDecodeError::unsupported(self.label()))
+    /// One walk serves every purpose: the same field list hashes the
+    /// fingerprint, records the blob stream, tags the typed spans the
+    /// leap engine rebases, and loads a recorded stream back. Walk each
+    /// field with its kind: [`plain`](StateWalker::plain) for mutable
+    /// state (overwritten on load), [`cycle`](StateWalker::cycle) for
+    /// absolute cycle stamps, [`counter`](StateWalker::counter) /
+    /// [`counter_sat`](StateWalker::counter_sat) for accumulators, and
+    /// [`fixed`](StateWalker::fixed) / [`fixed_str`](StateWalker::fixed_str)
+    /// for configuration facts the rebuilt skeleton already holds — a
+    /// load compares those and fails with
+    /// [`SnapDecodeError::BadValue`](fgqos_snap::SnapDecodeError::BadValue)
+    /// on a mismatch, never overwriting them.
+    fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section(self.label());
+        w.unsupported(self.label());
     }
 }
 
@@ -831,6 +836,14 @@ impl Soc {
     /// Panics if `id` is out of range.
     pub fn master_mut(&mut self, id: MasterId) -> &mut Master {
         &mut self.masters[id.index()]
+    }
+
+    /// The first registered controller of type `T`, if any (e.g. to
+    /// reschedule a scenario program in a forked run).
+    pub fn controller_mut<T: Controller>(&mut self) -> Option<&mut T> {
+        self.controllers
+            .iter_mut()
+            .find_map(|c| (c.as_mut() as &mut dyn Any).downcast_mut::<T>())
     }
 
     /// Registration name of one master.

@@ -66,6 +66,21 @@ impl Cycle {
     }
 }
 
+impl fgqos_snap::Word for Cycle {
+    fn walk(&mut self, w: &mut fgqos_snap::StateWalker<'_>) {
+        self.0.walk(w);
+    }
+}
+
+impl fgqos_snap::Stamp for Cycle {
+    fn to_cycle(self) -> u64 {
+        self.0
+    }
+    fn from_cycle(v: u64) -> Self {
+        Cycle(v)
+    }
+}
+
 impl Add<u64> for Cycle {
     type Output = Cycle;
     #[inline]

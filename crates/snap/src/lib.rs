@@ -4,10 +4,11 @@
 //! three mechanisms every snapshottable component needs, without knowing
 //! anything about the components themselves.
 //!
-//! - [`StateHasher`] — a byte-stable FNV-1a stream over architectural
-//!   state. Components feed their fields through typed `write_*` calls;
-//!   two states are considered identical iff their streams are identical.
-//!   Section tags delimit components so a mismatch is attributable.
+//! - [`StateWalker`] — the one field walk every component implements
+//!   (`visit_state`): the same field list hashes, records, tags typed
+//!   spans for the leap algebra, and loads a recorded stream back. Two
+//!   states are considered identical iff their streams are identical;
+//!   section tags delimit components so a mismatch is attributable.
 //! - [`ForkCtx`] / [`SharedFork`] — pointer-identity remapping of shared
 //!   handles (`Arc<RegFile>`, `Arc<Mutex<GroupState>>`, …). When a Soc is
 //!   forked, every `Arc` that was shared between two components (or
@@ -25,9 +26,11 @@
 #![forbid(unsafe_code)]
 
 pub mod typed;
+pub mod walk;
 pub mod wire;
 
 pub use typed::{FieldKind, FieldSpan, TypedSnapshot};
+pub use walk::{fnv64, Counter, Stamp, StateWalker, Word};
 pub use wire::{BlobStore, SnapDecodeError, SnapReader, SnapshotBlob};
 
 use std::any::Any;
@@ -35,231 +38,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::ops::{Deref, Index, IndexMut};
 use std::sync::{Arc, Mutex};
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Hashes `bytes` with FNV-1a 64 starting from the offset basis.
-///
-/// The same function the serve-side result cache uses; exposed here so
-/// snapshot fingerprints and cache keys share one definition.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// A byte-stable FNV-1a 64 stream over architectural state.
-///
-/// Every `write_*` method folds a fixed little-endian encoding of its
-/// argument, so the fingerprint is a pure function of the value sequence
-/// — independent of platform, allocator, or pointer identity. Variable
-/// length payloads (`write_str`, `write_bytes`) are length-prefixed so
-/// the stream is prefix-free: `("ab", "c")` and `("a", "bc")` hash
-/// differently.
-///
-/// Components open a [`section`](Self::section) before writing their
-/// fields; the tag is folded into the stream, so two states only match
-/// when the same components contributed in the same order.
-#[derive(Debug, Clone)]
-pub struct StateHasher {
-    hash: u64,
-    bytes: u64,
-    record: Option<Vec<u8>>,
-    typed: Option<Vec<FieldSpan>>,
-}
-
-impl Default for StateHasher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StateHasher {
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        StateHasher {
-            hash: FNV_OFFSET,
-            bytes: 0,
-            record: None,
-            typed: None,
-        }
-    }
-
-    /// A hasher that additionally captures every folded byte, so the
-    /// hash stream doubles as a serialization wire format: the recorded
-    /// bytes replayed through a [`SnapReader`] reconstruct exactly the
-    /// state that produced this fingerprint.
-    pub fn recording() -> Self {
-        StateHasher {
-            hash: FNV_OFFSET,
-            bytes: 0,
-            record: Some(Vec::new()),
-            typed: None,
-        }
-    }
-
-    /// A recording hasher that additionally tracks which byte spans came
-    /// from the semantic writers ([`write_cycle`](Self::write_cycle),
-    /// `write_counter_*`). The captured [`TypedSnapshot`] supports the
-    /// steady-state leap algebra: time-rebased fingerprint keys,
-    /// period-delta verification and `×k` delta application.
-    pub fn typed_recording() -> Self {
-        StateHasher {
-            hash: FNV_OFFSET,
-            bytes: 0,
-            record: Some(Vec::new()),
-            typed: Some(Vec::new()),
-        }
-    }
-
-    /// The bytes captured so far (empty unless built with
-    /// [`StateHasher::recording`]).
-    pub fn take_bytes(self) -> Vec<u8> {
-        self.record.unwrap_or_default()
-    }
-
-    /// Consumes a [`StateHasher::typed_recording`] hasher into the
-    /// captured byte stream plus its semantic field map.
-    pub fn take_typed(self) -> TypedSnapshot {
-        TypedSnapshot {
-            bytes: self.record.unwrap_or_default(),
-            fields: self.typed.unwrap_or_default(),
-        }
-    }
-
-    /// Marks the next `len` bytes as one semantic field (typed mode
-    /// only; a no-op in hash/record modes).
-    fn mark(&mut self, kind: FieldKind, len: usize) {
-        if let Some(fields) = &mut self.typed {
-            let offset = self.record.as_ref().map_or(0, Vec::len);
-            fields.push(FieldSpan { kind, offset, len });
-        }
-    }
-
-    /// Folds raw bytes without a length prefix (building block for the
-    /// typed writers; prefer those or [`write_bytes`](Self::write_bytes)).
-    fn fold(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
-        self.bytes += bytes.len() as u64;
-        if let Some(buf) = &mut self.record {
-            buf.extend_from_slice(bytes);
-        }
-    }
-
-    /// Opens a named section; fold the tag so component order matters.
-    pub fn section(&mut self, tag: &str) {
-        self.write_str(tag);
-    }
-
-    /// Writes one byte.
-    pub fn write_u8(&mut self, v: u8) {
-        self.fold(&[v]);
-    }
-
-    /// Writes a `u16` as little-endian bytes.
-    pub fn write_u16(&mut self, v: u16) {
-        self.fold(&v.to_le_bytes());
-    }
-
-    /// Writes a `u32` as little-endian bytes.
-    pub fn write_u32(&mut self, v: u32) {
-        self.fold(&v.to_le_bytes());
-    }
-
-    /// Writes a `u64` as little-endian bytes.
-    pub fn write_u64(&mut self, v: u64) {
-        self.fold(&v.to_le_bytes());
-    }
-
-    /// Writes a `u128` as little-endian bytes.
-    pub fn write_u128(&mut self, v: u128) {
-        self.fold(&v.to_le_bytes());
-    }
-
-    /// Writes a `usize` widened to `u64` (byte-stable across platforms).
-    pub fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    /// Writes a `bool` as one byte (0 or 1).
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(v as u8);
-    }
-
-    /// Writes an `f64` by its IEEE-754 bit pattern.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// Writes an absolute cycle stamp. Encodes exactly like
-    /// [`write_u64`](Self::write_u64); in typed mode the span is marked
-    /// [`FieldKind::Cycle`] so the leap algebra can rebase it against the
-    /// snapshot boundary and advance it by whole periods.
-    pub fn write_cycle(&mut self, v: u64) {
-        self.mark(FieldKind::Cycle, 8);
-        self.write_u64(v);
-    }
-
-    /// Writes a monotonically accumulating `u64` counter (bytes, txns,
-    /// stall cycles). Encodes exactly like [`write_u64`](Self::write_u64).
-    pub fn write_counter_u64(&mut self, v: u64) {
-        self.mark(FieldKind::CounterU64, 8);
-        self.write_u64(v);
-    }
-
-    /// Writes a `u32` counter that accumulates with *wrapping* arithmetic
-    /// (arena slot generations). Encodes exactly like
-    /// [`write_u32`](Self::write_u32).
-    pub fn write_counter_u32(&mut self, v: u32) {
-        self.mark(FieldKind::CounterU32, 4);
-        self.write_u32(v);
-    }
-
-    /// Writes a `u32` counter that accumulates with *saturating*
-    /// arithmetic (register-file mirrors of wider counters). Encodes
-    /// exactly like [`write_u32`](Self::write_u32).
-    pub fn write_counter_u32_sat(&mut self, v: u32) {
-        self.mark(FieldKind::CounterU32Sat, 4);
-        self.write_u32(v);
-    }
-
-    /// Writes a monotonically accumulating `u128` counter (latency
-    /// sums). Encodes exactly like [`write_u128`](Self::write_u128).
-    pub fn write_counter_u128(&mut self, v: u128) {
-        self.mark(FieldKind::CounterU128, 16);
-        self.write_u128(v);
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_bytes(s.as_bytes());
-    }
-
-    /// Writes a length-prefixed byte slice.
-    pub fn write_bytes(&mut self, b: &[u8]) {
-        self.write_u64(b.len() as u64);
-        self.fold(b);
-    }
-
-    /// The current 64-bit digest.
-    pub fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    /// Total bytes folded so far — a cheap stream-length cross-check.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-}
 
 /// Errors from snapshot capture and fork operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -463,48 +241,6 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn hasher_is_prefix_free() {
-        let mut a = StateHasher::new();
-        a.write_str("ab");
-        a.write_str("c");
-        let mut b = StateHasher::new();
-        b.write_str("a");
-        b.write_str("bc");
-        assert_ne!(a.finish(), b.finish());
-        assert_eq!(a.bytes_written(), b.bytes_written());
-    }
-
-    #[test]
-    fn hasher_typed_writes_are_stable() {
-        let mut h = StateHasher::new();
-        h.section("test");
-        h.write_u8(1);
-        h.write_u16(2);
-        h.write_u32(3);
-        h.write_u64(4);
-        h.write_u128(5);
-        h.write_usize(6);
-        h.write_bool(true);
-        h.write_f64(1.5);
-        // Pinned digest: any encoding change must bump SNAPSHOT_VERSION.
-        let again = {
-            let mut h2 = StateHasher::new();
-            h2.section("test");
-            h2.write_u8(1);
-            h2.write_u16(2);
-            h2.write_u32(3);
-            h2.write_u64(4);
-            h2.write_u128(5);
-            h2.write_usize(6);
-            h2.write_bool(true);
-            h2.write_f64(1.5);
-            h2.finish()
-        };
-        assert_eq!(h.finish(), again);
-        assert_ne!(h.finish(), StateHasher::new().finish());
     }
 
     #[test]

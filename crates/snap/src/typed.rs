@@ -2,9 +2,9 @@
 //!
 //! A [`TypedSnapshot`] is the recorded snapshot byte stream of a
 //! quiesced machine plus a map of which byte spans hold *semantic*
-//! fields — absolute cycle stamps and monotone counters — written
+//! fields — absolute cycle stamps and monotone counters — walked
 //! through the typed methods of
-//! [`StateHasher`](crate::StateHasher). Everything outside those spans
+//! [`StateWalker`](crate::StateWalker). Everything outside those spans
 //! is plain configuration/bounded state that must repeat byte-for-byte
 //! for two boundaries to be the same machine state.
 //!
@@ -62,7 +62,7 @@ pub struct FieldSpan {
 /// [module docs](self)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TypedSnapshot {
-    /// The full recorded snapshot stream (loadable by a `SnapReader`).
+    /// The full recorded snapshot stream (loadable by a `StateWalker::loader`).
     pub bytes: Vec<u8>,
     /// Typed spans in stream order; bytes outside them are plain.
     pub fields: Vec<FieldSpan>,
@@ -236,60 +236,37 @@ impl TypedSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StateHasher;
+    use crate::StateWalker;
 
     /// A toy component at absolute cycle `now`: one config word, one
     /// advancing stamp, one frozen stamp, counters of every flavour.
     fn record(now: u64, bytes: u64, gens: u32, mirror: u32, sum: u128) -> TypedSnapshot {
-        let mut h = StateHasher::typed_recording();
-        h.section("toy");
-        h.write_u64(0x00C0_FFEE); // config: plain
-        h.write_cycle(now + 3); // advancing stamp (next wake)
-        h.write_cycle(7); // frozen stamp (start-of-run)
-        h.write_cycle(u64::MAX); // "never" sentinel
-        h.write_counter_u64(bytes);
-        h.write_counter_u32(gens);
-        h.write_counter_u32_sat(mirror);
-        h.write_counter_u128(sum);
-        h.write_bool(true); // trailing plain
-        h.take_typed()
-    }
-
-    #[test]
-    fn typed_writes_encode_like_plain_writes() {
-        let mut typed = StateHasher::recording();
-        typed.section("x");
-        typed.write_cycle(41);
-        typed.write_counter_u64(42);
-        typed.write_counter_u32(43);
-        typed.write_counter_u32_sat(44);
-        typed.write_counter_u128(45);
-        let mut plain = StateHasher::recording();
-        plain.section("x");
-        plain.write_u64(41);
-        plain.write_u64(42);
-        plain.write_u32(43);
-        plain.write_u32(44);
-        plain.write_u128(45);
-        assert_eq!(typed.finish(), plain.finish());
-        assert_eq!(typed.bytes_written(), plain.bytes_written());
-        assert_eq!(typed.take_bytes(), plain.take_bytes());
+        let mut w = StateWalker::typed_recording();
+        w.section("toy");
+        w.plain(&mut 0x00C0_FFEEu64); // config: plain
+        w.cycle(&mut (now + 3)); // advancing stamp (next wake)
+        w.cycle(&mut 7u64); // frozen stamp (start-of-run)
+        w.cycle(&mut { u64::MAX }); // "never" sentinel
+        w.counter(&mut { bytes });
+        w.counter(&mut { gens });
+        w.counter_sat(&mut { mirror });
+        w.counter(&mut { sum });
+        w.plain(&mut true); // trailing plain
+        w.take_typed()
     }
 
     #[test]
     fn typed_mode_maps_spans_without_changing_bytes() {
         let a = record(1_000, 10, 2, 3, 100);
-        let mut plain = StateHasher::recording();
+        let mut plain = StateWalker::recording();
         plain.section("toy");
-        plain.write_u64(0x00C0_FFEE);
-        plain.write_u64(1_003);
-        plain.write_u64(7);
-        plain.write_u64(u64::MAX);
-        plain.write_u64(10);
-        plain.write_u32(2);
-        plain.write_u32(3);
-        plain.write_u128(100);
-        plain.write_bool(true);
+        for mut v in [0x00C0_FFEE, 1_003, 7, u64::MAX, 10] {
+            plain.plain(&mut v);
+        }
+        plain.plain(&mut 2u32);
+        plain.plain(&mut 3u32);
+        plain.plain(&mut 100u128);
+        plain.plain(&mut true);
         assert_eq!(a.bytes, plain.take_bytes());
         assert_eq!(a.fields.len(), 7);
     }

@@ -1,0 +1,828 @@
+//! One field walk per component: hashing, recording, typed-span tagging
+//! and loading all run the same `visit_state` field list.
+//!
+//! A [`StateWalker`] is created in one of two modes:
+//!
+//! - **write** — [`hasher`](StateWalker::hasher) folds every field into a
+//!   byte-stable FNV-1a 64 digest; [`recording`](StateWalker::recording)
+//!   also keeps the bytes (the snapshot wire format);
+//!   [`typed_recording`](StateWalker::typed_recording) keeps the bytes
+//!   and maps which spans are cycle stamps and counters (the leap algebra
+//!   of [`crate::typed`]).
+//! - **load** — [`loader`](StateWalker::loader) reads the same fields back
+//!   from a recorded stream into the component.
+//!
+//! Every field goes through one method that does the right thing in each
+//! mode. The field kinds:
+//!
+//! | method | write | load |
+//! |---|---|---|
+//! | [`plain`](StateWalker::plain) | value bytes | overwrite |
+//! | [`cycle`](StateWalker::cycle) | bytes, typed `Cycle` | overwrite |
+//! | [`counter`](StateWalker::counter), [`counter_sat`](StateWalker::counter_sat) | bytes, typed counter | overwrite |
+//! | [`fixed`](StateWalker::fixed), [`fixed_str`](StateWalker::fixed_str) | value bytes | compare with the skeleton |
+//!
+//! *Fixed* fields are configuration facts the rebuilt skeleton already
+//! holds (clock, names, counts, structural parameters): a stream that
+//! disagrees is a [`SnapDecodeError::BadValue`], never an overwrite.
+//!
+//! Encodings are fixed little-endian (`usize` widens to `u64`, `bool` is
+//! one byte, `f64` is its bit pattern, strings are length-prefixed), so
+//! the stream is a pure function of the value sequence.
+//!
+//! Loading never panics on hostile input: the first error sticks, every
+//! later read leaves its field untouched and [`len`](StateWalker::len)
+//! returns 0, and [`finish_load`](StateWalker::finish_load) reports it.
+
+use crate::typed::{FieldKind, FieldSpan, TypedSnapshot};
+use crate::wire::{SnapDecodeError, SnapReader};
+use crate::CowVec;
+use std::fmt;
+
+/// FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Hashes `bytes` with FNV-1a 64 starting from the offset basis.
+///
+/// The same function the serve-side result cache uses; exposed here so
+/// snapshot fingerprints and cache keys share one definition.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    fold(FNV_OFFSET, bytes)
+}
+
+#[inline]
+fn fold(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// Initial capacity of a recording: shipped scenarios stream 3–8 KiB,
+/// so most walks never regrow the buffer.
+const RECORD_HINT: usize = 8 << 10;
+/// Initial capacity of a typed recording's span map.
+const SPAN_HINT: usize = 512;
+
+enum Mode<'a> {
+    /// Folds every byte into the digest; `record` keeps the bytes too.
+    Hash {
+        hash: u64,
+        bytes: u64,
+        record: Option<Vec<u8>>,
+    },
+    /// Keeps the bytes and their typed span map, without a digest (the
+    /// leap engine keys records itself).
+    Typed {
+        buf: Vec<u8>,
+        fields: Vec<FieldSpan>,
+    },
+    Load {
+        r: SnapReader<'a>,
+        err: Option<SnapDecodeError>,
+    },
+}
+
+/// The one state walker every component's `visit_state` takes (see the
+/// [module docs](self)).
+pub struct StateWalker<'a> {
+    mode: Mode<'a>,
+}
+
+impl fmt::Debug for StateWalker<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mode = match &self.mode {
+            Mode::Hash { record: None, .. } => "hash",
+            Mode::Hash { .. } => "record",
+            Mode::Typed { .. } => "typed-record",
+            Mode::Load { .. } => "load",
+        };
+        f.debug_struct("StateWalker")
+            .field("mode", &mode)
+            .field("bytes", &self.bytes_written())
+            .finish()
+    }
+}
+
+impl StateWalker<'static> {
+    /// A write walker folding every field into an FNV-1a 64 digest.
+    pub fn hasher() -> Self {
+        StateWalker {
+            mode: Mode::Hash {
+                hash: FNV_OFFSET,
+                bytes: 0,
+                record: None,
+            },
+        }
+    }
+
+    /// A hasher that also captures every byte: the recorded stream is
+    /// the snapshot wire format, and [`fnv64`] of it is the digest.
+    pub fn recording() -> Self {
+        StateWalker {
+            mode: Mode::Hash {
+                hash: FNV_OFFSET,
+                bytes: 0,
+                record: Some(Vec::with_capacity(RECORD_HINT)),
+            },
+        }
+    }
+
+    /// A recording walker that also maps which spans are cycle stamps
+    /// and counters, for the leap algebra of [`TypedSnapshot`]. It keeps
+    /// no running digest; [`finish`](StateWalker::finish) hashes the
+    /// recorded bytes on demand.
+    pub fn typed_recording() -> Self {
+        StateWalker {
+            mode: Mode::Typed {
+                buf: Vec::with_capacity(RECORD_HINT),
+                fields: Vec::with_capacity(SPAN_HINT),
+            },
+        }
+    }
+}
+
+impl<'a> StateWalker<'a> {
+    /// A load walker reading a recorded stream back field by field.
+    pub fn loader(bytes: &'a [u8]) -> Self {
+        StateWalker {
+            mode: Mode::Load {
+                r: SnapReader::new(bytes),
+                err: None,
+            },
+        }
+    }
+
+    /// True in load mode. Components branch on this only where the two
+    /// directions genuinely differ (rebuilding variable-length state,
+    /// validating loaded values).
+    #[inline]
+    pub fn loading(&self) -> bool {
+        matches!(self.mode, Mode::Load { .. })
+    }
+
+    /// The digest of the bytes written so far (for a loader, of the
+    /// bytes consumed so far).
+    pub fn finish(&self) -> u64 {
+        match &self.mode {
+            Mode::Hash { hash, .. } => *hash,
+            Mode::Typed { buf, .. } => fnv64(buf),
+            Mode::Load { r, .. } => fnv64(r.consumed()),
+        }
+    }
+
+    /// Bytes written (or consumed) so far.
+    pub fn bytes_written(&self) -> u64 {
+        match &self.mode {
+            Mode::Hash { bytes, .. } => *bytes,
+            Mode::Typed { buf, .. } => buf.len() as u64,
+            Mode::Load { r, .. } => r.position() as u64,
+        }
+    }
+
+    /// The recorded stream (empty for a plain hasher or loader).
+    pub fn take_bytes(self) -> Vec<u8> {
+        match self.mode {
+            Mode::Hash {
+                record: Some(buf), ..
+            }
+            | Mode::Typed { buf, .. } => buf,
+            _ => Vec::new(),
+        }
+    }
+
+    /// The recorded stream plus its typed field map (empty unless built
+    /// with [`typed_recording`](StateWalker::typed_recording)).
+    pub fn take_typed(self) -> TypedSnapshot {
+        match self.mode {
+            Mode::Typed { buf, fields } => TypedSnapshot { bytes: buf, fields },
+            _ => TypedSnapshot {
+                bytes: Vec::new(),
+                fields: Vec::new(),
+            },
+        }
+    }
+
+    /// Ends a load: the first error the walk hit, or
+    /// [`SnapDecodeError::TrailingBytes`] when the stream was not fully
+    /// consumed. Always `Ok` in write mode.
+    ///
+    /// # Errors
+    ///
+    /// Any [`SnapDecodeError`] recorded during the walk.
+    pub fn finish_load(self) -> Result<(), SnapDecodeError> {
+        match self.mode {
+            Mode::Load { err: Some(e), .. } => Err(e),
+            Mode::Load { r, .. } => r.expect_end(),
+            _ => Ok(()),
+        }
+    }
+
+    /// Records `e` as the load's error unless an earlier one stuck (a
+    /// no-op in write mode).
+    pub fn fail(&mut self, e: SnapDecodeError) {
+        if let Mode::Load {
+            err: err @ None, ..
+        } = &mut self.mode
+        {
+            *err = Some(e);
+        }
+    }
+
+    /// Fails the load with a [`SnapDecodeError::BadValue`] at the
+    /// current offset (a no-op in write mode).
+    pub fn bad(&mut self, what: impl Into<String>) {
+        if let Mode::Load { r, .. } = &self.mode {
+            let at = r.position();
+            self.fail(SnapDecodeError::BadValue {
+                what: what.into(),
+                at,
+            });
+        }
+    }
+
+    /// Fails the load with [`SnapDecodeError::Unsupported`]: the default
+    /// for components that never opted into loading.
+    pub fn unsupported(&mut self, component: &str) {
+        self.fail(SnapDecodeError::unsupported(component));
+    }
+
+    fn ok_to_read(&self) -> bool {
+        !matches!(self.mode, Mode::Load { err: Some(_), .. })
+    }
+
+    /// Writes `bytes`, or reads that many bytes over them. Kept out of
+    /// line: every field of every component funnels through here, and one
+    /// copy per width stays hot in the instruction cache across a walk.
+    #[inline(never)]
+    fn raw<const N: usize>(&mut self, bytes: &mut [u8; N], what: &'static str) {
+        let Mode::Load { r, err } = &mut self.mode else {
+            return self.put(bytes);
+        };
+        if err.is_none() {
+            match r.take(N, what) {
+                Ok(b) => bytes.copy_from_slice(b),
+                Err(e) => *err = Some(e),
+            }
+        }
+    }
+
+    /// Writes `bytes` (write modes only).
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        match &mut self.mode {
+            Mode::Hash {
+                hash,
+                bytes: n,
+                record,
+            } => {
+                *hash = fold(*hash, bytes);
+                *n += bytes.len() as u64;
+                if let Some(buf) = record {
+                    buf.extend_from_slice(bytes);
+                }
+            }
+            Mode::Typed { buf, .. } => buf.extend_from_slice(bytes),
+            Mode::Load { .. } => unreachable!("put is write-only"),
+        }
+    }
+
+    #[inline]
+    fn mark(&mut self, kind: FieldKind, len: usize) {
+        if let Mode::Typed { buf, fields } = &mut self.mode {
+            fields.push(FieldSpan {
+                kind,
+                offset: buf.len(),
+                len,
+            });
+        }
+    }
+
+    /// Opens a named section. The tag is part of the stream, so two
+    /// states only match when the same components contributed in the
+    /// same order; a loader fails with
+    /// [`SnapDecodeError::SectionMismatch`] on a different tag.
+    pub fn section(&mut self, tag: &str) {
+        if !self.loading() {
+            return self.write_str(tag);
+        }
+        let found = self.read_str("section tag");
+        if found.as_deref().is_some_and(|f| f != tag) {
+            self.fail(SnapDecodeError::SectionMismatch {
+                expected: tag.to_string(),
+                found: found.unwrap_or_default(),
+            });
+        }
+    }
+
+    /// A mutable field with no leap semantics: written as is, overwritten
+    /// on load.
+    #[inline]
+    pub fn plain<T: Word>(&mut self, v: &mut T) {
+        v.walk(self);
+    }
+
+    /// A configuration fact: written as is, and on load compared with the
+    /// skeleton's value `v` — a mismatch is a
+    /// [`SnapDecodeError::BadValue`] naming `what`.
+    #[inline]
+    pub fn fixed<T: Word>(&mut self, v: T, what: &str) {
+        if !self.loading() {
+            return self.plain(&mut { v });
+        }
+        let at = self.bytes_written() as usize;
+        let mut found = v;
+        found.walk(self);
+        if found != v && self.ok_to_read() {
+            self.fail(SnapDecodeError::BadValue {
+                what: format!("{what} {found:?} in stream, skeleton has {v:?}"),
+                at,
+            });
+        }
+    }
+
+    /// A string configuration fact (see [`fixed`](Self::fixed)).
+    pub fn fixed_str(&mut self, v: &str, what: &str) {
+        if !self.loading() {
+            return self.write_str(v);
+        }
+        let at = self.bytes_written() as usize;
+        if let Some(found) = self.read_str("fixed string") {
+            if found != v {
+                self.fail(SnapDecodeError::BadValue {
+                    what: format!("{what} {found:?} in stream, skeleton has {v:?}"),
+                    at,
+                });
+            }
+        }
+    }
+
+    /// An absolute cycle stamp, typed [`FieldKind::Cycle`] so the leap
+    /// algebra can rebase it and advance it by whole periods.
+    #[inline]
+    pub fn cycle<S: Stamp>(&mut self, v: &mut S) {
+        self.mark(FieldKind::Cycle, 8);
+        let mut c = v.to_cycle();
+        c.walk(self);
+        *v = S::from_cycle(c);
+    }
+
+    /// A monotonically accumulating counter: `u64` and `u128` add, `u32`
+    /// wraps (arena slot generations). Typed so a leap can advance it.
+    #[inline]
+    pub fn counter<C: Counter>(&mut self, v: &mut C) {
+        self.mark(C::KIND, std::mem::size_of::<C>());
+        v.walk(self);
+    }
+
+    /// A `u32` counter that accumulates with *saturating* arithmetic
+    /// (register mirrors of wider counters).
+    #[inline]
+    pub fn counter_sat(&mut self, v: &mut u32) {
+        self.mark(FieldKind::CounterU32Sat, 4);
+        v.walk(self);
+    }
+
+    /// A length prefix for variable-length state: writes `n`; a loader
+    /// returns the streamed length instead, bounded by the bytes left in
+    /// the stream (so hostile input cannot force a huge allocation), and
+    /// 0 once the load has failed.
+    pub fn len(&mut self, n: usize) -> usize {
+        let mut len = n as u64;
+        len.walk(self);
+        let Mode::Load { r, .. } = &self.mode else {
+            return n;
+        };
+        let remaining = r.remaining();
+        if !self.ok_to_read() {
+            0
+        } else if len > remaining as u64 {
+            self.bad(format!(
+                "length {len} exceeds the {remaining} byte(s) left in the stream"
+            ));
+            0
+        } else {
+            len as usize
+        }
+    }
+
+    /// The occupancy of in-flight state (queued transactions, live
+    /// slots): written as a length so any cycle's state fingerprints,
+    /// but a loader requires 0 — only quiesced snapshots load — and
+    /// returns 0, so the caller's entry loop (`iter().take(n)`) walks
+    /// entries only when writing.
+    pub fn drained(&mut self, n: usize, what: &str) -> usize {
+        let mut found = n;
+        found.walk(self);
+        if !self.loading() {
+            return n;
+        }
+        if found != 0 && self.ok_to_read() {
+            self.bad(format!(
+                "{what} holds {found} entr(ies); only quiesced snapshots load"
+            ));
+        }
+        0
+    }
+
+    /// An optional field: a presence flag, then the payload the caller
+    /// walks through the returned reference. On load the option is
+    /// reset to `None` or to `make()` per the flag before the payload is
+    /// read into it.
+    pub fn option_with<'t, T>(
+        &mut self,
+        v: &'t mut Option<T>,
+        make: impl FnOnce() -> T,
+    ) -> Option<&'t mut T> {
+        let mut some = v.is_some();
+        some.walk(self);
+        if self.loading() {
+            *v = if some { Some(make()) } else { None };
+        }
+        v.as_mut()
+    }
+
+    /// [`option_with`](Self::option_with) for payloads with a
+    /// [`Default`] placeholder.
+    pub fn option<'t, T: Default>(&mut self, v: &'t mut Option<T>) -> Option<&'t mut T> {
+        self.option_with(v, T::default)
+    }
+
+    /// A length-prefixed copy-on-write series. Writing walks clones of
+    /// the elements, so fingerprinting a fork never un-shares the
+    /// allocation; a loader rebuilds the series from the stream.
+    pub fn cow_vec<T: Clone + Default>(
+        &mut self,
+        v: &mut CowVec<T>,
+        mut each: impl FnMut(&mut Self, &mut T),
+    ) {
+        let n = self.len(v.len());
+        if self.loading() {
+            let mut items = vec![T::default(); n];
+            for x in &mut items {
+                each(self, x);
+            }
+            *v = CowVec::new(items);
+        } else {
+            for x in v.iter() {
+                each(self, &mut x.clone());
+            }
+        }
+    }
+
+    /// A two-valued field stored as a bool: `true` iff `*v == on`.
+    pub fn flag<T: PartialEq>(&mut self, v: &mut T, on: T, off: T) {
+        let mut set = *v == on;
+        set.walk(self);
+        *v = if set { on } else { off };
+    }
+
+    fn write_str(&mut self, s: &str) {
+        self.put(&(s.len() as u64).to_le_bytes());
+        self.put(s.as_bytes());
+    }
+
+    fn read_str(&mut self, what: &'static str) -> Option<String> {
+        let Mode::Load { r, err: None } = &mut self.mode else {
+            return None;
+        };
+        match r.read_str(what) {
+            Ok(s) => Some(s),
+            Err(e) => {
+                self.fail(e);
+                None
+            }
+        }
+    }
+}
+
+/// A scalar with a fixed little-endian stream encoding.
+pub trait Word: Copy + PartialEq + fmt::Debug {
+    /// Writes the value, or reads it back in load mode.
+    fn walk(&mut self, w: &mut StateWalker<'_>);
+}
+
+macro_rules! int_word {
+    ($($t:ty),*) => {$(
+        impl Word for $t {
+            #[inline]
+            fn walk(&mut self, w: &mut StateWalker<'_>) {
+                let mut b = self.to_le_bytes();
+                w.raw(&mut b, stringify!($t));
+                *self = <$t>::from_le_bytes(b);
+            }
+        }
+    )*};
+}
+int_word!(u8, u16, u32, u64, u128);
+
+impl Word for usize {
+    #[inline]
+    fn walk(&mut self, w: &mut StateWalker<'_>) {
+        let mut v = *self as u64;
+        v.walk(w);
+        match usize::try_from(v) {
+            Ok(v) => *self = v,
+            Err(_) => w.bad(format!("{v} exceeds this platform's usize")),
+        }
+    }
+}
+
+impl Word for bool {
+    #[inline]
+    fn walk(&mut self, w: &mut StateWalker<'_>) {
+        let mut b = [*self as u8];
+        w.raw(&mut b, "bool");
+        match b[0] {
+            0 => *self = false,
+            1 => *self = true,
+            v => w.bad(format!("bool byte {v}")),
+        }
+    }
+}
+
+impl Word for f64 {
+    #[inline]
+    fn walk(&mut self, w: &mut StateWalker<'_>) {
+        let mut bits = self.to_bits();
+        bits.walk(w);
+        *self = f64::from_bits(bits);
+    }
+}
+
+/// An absolute cycle stamp stored as a `u64` (see
+/// [`StateWalker::cycle`]).
+pub trait Stamp: Copy {
+    /// The stamp as a cycle count.
+    fn to_cycle(self) -> u64;
+    /// The stamp for a cycle count.
+    fn from_cycle(v: u64) -> Self;
+}
+
+impl Stamp for u64 {
+    fn to_cycle(self) -> u64 {
+        self
+    }
+    fn from_cycle(v: u64) -> Self {
+        v
+    }
+}
+
+/// A counter type and the typed kind its arithmetic maps to (see
+/// [`StateWalker::counter`]).
+pub trait Counter: Word {
+    /// The leap-algebra kind of this counter width.
+    const KIND: FieldKind;
+}
+
+impl Counter for u64 {
+    const KIND: FieldKind = FieldKind::CounterU64;
+}
+
+impl Counter for u32 {
+    const KIND: FieldKind = FieldKind::CounterU32;
+}
+
+impl Counter for u128 {
+    const KIND: FieldKind = FieldKind::CounterU128;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One field of every kind; `$w` walks them in a fixed order.
+    #[derive(Debug, Default, PartialEq)]
+    struct Sample {
+        a: u8,
+        b: u16,
+        c: u32,
+        d: u64,
+        e: u128,
+        f: usize,
+        g: bool,
+        h: f64,
+        at: u64,
+        n64: u64,
+        n32: u32,
+        sat: u32,
+        n128: u128,
+        opt: Option<u64>,
+        list: Vec<u32>,
+    }
+
+    impl Sample {
+        fn full() -> Sample {
+            Sample {
+                a: 7,
+                b: 300,
+                c: 70_000,
+                d: 1 << 40,
+                e: 1 << 80,
+                f: 42,
+                g: true,
+                h: 2.5,
+                at: 9_000,
+                n64: 5,
+                n32: u32::MAX,
+                sat: 3,
+                n128: 11,
+                opt: Some(99),
+                list: vec![4, 5, 6],
+            }
+        }
+
+        fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+            w.section("sample");
+            w.fixed(3u32, "sample version");
+            w.fixed_str("cfg", "sample name");
+            w.plain(&mut self.a);
+            w.plain(&mut self.b);
+            w.plain(&mut self.c);
+            w.plain(&mut self.d);
+            w.plain(&mut self.e);
+            w.plain(&mut self.f);
+            w.plain(&mut self.g);
+            w.plain(&mut self.h);
+            w.cycle(&mut self.at);
+            w.counter(&mut self.n64);
+            w.counter(&mut self.n32);
+            w.counter_sat(&mut self.sat);
+            w.counter(&mut self.n128);
+            if let Some(v) = w.option(&mut self.opt) {
+                w.plain(v);
+            }
+            let n = w.len(self.list.len());
+            self.list.resize(n, 0);
+            for v in &mut self.list {
+                w.plain(v);
+            }
+        }
+    }
+
+    fn record(s: &mut Sample) -> Vec<u8> {
+        let mut w = StateWalker::recording();
+        s.visit_state(&mut w);
+        w.take_bytes()
+    }
+
+    fn load(bytes: &[u8]) -> Result<Sample, SnapDecodeError> {
+        let mut s = Sample::default();
+        let mut w = StateWalker::loader(bytes);
+        s.visit_state(&mut w);
+        w.finish_load().map(|()| s)
+    }
+
+    #[test]
+    fn fnv64_matches_reference_vectors() {
+        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn one_walk_hashes_records_and_loads() {
+        let mut s = Sample::full();
+        let bytes = record(&mut s);
+        let mut h = StateWalker::hasher();
+        s.visit_state(&mut h);
+        assert_eq!(h.finish(), fnv64(&bytes), "the digest hashes the stream");
+        assert_eq!(h.bytes_written(), bytes.len() as u64);
+        assert_eq!(load(&bytes).expect("loads"), s);
+    }
+
+    #[test]
+    fn encoding_is_pinned() {
+        let mut w = StateWalker::recording();
+        w.section("t");
+        w.plain(&mut 1u8);
+        w.plain(&mut 2u16);
+        w.plain(&mut true);
+        w.plain(&mut 3usize);
+        assert_eq!(
+            w.take_bytes(),
+            [1, 0, 0, 0, 0, 0, 0, 0, b't', 1, 2, 0, 1, 3, 0, 0, 0, 0, 0, 0, 0]
+        );
+    }
+
+    #[test]
+    fn sections_are_prefix_free() {
+        let mut a = StateWalker::hasher();
+        a.section("ab");
+        a.section("c");
+        let mut b = StateWalker::hasher();
+        b.section("a");
+        b.section("bc");
+        assert_ne!(a.finish(), b.finish());
+        assert_eq!(a.bytes_written(), b.bytes_written());
+    }
+
+    #[test]
+    fn typed_mode_maps_spans_without_changing_bytes() {
+        let mut s = Sample::full();
+        let plain = record(&mut s);
+        let mut w = StateWalker::typed_recording();
+        s.visit_state(&mut w);
+        let typed = w.take_typed();
+        assert_eq!(typed.bytes, plain);
+        let kinds: Vec<FieldKind> = typed.fields.iter().map(|f| f.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                FieldKind::Cycle,
+                FieldKind::CounterU64,
+                FieldKind::CounterU32,
+                FieldKind::CounterU32Sat,
+                FieldKind::CounterU128
+            ]
+        );
+        let cycle = typed.fields[0];
+        assert_eq!(
+            u64::from_le_bytes(plain[cycle.offset..cycle.offset + 8].try_into().unwrap()),
+            9_000
+        );
+    }
+
+    #[test]
+    fn fixed_fields_verify_instead_of_overwriting() {
+        let mut w = StateWalker::recording();
+        w.fixed(4u32, "sample version");
+        let bytes = w.take_bytes();
+        let mut r = StateWalker::loader(&bytes);
+        r.fixed(3u32, "sample version");
+        match r.finish_load() {
+            Err(SnapDecodeError::BadValue { what, at: 0 }) => {
+                assert_eq!(what, "sample version 4 in stream, skeleton has 3");
+            }
+            other => panic!("expected BadValue, got {other:?}"),
+        }
+        let mut w = StateWalker::recording();
+        w.fixed_str("a", "name");
+        let bytes = w.take_bytes();
+        let mut r = StateWalker::loader(&bytes);
+        r.fixed_str("b", "name");
+        assert!(matches!(
+            r.finish_load(),
+            Err(SnapDecodeError::BadValue { .. })
+        ));
+    }
+
+    #[test]
+    fn hostile_streams_fail_with_diagnostics() {
+        let bytes = record(&mut Sample::full());
+        // Every truncation is a diagnostic, never a panic.
+        for cut in 0..bytes.len() {
+            assert!(load(&bytes[..cut]).is_err(), "cut at {cut} loaded");
+        }
+        // Trailing bytes are reported.
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(matches!(
+            load(&long),
+            Err(SnapDecodeError::TrailingBytes { remaining: 1 })
+        ));
+        // A bool byte other than 0/1.
+        let mut w = StateWalker::loader(&[2]);
+        w.plain(&mut false);
+        assert!(matches!(
+            w.finish_load(),
+            Err(SnapDecodeError::BadValue { .. })
+        ));
+        // A different section tag.
+        let mut w = StateWalker::recording();
+        w.section("alpha");
+        let bytes = w.take_bytes();
+        let mut r = StateWalker::loader(&bytes);
+        r.section("beta");
+        match r.finish_load() {
+            Err(SnapDecodeError::SectionMismatch { expected, found }) => {
+                assert_eq!((expected.as_str(), found.as_str()), ("beta", "alpha"));
+            }
+            other => panic!("wrong error: {other:?}"),
+        }
+        // A huge length prefix is bounded by the stream, not allocated.
+        let bytes = u64::MAX.to_le_bytes();
+        let mut r = StateWalker::loader(&bytes);
+        assert_eq!(r.len(0), 0);
+        assert!(matches!(
+            r.finish_load(),
+            Err(SnapDecodeError::BadValue { .. })
+        ));
+    }
+
+    #[test]
+    fn first_error_sticks() {
+        let mut r = StateWalker::loader(&[]);
+        let mut v = 5u64;
+        r.plain(&mut v);
+        r.bad("later");
+        assert_eq!(v, 5, "a failed read leaves the field untouched");
+        assert!(matches!(
+            r.finish_load(),
+            Err(SnapDecodeError::Truncated { what: "u64", at: 0 })
+        ));
+    }
+}

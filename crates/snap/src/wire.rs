@@ -1,12 +1,11 @@
 //! Persistent snapshot wire format.
 //!
-//! The [`StateHasher`](crate::StateHasher) stream already defines a
+//! The [`StateWalker`](crate::StateWalker) stream already defines a
 //! canonical, platform-stable byte order over architectural state; this
 //! module makes that stream durable:
 //!
-//! - [`SnapReader`] — the decoding mirror of the hasher's typed
-//!   `write_*` calls, with bounds-checked reads and diagnostic errors
-//!   ([`SnapDecodeError`]) instead of panics.
+//! - [`SnapReader`] — bounds-checked little-endian reads with diagnostic
+//!   errors ([`SnapDecodeError`]) instead of panics.
 //! - [`SnapshotBlob`] — a versioned, checksummed container carrying a
 //!   recorded state stream plus the scenario recipe that rebuilds the
 //!   structural skeleton the stream is loaded into.
@@ -162,12 +161,8 @@ impl fmt::Display for SnapDecodeError {
 
 impl std::error::Error for SnapDecodeError {}
 
-/// Bounds-checked reader over a recorded state stream.
-///
-/// Each `read_*` method mirrors the corresponding
-/// [`StateHasher`](crate::StateHasher) `write_*` encoding, so a stream
-/// captured with [`StateHasher::recording`](crate::StateHasher::recording)
-/// decodes field-for-field in the same order it was written.
+/// Bounds-checked little-endian reader: the byte source behind a loading
+/// [`StateWalker`](crate::StateWalker) and the blob container decoder.
 #[derive(Debug)]
 pub struct SnapReader<'a> {
     buf: &'a [u8],
@@ -190,7 +185,16 @@ impl<'a> SnapReader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], SnapDecodeError> {
+    /// The bytes consumed so far.
+    pub fn consumed(&self) -> &'a [u8] {
+        &self.buf[..self.pos]
+    }
+
+    pub(crate) fn take(
+        &mut self,
+        n: usize,
+        what: &'static str,
+    ) -> Result<&'a [u8], SnapDecodeError> {
         let at = self.pos;
         let end = at
             .checked_add(n)
@@ -198,17 +202,6 @@ impl<'a> SnapReader<'a> {
             .ok_or(SnapDecodeError::Truncated { what, at })?;
         self.pos = end;
         Ok(&self.buf[at..end])
-    }
-
-    /// Reads one byte.
-    pub fn read_u8(&mut self, what: &'static str) -> Result<u8, SnapDecodeError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn read_u16(&mut self, what: &'static str) -> Result<u16, SnapDecodeError> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
     /// Reads a little-endian `u32`.
@@ -225,40 +218,14 @@ impl<'a> SnapReader<'a> {
         Ok(u64::from_le_bytes(a))
     }
 
-    /// Reads a little-endian `u128`.
-    pub fn read_u128(&mut self, what: &'static str) -> Result<u128, SnapDecodeError> {
-        let b = self.take(16, what)?;
-        let mut a = [0u8; 16];
-        a.copy_from_slice(b);
-        Ok(u128::from_le_bytes(a))
-    }
-
     /// Reads a `usize` written as a widened `u64`.
-    pub fn read_usize(&mut self, what: &'static str) -> Result<usize, SnapDecodeError> {
+    fn read_usize(&mut self, what: &'static str) -> Result<usize, SnapDecodeError> {
         let at = self.pos;
         let v = self.read_u64(what)?;
         usize::try_from(v).map_err(|_| SnapDecodeError::BadValue {
             what: format!("{what}: {v} exceeds this platform's usize"),
             at,
         })
-    }
-
-    /// Reads a bool byte, rejecting anything but 0 or 1.
-    pub fn read_bool(&mut self, what: &'static str) -> Result<bool, SnapDecodeError> {
-        let at = self.pos;
-        match self.read_u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(SnapDecodeError::BadValue {
-                what: format!("{what}: bool byte {v}"),
-                at,
-            }),
-        }
-    }
-
-    /// Reads an `f64` stored by bit pattern.
-    pub fn read_f64(&mut self, what: &'static str) -> Result<f64, SnapDecodeError> {
-        Ok(f64::from_bits(self.read_u64(what)?))
     }
 
     /// Reads a length-prefixed byte slice.
@@ -275,19 +242,6 @@ impl<'a> SnapReader<'a> {
             what: format!("{what}: invalid UTF-8"),
             at,
         })
-    }
-
-    /// Reads a section tag and verifies it matches `tag`.
-    pub fn section(&mut self, tag: &str) -> Result<(), SnapDecodeError> {
-        let found = self.read_str("section tag")?;
-        if found == tag {
-            Ok(())
-        } else {
-            Err(SnapDecodeError::SectionMismatch {
-                expected: tag.to_string(),
-                found,
-            })
-        }
     }
 
     /// Fails unless the whole stream has been consumed.
@@ -558,7 +512,6 @@ impl BlobStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StateHasher;
 
     fn sample_blob() -> SnapshotBlob {
         SnapshotBlob {
@@ -571,53 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn recorded_stream_decodes_field_for_field() {
-        let mut h = StateHasher::recording();
-        h.section("demo");
-        h.write_u8(7);
-        h.write_u16(300);
-        h.write_u32(70_000);
-        h.write_u64(1 << 40);
-        h.write_u128(1 << 80);
-        h.write_usize(42);
-        h.write_bool(true);
-        h.write_f64(2.5);
-        h.write_str("tail");
-        let hash = h.finish();
-        let bytes = h.take_bytes();
-        assert_eq!(bytes.len() as u64, {
-            let mut plain = StateHasher::new();
-            plain.section("demo");
-            plain.write_u8(7);
-            plain.write_u16(300);
-            plain.write_u32(70_000);
-            plain.write_u64(1 << 40);
-            plain.write_u128(1 << 80);
-            plain.write_usize(42);
-            plain.write_bool(true);
-            plain.write_f64(2.5);
-            plain.write_str("tail");
-            assert_eq!(plain.finish(), hash);
-            plain.bytes_written()
-        });
-        // The recorded stream hashes to the same fingerprint.
-        assert_eq!(crate::fnv64(&bytes), hash);
-
-        let mut r = SnapReader::new(&bytes);
-        r.section("demo").unwrap();
-        assert_eq!(r.read_u8("a").unwrap(), 7);
-        assert_eq!(r.read_u16("b").unwrap(), 300);
-        assert_eq!(r.read_u32("c").unwrap(), 70_000);
-        assert_eq!(r.read_u64("d").unwrap(), 1 << 40);
-        assert_eq!(r.read_u128("e").unwrap(), 1 << 80);
-        assert_eq!(r.read_usize("f").unwrap(), 42);
-        assert!(r.read_bool("g").unwrap());
-        assert_eq!(r.read_f64("h").unwrap(), 2.5);
-        assert_eq!(r.read_str("i").unwrap(), "tail");
-        r.expect_end().unwrap();
-    }
-
-    #[test]
     fn reader_reports_truncation_not_panic() {
         let mut r = SnapReader::new(&[1, 2, 3]);
         let e = r.read_u64("field").unwrap_err();
@@ -626,32 +532,9 @@ mod tests {
             SnapDecodeError::Truncated { what: "field", .. }
         ));
         // A huge length prefix must not over-allocate or panic.
-        let mut h = StateHasher::recording();
-        h.write_u64(u64::MAX);
-        let bytes = h.take_bytes();
+        let bytes = u64::MAX.to_le_bytes();
         let mut r = SnapReader::new(&bytes);
         assert!(r.read_byte_slice("blob").is_err());
-    }
-
-    #[test]
-    fn reader_rejects_bad_bool_and_section() {
-        let mut h = StateHasher::recording();
-        h.write_u8(2);
-        let bytes = h.take_bytes();
-        let e = SnapReader::new(&bytes).read_bool("flag").unwrap_err();
-        assert!(matches!(e, SnapDecodeError::BadValue { .. }));
-
-        let mut h = StateHasher::recording();
-        h.section("alpha");
-        let bytes = h.take_bytes();
-        let e = SnapReader::new(&bytes).section("beta").unwrap_err();
-        match e {
-            SnapDecodeError::SectionMismatch { expected, found } => {
-                assert_eq!(expected, "beta");
-                assert_eq!(found, "alpha");
-            }
-            other => panic!("wrong error: {other:?}"),
-        }
     }
 
     #[test]

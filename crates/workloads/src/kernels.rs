@@ -13,7 +13,7 @@ use crate::spec::{AddressPattern, SpecSource, TrafficSpec};
 use fgqos_sim::axi::{Dir, Response};
 use fgqos_sim::master::{PendingRequest, TrafficSource};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, SnapDecodeError, SnapReader, StateHasher};
+use fgqos_sim::{ForkCtx, StateWalker};
 use std::fmt;
 
 /// A benchmark kernel with a fixed memory-phase model.
@@ -262,55 +262,23 @@ impl TrafficSource for KernelSource {
         Some(Box::new(self.clone()))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("kernel-source");
-        h.write_usize(self.phases.len());
-        h.write_u64(self.iterations);
-        h.write_u64(self.seed);
-        h.write_u64(self.iter);
-        h.write_usize(self.phase);
-        match &self.current {
-            Some(cur) => {
-                h.write_bool(true);
-                cur.snap_state(h);
-            }
-            None => h.write_bool(false),
+    fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section("kernel-source");
+        w.fixed(self.phases.len(), "kernel phase count");
+        w.plain(&mut self.iterations);
+        w.plain(&mut self.seed);
+        w.plain(&mut self.iter);
+        w.plain(&mut self.phase);
+        if self.phase >= self.phases.len() {
+            w.bad(format!("kernel phase index {} out of range", self.phase));
+            self.phase = 0;
         }
-    }
-
-    fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        r.section("kernel-source")?;
-        let at = r.position();
-        let phases = r.read_usize("kernel phase count")?;
-        if phases != self.phases.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "kernel phase count {phases} differs from built kernel ({})",
-                    self.phases.len()
-                ),
-                at,
-            });
-        }
-        self.iterations = r.read_u64("kernel iterations")?;
-        self.seed = r.read_u64("kernel seed")?;
-        self.iter = r.read_u64("kernel iter")?;
-        let at = r.position();
-        let phase = r.read_usize("kernel phase index")?;
-        if phase >= self.phases.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!("kernel phase index {phase} out of range"),
-                at,
-            });
-        }
-        self.phase = phase;
         // The in-flight phase carries its own spec (a re-seeded copy of
-        // `phases[self.phase]`), so it is rebuilt wholly from the stream.
-        self.current = if r.read_bool("kernel current flag")? {
-            Some(SpecSource::snap_load_new(r)?)
-        } else {
-            None
-        };
-        Ok(())
+        // `phases[self.phase]`), so it loads wholly from the stream.
+        let phases = &self.phases;
+        if let Some(cur) = w.option_with(&mut self.current, || SpecSource::new(phases[0], 0)) {
+            cur.visit_state(w);
+        }
     }
 }
 

@@ -29,7 +29,7 @@ use crate::spec::{SpecSource, TrafficSpec};
 use fgqos_sim::axi::Response;
 use fgqos_sim::master::{PendingRequest, TrafficSource};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, SnapDecodeError, SnapReader, StateHasher};
+use fgqos_sim::{ForkCtx, StateWalker};
 
 /// Per-segment seed derivation: decorrelates the RNG streams of
 /// successive segments without a second seed knob in the DSL.
@@ -146,53 +146,21 @@ impl TrafficSource for PhasedSource {
         Some(Box::new(self.clone()))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("phased-source");
-        h.write_usize(self.segments.len());
-        h.write_usize(self.active);
-        for (start, seg) in self.starts.iter().zip(&self.segments) {
-            h.write_u64(start.get());
-            seg.snap_state(h);
+    fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section("phased-source");
+        w.fixed(self.segments.len(), "phased segment count");
+        w.plain(&mut self.active);
+        if self.active >= self.segments.len() {
+            w.bad(format!(
+                "phased active segment {} out of range",
+                self.active
+            ));
+            self.active = 0;
         }
-    }
-
-    fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        r.section("phased-source")?;
-        let at = r.position();
-        let n = r.read_usize("phased segment count")?;
-        if n != self.segments.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "{n} phased segment(s) in stream, skeleton has {}",
-                    self.segments.len()
-                ),
-                at,
-            });
-        }
-        let at = r.position();
-        let active = r.read_usize("phased active segment")?;
-        if active >= n {
-            return Err(SnapDecodeError::BadValue {
-                what: format!("phased active segment {active} out of range {n}"),
-                at,
-            });
-        }
-        self.active = active;
         for (start, seg) in self.starts.iter().zip(&mut self.segments) {
-            let at = r.position();
-            let s = r.read_u64("phased segment start")?;
-            if s != start.get() {
-                return Err(SnapDecodeError::BadValue {
-                    what: format!(
-                        "phased segment start {s} in stream, skeleton has {}",
-                        start.get()
-                    ),
-                    at,
-                });
-            }
-            seg.snap_load(r)?;
+            w.fixed(start.get(), "phased segment start");
+            seg.visit_state(w);
         }
-        Ok(())
     }
 }
 
@@ -288,13 +256,13 @@ mod tests {
         for t in (0..600u64).step_by(23) {
             let _ = a.next_request(Cycle::new(t));
         }
-        let mut h = StateHasher::recording();
-        a.snap_state(&mut h);
-        let bytes = h.take_bytes();
+        let mut w = StateWalker::recording();
+        a.visit_state(&mut w);
+        let bytes = w.take_bytes();
         let mut b = PhasedSource::new(segs(), 9);
-        let mut r = SnapReader::new(&bytes);
-        b.snap_load(&mut r).expect("loads");
-        r.expect_end().expect("stream fully consumed");
+        let mut r = StateWalker::loader(&bytes);
+        b.visit_state(&mut r);
+        r.finish_load().expect("loads, stream fully consumed");
         assert_eq!(a.active_segment(), b.active_segment());
         assert_eq!(
             a.next_request(Cycle::new(700)),

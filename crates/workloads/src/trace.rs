@@ -20,7 +20,7 @@ use crate::spec::TrafficSpec;
 use fgqos_sim::axi::{Dir, Response, BEAT_BYTES, MAX_BURST_BEATS};
 use fgqos_sim::master::{PendingRequest, TrafficSource};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, SnapDecodeError, SnapReader, StateHasher};
+use fgqos_sim::{ForkCtx, StateWalker};
 use std::error::Error;
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -309,72 +309,24 @@ impl TrafficSource for TraceSource {
         Some(Box::new(self.clone()))
     }
 
-    fn snap_state(&self, h: &mut StateHasher) {
-        h.section("trace-source");
-        h.write_usize(self.records.len());
-        for r in &self.records {
-            h.write_u64(r.delta_cycles);
-            h.write_u64(r.addr);
-            h.write_u64(r.bytes);
-            h.write_bool(r.dir == Dir::Write);
-        }
-        h.write_u64(self.loops);
-        h.write_usize(self.idx);
-        h.write_u64(self.done_loops);
-        h.write_u64(self.next_ready.get());
-    }
-
-    fn snap_load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapDecodeError> {
-        r.section("trace-source")?;
+    fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.section("trace-source");
         // The trace itself is configuration: the skeleton must replay
         // the same records, so verify rather than overwrite.
-        let at = r.position();
-        let len = r.read_usize("trace record count")?;
-        if len != self.records.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!(
-                    "trace has {len} record(s) in stream, skeleton has {}",
-                    self.records.len()
-                ),
-                at,
-            });
+        w.fixed(self.records.len(), "trace record count");
+        for r in &self.records {
+            w.fixed(r.delta_cycles, "trace record delta");
+            w.fixed(r.addr, "trace record addr");
+            w.fixed(r.bytes, "trace record bytes");
+            w.fixed(r.dir == Dir::Write, "trace record write flag");
         }
-        for (i, built) in self.records.iter().enumerate() {
-            let at = r.position();
-            let delta = r.read_u64("trace record delta")?;
-            let addr = r.read_u64("trace record addr")?;
-            let bytes = r.read_u64("trace record bytes")?;
-            let write = r.read_bool("trace record dir")?;
-            if delta != built.delta_cycles
-                || addr != built.addr
-                || bytes != built.bytes
-                || write != (built.dir == Dir::Write)
-            {
-                return Err(SnapDecodeError::BadValue {
-                    what: format!("trace record {i} in stream differs from the built trace"),
-                    at,
-                });
-            }
-        }
-        let at = r.position();
-        let loops = r.read_u64("trace loops")?;
-        if loops != self.loops {
-            return Err(SnapDecodeError::BadValue {
-                what: format!("trace loops {loops} in stream, skeleton has {}", self.loops),
-                at,
-            });
-        }
-        let at = r.position();
-        self.idx = r.read_usize("trace idx")?;
+        w.fixed(self.loops, "trace loops");
+        w.plain(&mut self.idx);
         if self.idx >= self.records.len() {
-            return Err(SnapDecodeError::BadValue {
-                what: format!("trace cursor {} outside the trace", self.idx),
-                at,
-            });
+            w.bad(format!("trace cursor {} outside the trace", self.idx));
         }
-        self.done_loops = r.read_u64("trace done_loops")?;
-        self.next_ready = Cycle::new(r.read_u64("trace next_ready")?);
-        Ok(())
+        w.plain(&mut self.done_loops);
+        w.plain(&mut self.next_ready);
     }
 }
 

@@ -11,7 +11,7 @@ use crate::scenario::{
 };
 use fgqos_bench::report::{Block, Report};
 use fgqos_core::fabric::QosFabric;
-use fgqos_core::program::ProgramOp;
+use fgqos_core::program::{ProgramOp, ScenarioProgram};
 use fgqos_serve::cache::fnv64;
 use fgqos_serve::live::{BoundaryCmd, JournalEntry, LiveSession, LIVE_SCHEMA, LIVE_VERSION};
 #[cfg(test)]
@@ -22,7 +22,7 @@ use fgqos_sim::axi::{MasterId, BEAT_BYTES, MAX_BURST_BEATS};
 use fgqos_sim::json::Value;
 use fgqos_sim::snapshot::SocSnapshot;
 use fgqos_sim::system::{Soc, WindowBoundary};
-use fgqos_sim::{BlobStore, ForkCtx, SnapshotBlob, StateHasher};
+use fgqos_sim::{BlobStore, ForkCtx, SnapshotBlob, StateWalker};
 use std::sync::Arc;
 
 /// How to run a scenario.
@@ -428,12 +428,12 @@ fn point_forks(
 /// warmup budget, and the simulation core in use (the core flag is part
 /// of the snapshot stream, so the two cores produce distinct blobs).
 pub fn warm_boundary_key(scenario: &str, warmup: u64, naive: bool) -> String {
-    let mut h = StateHasher::new();
-    h.section("fgqos.warm-boundary-key");
-    h.write_str(scenario);
-    h.write_u64(warmup);
-    h.write_bool(naive);
-    format!("{:016x}", h.finish())
+    let mut w = StateWalker::hasher();
+    w.section("fgqos.warm-boundary-key");
+    w.fixed_str(scenario, "scenario");
+    w.fixed(warmup, "warmup");
+    w.fixed(naive, "naive");
+    format!("{:016x}", w.finish())
 }
 
 /// Warms `text` for `warmup` cycles, advances to the first quiesced
@@ -479,11 +479,19 @@ fn point_report(
     spec: &BatchSpec,
     point: &BatchPoint,
 ) -> Result<Report, RunError> {
-    fabric.set_best_effort_budgets(
+    // The knobs land where a `[phase]` declared after the base's own
+    // would: after the reclaim policy and the base's phase writes at the
+    // boundary cycle, before its fault writes — exactly the order the
+    // rendered hunt winner replays in.
+    let boundary = soc.now().get();
+    let knobs = parsed.knob_phase(
+        boundary,
         point.period.min(u32::MAX as u64) as u32,
         point.budget.min(u32::MAX as u64) as u32,
     );
-    let boundary = soc.now().get();
+    soc.controller_mut::<ScenarioProgram>()
+        .expect("ScenarioSpec::build installs a scenario program")
+        .reschedule(parsed.program_ops(fabric, Some(&knobs)));
     let mut report = Report::new("scenario-point");
     report.banner(
         "SCENARIO-POINT",

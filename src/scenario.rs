@@ -1471,6 +1471,77 @@ impl ScenarioSpec {
         storms
     }
 
+    /// The `[phase]` and regulator-`[fault]` writes as a
+    /// [`ScenarioProgram`] schedule over `fabric`'s drivers: phase ops in
+    /// declaration order with `extra` appended as the last-declared
+    /// phase, then fault ops. The program's stable sort by cycle keeps
+    /// that order among writes sharing a cycle.
+    pub fn program_ops(&self, fabric: &QosFabric, extra: Option<&PhaseSpec>) -> Vec<TimedOp> {
+        let mut ops: Vec<TimedOp> = Vec::new();
+        for p in self.phases.iter().chain(extra) {
+            for a in &p.actions {
+                let driver = fabric
+                    .driver(&a.master)
+                    .expect("phase targets validated at parse")
+                    .clone();
+                ops.push(TimedOp {
+                    at: p.at,
+                    driver,
+                    op: match a.op {
+                        PhaseOp::Budget(b) => ProgramOp::Budget(b),
+                        PhaseOp::Period(c) => ProgramOp::Period(c),
+                        PhaseOp::Enable(e) => ProgramOp::Enabled(e),
+                    },
+                });
+            }
+        }
+        for f in &self.faults {
+            for e in &f.events {
+                if let FaultEvent::Regulator { master, enabled } = e {
+                    let driver = fabric
+                        .driver(master)
+                        .expect("regulator fault targets validated at parse")
+                        .clone();
+                    ops.push(TimedOp {
+                        at: f.at,
+                        driver,
+                        op: ProgramOp::Enabled(*enabled),
+                    });
+                }
+            }
+        }
+        ops
+    }
+
+    /// The phase `period * P`, `budget * B`, `enable * on` at cycle `at`
+    /// would parse to: each line expanded over the best-effort masters in
+    /// declaration order.
+    pub fn knob_phase(&self, at: u64, period: u32, budget: u32) -> PhaseSpec {
+        let be: Vec<&MasterSpec> = self
+            .masters
+            .iter()
+            .filter(|m| m.role == Role::BestEffort)
+            .collect();
+        let actions = [
+            PhaseOp::Period(period),
+            PhaseOp::Budget(budget),
+            PhaseOp::Enable(true),
+        ]
+        .into_iter()
+        .flat_map(|op| {
+            be.iter().map(move |m| PhaseAction {
+                master: m.name.clone(),
+                op,
+            })
+        })
+        .collect();
+        PhaseSpec {
+            name: "knobs".to_string(),
+            at,
+            actions,
+        }
+    }
+
     /// Builds the SoC and its QoS fabric.
     pub fn build(&self) -> (Soc, QosFabric) {
         let cfg = SocConfig {
@@ -1535,39 +1606,7 @@ impl ScenarioSpec {
             };
         }
         let fabric = fabric.finish();
-        let mut ops: Vec<TimedOp> = Vec::new();
-        for p in &self.phases {
-            for a in &p.actions {
-                let driver = fabric
-                    .driver(&a.master)
-                    .expect("phase targets validated at parse")
-                    .clone();
-                ops.push(TimedOp {
-                    at: p.at,
-                    driver,
-                    op: match a.op {
-                        PhaseOp::Budget(b) => ProgramOp::Budget(b),
-                        PhaseOp::Period(c) => ProgramOp::Period(c),
-                        PhaseOp::Enable(e) => ProgramOp::Enabled(e),
-                    },
-                });
-            }
-        }
-        for f in &self.faults {
-            for e in &f.events {
-                if let FaultEvent::Regulator { master, enabled } = e {
-                    let driver = fabric
-                        .driver(master)
-                        .expect("regulator fault targets validated at parse")
-                        .clone();
-                    ops.push(TimedOp {
-                        at: f.at,
-                        driver,
-                        op: ProgramOp::Enabled(*enabled),
-                    });
-                }
-            }
-        }
+        let ops = self.program_ops(&fabric, None);
         if let Some(r) = &self.reclaim {
             let policy = fabric.reclaim_policy(r.config);
             let fuse = self

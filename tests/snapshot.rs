@@ -409,7 +409,7 @@ proptest! {
         b.run(extra_b);
         prop_assert!(snap.verify(), "running forks must not mutate the snapshot");
 
-        for (fork, extra) in [(&a, extra_a), (&b, extra_b)] {
+        for (fork, extra) in [(&mut a, extra_a), (&mut b, extra_b)] {
             let mut cold = build_soc(&specs, false, false);
             cold.run(prefix);
             prop_assert_eq!(cold.quiesce_point(QUIESCE_BOUND), tq);
