@@ -21,7 +21,7 @@
 use fgqos_sim::axi::Request;
 use fgqos_sim::gate::{GateDecision, PortGate};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateWalker};
+use fgqos_sim::StateWalker;
 
 /// MemGuard parameters.
 #[derive(Debug, Clone, Copy)]
@@ -173,10 +173,6 @@ impl PortGate for MemGuardGate {
 
     fn label(&self) -> &'static str {
         "memguard"
-    }
-
-    fn fork_gate(&self, _ctx: &mut ForkCtx) -> Option<Box<dyn PortGate>> {
-        Some(Box::new(self.clone()))
     }
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {

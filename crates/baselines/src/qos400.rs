@@ -15,7 +15,7 @@
 use fgqos_sim::axi::{Request, Response};
 use fgqos_sim::gate::{GateDecision, PortGate};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateWalker};
+use fgqos_sim::StateWalker;
 
 /// Configuration of an [`OtRegulatorGate`].
 #[derive(Debug, Clone, Copy)]
@@ -163,10 +163,6 @@ impl PortGate for OtRegulatorGate {
 
     fn label(&self) -> &'static str {
         "qos400-ot"
-    }
-
-    fn fork_gate(&self, _ctx: &mut ForkCtx) -> Option<Box<dyn PortGate>> {
-        Some(Box::new(self.clone()))
     }
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {

@@ -16,7 +16,7 @@
 use fgqos_sim::axi::Request;
 use fgqos_sim::gate::{GateDecision, PortGate};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateWalker};
+use fgqos_sim::StateWalker;
 
 /// A static TDMA schedule shared by all ports of a system.
 #[derive(Debug, Clone)]
@@ -153,10 +153,6 @@ impl PortGate for TdmaGate {
 
     fn label(&self) -> &'static str {
         "tdma"
-    }
-
-    fn fork_gate(&self, _ctx: &mut ForkCtx) -> Option<Box<dyn PortGate>> {
-        Some(Box::new(self.clone()))
     }
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {

@@ -35,6 +35,7 @@ const SAMPLE: u64 = 50_000; // 50 us timeline buckets
 const HORIZON: u64 = 3_000_000; // 3 ms
 
 /// Samples a driver's programmed budget every [`SAMPLE`] cycles.
+#[derive(Clone)]
 struct BudgetSampler {
     driver: RegulatorDriver,
     samples: Rc<RefCell<Vec<u32>>>,

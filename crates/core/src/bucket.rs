@@ -16,7 +16,7 @@ use crate::regulator::OvershootPolicy;
 use fgqos_sim::axi::Request;
 use fgqos_sim::gate::{GateDecision, PortGate};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateWalker};
+use fgqos_sim::StateWalker;
 
 /// Configuration of a [`LeakyBucketRegulator`].
 #[derive(Debug, Clone, Copy)]
@@ -147,10 +147,6 @@ impl PortGate for LeakyBucketRegulator {
 
     fn label(&self) -> &'static str {
         "leaky-bucket"
-    }
-
-    fn fork_gate(&self, _ctx: &mut ForkCtx) -> Option<Box<dyn PortGate>> {
-        Some(Box::new(self.clone()))
     }
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {

@@ -9,7 +9,7 @@ use crate::regfile::{
     Reg, RegFile, CTRL_ENABLE, CTRL_RESET_STATS, CTRL_SPLIT_RW, STATUS_EXHAUSTED, STATUS_THROTTLED,
 };
 use fgqos_sim::time::{Bandwidth, Freq};
-use fgqos_sim::ForkCtx;
+use fgqos_sim::{ForkCtx, StateWalker};
 use std::sync::Arc;
 
 /// Snapshot of a port's telemetry, decoded from the register file.
@@ -78,6 +78,14 @@ impl RegulatorDriver {
         RegulatorDriver {
             regs: ctx.fork_arc(&self.regs),
         }
+    }
+
+    /// Declares this driver's register-block handle to a state walk
+    /// ([`StateWalker::shared`]): a fork rebinds it to the forked block,
+    /// exactly as [`RegulatorDriver::forked`] does. It adds no bytes —
+    /// the gate owning the block walks its contents.
+    pub fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        w.shared(&mut self.regs);
     }
 
     /// Enables or disables regulation (monitoring always runs).

@@ -17,14 +17,19 @@ use crate::driver::RegulatorDriver;
 use crate::regfile::{Reg, CTRL_IRQ_ENABLE, STATUS_EXHAUSTED};
 use fgqos_sim::system::Controller;
 use fgqos_sim::time::Cycle;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Handler invoked on an exhaustion interrupt: receives the port's
 /// driver and the delivery time.
 pub type IrqHandler = Box<dyn FnMut(&RegulatorDriver, Cycle)>;
 
+#[derive(Clone)]
 struct Line {
     driver: RegulatorDriver,
-    handler: IrqHandler,
+    /// Shared by clones: a handler closure cannot be copied, which is
+    /// also why a dispatcher's state walk refuses to load or fork.
+    handler: Rc<RefCell<IrqHandler>>,
     /// Delivery scheduled at this time (assertion already latched).
     pending_at: Option<Cycle>,
     /// Whether a new assertion may latch a delivery. Cleared when a
@@ -38,6 +43,7 @@ struct Line {
 ///
 /// Register as a [`Controller`] on the
 /// [`SocBuilder`](fgqos_sim::system::SocBuilder).
+#[derive(Clone)]
 pub struct IrqDispatcher {
     latency: u64,
     lines: Vec<Line>,
@@ -68,7 +74,7 @@ impl IrqDispatcher {
         driver.regfile().set_bits(Reg::Ctrl, CTRL_IRQ_ENABLE);
         self.lines.push(Line {
             driver,
-            handler,
+            handler: Rc::new(RefCell::new(handler)),
             pending_at: None,
             armed: true,
             delivered: 0,
@@ -97,7 +103,7 @@ impl Controller for IrqDispatcher {
                 if now >= at {
                     line.pending_at = None;
                     line.delivered += 1;
-                    (line.handler)(&line.driver, now);
+                    (line.handler.borrow_mut())(&line.driver, now);
                     // A handler that leaves the line asserted has
                     // effectively masked it: wait for it to drop before
                     // latching again.

@@ -14,7 +14,7 @@ use crate::regfile::{Reg, RegFile};
 use fgqos_sim::axi::Dir;
 use fgqos_sim::json::Value;
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateWalker};
+use fgqos_sim::StateWalker;
 use std::sync::Arc;
 
 /// Default capacity of a [`WindowLog`] (64 Ki windows ≈ 4 MiB).
@@ -146,7 +146,7 @@ impl WindowLog {
 }
 
 /// Per-window byte/transaction accounting synced into a register file.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct WindowMonitor {
     regs: Arc<RegFile>,
     window_start: Cycle,
@@ -326,28 +326,10 @@ impl WindowMonitor {
             .write(Reg::WinTxns, self.win_txns.min(u32::MAX as u64) as u32);
     }
 
-    /// Deep-copies the monitor for a snapshot fork, binding it to the
-    /// register block `ctx` maps this monitor's block to.
-    pub(crate) fn fork(&self, ctx: &mut ForkCtx) -> WindowMonitor {
-        WindowMonitor {
-            regs: ctx.fork_arc(&self.regs),
-            window_start: self.window_start,
-            period: self.period,
-            win_bytes: self.win_bytes,
-            win_rd_bytes: self.win_rd_bytes,
-            win_wr_bytes: self.win_wr_bytes,
-            win_txns: self.win_txns,
-            total_bytes: self.total_bytes,
-            total_txns: self.total_txns,
-            windows: self.windows,
-            max_overshoot: self.max_overshoot,
-            log: self.log.clone(),
-        }
-    }
-
     /// Walks the monitor state — latched period, open-window counters,
     /// lifetime totals, log occupancy (see [`StateWalker`]). The register
-    /// block itself is walked by the owning gate.
+    /// block's contents are walked by the owning gate; the monitor only
+    /// declares its handle, so a fork rebinds it to the gate's block.
     ///
     /// The stream records only the window log's *occupancy*, not its
     /// records, so a log loads only while still empty (the warm-boundary
@@ -355,6 +337,7 @@ impl WindowMonitor {
     /// diagnostic error rather than silent data loss.
     pub(crate) fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("window-monitor");
+        w.shared(&mut self.regs);
         w.cycle(&mut self.window_start);
         w.plain(&mut self.period);
         // Open-window counters stay plain: a steady-state period always

@@ -19,7 +19,7 @@
 use crate::driver::RegulatorDriver;
 use fgqos_sim::system::Controller;
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateWalker};
+use fgqos_sim::StateWalker;
 
 /// One port assignment for [`StaticPartition`].
 #[derive(Debug, Clone)]
@@ -33,7 +33,7 @@ pub struct PortBudget {
 }
 
 /// Programs a fixed bandwidth partition at simulation start.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StaticPartition {
     ports: Vec<PortBudget>,
     programmed: bool,
@@ -74,25 +74,11 @@ impl Controller for StaticPartition {
         "static-partition"
     }
 
-    fn fork_ctrl(&self, ctx: &mut ForkCtx) -> Option<Box<dyn Controller>> {
-        Some(Box::new(StaticPartition {
-            ports: self
-                .ports
-                .iter()
-                .map(|p| PortBudget {
-                    driver: p.driver.forked(ctx),
-                    period_cycles: p.period_cycles,
-                    budget_bytes: p.budget_bytes,
-                })
-                .collect(),
-            programmed: self.programmed,
-        }))
-    }
-
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("static-partition");
         w.fixed(self.ports.len(), "static-partition port count");
-        for p in &self.ports {
+        for p in &mut self.ports {
+            p.driver.visit_state(w);
             w.fixed(p.period_cycles, "static-partition period");
             w.fixed(p.budget_bytes, "static-partition budget");
         }
@@ -143,7 +129,7 @@ impl Default for ReclaimConfig {
 /// critical phase change reclaims the slack at the next control period;
 /// with [`ReclaimConfig::busy_threshold`] set, any sign of critical
 /// activity clamps the best-effort ports straight back to their base.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ReclaimPolicy {
     critical: RegulatorDriver,
     best_effort: Vec<RegulatorDriver>,
@@ -217,18 +203,12 @@ impl Controller for ReclaimPolicy {
         "reclaim"
     }
 
-    fn fork_ctrl(&self, ctx: &mut ForkCtx) -> Option<Box<dyn Controller>> {
-        Some(Box::new(ReclaimPolicy {
-            critical: self.critical.forked(ctx),
-            best_effort: self.best_effort.iter().map(|d| d.forked(ctx)).collect(),
-            cfg: self.cfg,
-            next_at: self.next_at,
-            last_crit_total: self.last_crit_total,
-        }))
-    }
-
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("reclaim");
+        self.critical.visit_state(w);
+        for d in &mut self.best_effort {
+            d.visit_state(w);
+        }
         w.fixed(self.best_effort.len(), "reclaim best-effort count");
         let cfg = &mut self.cfg;
         w.plain(&mut cfg.critical_reserved);
@@ -251,7 +231,7 @@ impl Controller for ReclaimPolicy {
 /// decrease), relaxing them additively while the target is met. This is
 /// the closed-loop mode of the paper's runtime: the QoS target is stated
 /// for the critical task, the enforcement lands on everyone else.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FeedbackController {
     critical: RegulatorDriver,
     target_bytes_per_period: u64,
@@ -371,24 +351,12 @@ impl Controller for FeedbackController {
         "feedback-aimd"
     }
 
-    fn fork_ctrl(&self, ctx: &mut ForkCtx) -> Option<Box<dyn Controller>> {
-        Some(Box::new(FeedbackController {
-            critical: self.critical.forked(ctx),
-            target_bytes_per_period: self.target_bytes_per_period,
-            best_effort: self.best_effort.iter().map(|d| d.forked(ctx)).collect(),
-            be_budget: self.be_budget,
-            min_budget: self.min_budget,
-            max_budget: self.max_budget,
-            step: self.step,
-            control_period: self.control_period,
-            next_at: self.next_at,
-            last_crit_total: self.last_crit_total,
-            adjustments: self.adjustments,
-        }))
-    }
-
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("feedback-aimd");
+        self.critical.visit_state(w);
+        for d in &mut self.best_effort {
+            d.visit_state(w);
+        }
         w.plain(&mut self.target_bytes_per_period);
         w.fixed(self.best_effort.len(), "feedback-aimd best-effort count");
         w.plain(&mut self.be_budget);

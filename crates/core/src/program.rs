@@ -19,7 +19,7 @@
 use crate::driver::RegulatorDriver;
 use fgqos_sim::system::Controller;
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateWalker};
+use fgqos_sim::StateWalker;
 
 /// One register write a [`ScenarioProgram`] can apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +76,7 @@ pub struct TimedOp {
 /// declaration order (the sort is stable). Once every op has fired the
 /// program reports no further activity, so it costs the event calendar
 /// nothing for the rest of the run.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ScenarioProgram {
     ops: Vec<TimedOp>,
     applied: usize,
@@ -159,21 +159,6 @@ impl Controller for ScenarioProgram {
         "scenario-program"
     }
 
-    fn fork_ctrl(&self, ctx: &mut ForkCtx) -> Option<Box<dyn Controller>> {
-        Some(Box::new(ScenarioProgram {
-            ops: self
-                .ops
-                .iter()
-                .map(|t| TimedOp {
-                    at: t.at,
-                    driver: t.driver.forked(ctx),
-                    op: t.op,
-                })
-                .collect(),
-            applied: self.applied,
-        }))
-    }
-
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         // Walk the *pending* op count, not the list length: a program
         // that replayed a control journal as extra `[phase]` ops and one
@@ -182,6 +167,9 @@ impl Controller for ScenarioProgram {
         // fingerprints promise. The live replay byte/bit-identity tests
         // pin this equivalence.
         w.section("scenario-program");
+        for t in &mut self.ops {
+            t.driver.visit_state(w);
+        }
         let mut pending = self.ops.len() - self.applied;
         w.plain(&mut pending);
         if pending > self.ops.len() {
@@ -200,6 +188,7 @@ impl Controller for ScenarioProgram {
 ///
 /// Budgets programmed before the fuse blows stay in force: nothing
 /// un-programs the regulators, exactly as on real hardware.
+#[derive(Clone)]
 pub struct FusedController {
     inner: Box<dyn Controller>,
     until: u64,
@@ -246,14 +235,6 @@ impl Controller for FusedController {
 
     fn label(&self) -> &'static str {
         "fused"
-    }
-
-    fn fork_ctrl(&self, ctx: &mut ForkCtx) -> Option<Box<dyn Controller>> {
-        let inner = self.inner.fork_ctrl(ctx)?;
-        Some(Box::new(FusedController {
-            inner,
-            until: self.until,
-        }))
     }
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {

@@ -25,7 +25,7 @@ use fgqos_sim::axi::Dir;
 use fgqos_sim::axi::{Request, Response};
 use fgqos_sim::gate::{GateDecision, PortGate};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateWalker};
+use fgqos_sim::StateWalker;
 use std::sync::Arc;
 
 /// When accepted transactions are debited from the window budget.
@@ -92,7 +92,7 @@ impl Default for RegulatorConfig {
 }
 
 /// The tightly-coupled regulator gate. See the [module docs](self).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TcRegulator {
     regs: Arc<RegFile>,
     monitor: WindowMonitor,
@@ -295,26 +295,12 @@ impl PortGate for TcRegulator {
         "tc-regulator"
     }
 
-    fn fork_gate(&self, ctx: &mut ForkCtx) -> Option<Box<dyn PortGate>> {
-        // The monitor forks against the same remapped register block, so
-        // gate and driver stay MMIO-coupled in the forked Soc.
-        let regs = ctx.fork_arc(&self.regs);
-        Some(Box::new(TcRegulator {
-            regs,
-            monitor: self.monitor.fork(ctx),
-            budget: self.budget,
-            budget_rd: self.budget_rd,
-            budget_wr: self.budget_wr,
-            charge: self.charge,
-            overshoot: self.overshoot,
-            stall_cycles: self.stall_cycles,
-        }))
-    }
-
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("tc-regulator");
         // Loading through the shared handle also restores the driver's
-        // view — gate and driver stay MMIO-coupled, exactly as in a fork.
+        // view; a fork remaps gate, monitor and driver to one block, so
+        // they stay MMIO-coupled in the forked Soc.
+        w.shared(&mut self.regs);
         self.regs.visit_state(w);
         self.monitor.visit_state(w);
         w.plain(&mut self.budget);

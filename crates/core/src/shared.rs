@@ -118,7 +118,7 @@ impl SharedRegulator {
 }
 
 /// One port's handle onto a [`SharedRegulator`] group budget.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SharedBudgetGate {
     state: Arc<Mutex<GroupState>>,
     stall_cycles: u64,
@@ -175,20 +175,13 @@ impl PortGate for SharedBudgetGate {
         "shared-budget"
     }
 
-    fn fork_gate(&self, ctx: &mut ForkCtx) -> Option<Box<dyn PortGate>> {
-        // All member gates of one group map to the same forked state, so
-        // the aggregate-budget topology survives the fork.
-        Some(Box::new(SharedBudgetGate {
-            state: ctx.fork_arc(&self.state),
-            stall_cycles: self.stall_cycles,
-            accepted_bytes: self.accepted_bytes,
-        }))
-    }
-
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("shared-budget");
-        // Every member walks the group state; loading it once per member
-        // writes the same values through the shared handle.
+        // All member gates of one group fork to the same state, so the
+        // aggregate-budget topology survives the fork. Every member walks
+        // the group state; loading it once per member writes the same
+        // values through the shared handle.
+        w.shared(&mut self.state);
         let mut s = self.state.lock().expect("regulator lock");
         w.fixed(s.period, "shared-budget period");
         w.plain(&mut s.budget);

@@ -31,15 +31,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// FNV-1a 64-bit hash, the workspace's content-address function.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// FNV-1a 64-bit hash, the workspace's content-address function: the
+/// same definition snapshot fingerprints use.
+pub use fgqos_sim::fnv64;
 
 /// The canonical cache key of a job: a stable serialization of the spec
 /// plus its FNV-1a hash.

@@ -12,7 +12,7 @@
 use crate::axi::{Dir, Response, BEAT_BYTES};
 use crate::master::{PendingRequest, TrafficSource};
 use crate::time::Cycle;
-use fgqos_snap::{ForkCtx, StateWalker};
+use fgqos_snap::StateWalker;
 use std::collections::VecDeque;
 
 /// Geometry and timing of a [`Cache`].
@@ -358,10 +358,6 @@ impl<S: TrafficSource + Clone + 'static> TrafficSource for CachedSource<S> {
             // happens once the cursor is reached.
             Some(self.cursor.max(now))
         }
-    }
-
-    fn fork_source(&self, _ctx: &mut ForkCtx) -> Option<Box<dyn TrafficSource>> {
-        Some(Box::new(self.clone()))
     }
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {

@@ -15,7 +15,9 @@ use crate::axi::{Request, Response};
 use crate::leap::LeapSupport;
 use crate::metrics::MetricsRegistry;
 use crate::time::Cycle;
-use fgqos_snap::{ForkCtx, StateWalker};
+use fgqos_snap::StateWalker;
+
+boxed_clone!(CloneGate, PortGate);
 
 /// Outcome of presenting a request to a gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,7 +63,7 @@ impl GateDecision {
 ///   (stall counters, status registers). Any gate that returns a
 ///   `next_activity` later than `now` while it is denying must implement
 ///   it; the default is a no-op.
-pub trait PortGate {
+pub trait PortGate: CloneGate {
     /// Called once per simulation cycle before any admission attempt.
     ///
     /// Under fast-forward this is only invoked at *executed* cycles, so
@@ -110,39 +112,20 @@ pub trait PortGate {
     /// budget/period and accumulated counters here with stable names.
     fn collect_metrics(&self, _prefix: &str, _registry: &mut MetricsRegistry) {}
 
-    /// Deep-copies this gate for a forked run, remapping shared handles
-    /// (register files, aggregate budget state) through `ctx`.
+    /// Walks this gate's architectural state — every field that
+    /// influences future decisions — in one list that hashes, records,
+    /// loads and forks (see [`StateWalker`] for the field kinds). A
+    /// forkable gate is `Clone` plus this walk: a fork clones the machine
+    /// and walks it once, rebinding every `Arc` handle (register file,
+    /// group budget) declared with [`shared`](StateWalker::shared).
     ///
-    /// Returning `None` — the default — declares the gate unforkable and
-    /// makes [`Soc::snapshot`](crate::system::Soc::snapshot) fail with
-    /// [`fgqos_snap::SnapshotError::Unforkable`]. Forkable gates must
-    /// copy *every* field that influences future decisions, so a forked
-    /// run is bit-identical to continuing the original.
-    fn fork_gate(&self, _ctx: &mut ForkCtx) -> Option<Box<dyn PortGate>> {
-        None
-    }
-
-    /// Walks this gate's architectural state — every field covered by
-    /// [`PortGate::fork_gate`] — in one list that hashes, records and
-    /// loads (see [`StateWalker`]). The default opens a section named by
-    /// the label and refuses to load with a diagnostic
-    /// [`SnapDecodeError::Unsupported`](fgqos_snap::SnapDecodeError::Unsupported):
+    /// The default opens a section named by the label and calls
+    /// [`unsupported`](StateWalker::unsupported), which refuses both a
+    /// load ([`SnapDecodeError::Unsupported`](fgqos_snap::SnapDecodeError::Unsupported))
+    /// and a fork ([`SnapshotError::Unforkable`](fgqos_snap::SnapshotError::Unforkable)):
     /// gate kinds that never opted into persistence cannot silently
     /// desynchronize the stream. Stateless gates override it with the
     /// section alone.
-    ///
-    /// One walk serves every purpose: the same field list hashes the
-    /// fingerprint, records the blob stream, tags the typed spans the
-    /// leap engine rebases, and loads a recorded stream back. Walk each
-    /// field with its kind: [`plain`](StateWalker::plain) for mutable
-    /// state (overwritten on load), [`cycle`](StateWalker::cycle) for
-    /// absolute cycle stamps, [`counter`](StateWalker::counter) /
-    /// [`counter_sat`](StateWalker::counter_sat) for accumulators, and
-    /// [`fixed`](StateWalker::fixed) / [`fixed_str`](StateWalker::fixed_str)
-    /// for configuration facts the rebuilt skeleton already holds — a
-    /// load compares those and fails with
-    /// [`SnapDecodeError::BadValue`](fgqos_snap::SnapDecodeError::BadValue)
-    /// on a mismatch, never overwriting them.
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section(self.label());
         w.unsupported(self.label());
@@ -182,10 +165,6 @@ impl PortGate for Box<dyn PortGate> {
         self.as_ref().collect_metrics(prefix, registry);
     }
 
-    fn fork_gate(&self, ctx: &mut ForkCtx) -> Option<Box<dyn PortGate>> {
-        self.as_ref().fork_gate(ctx)
-    }
-
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         self.as_mut().visit_state(w);
     }
@@ -220,10 +199,6 @@ impl PortGate for OpenGate {
 
     fn label(&self) -> &'static str {
         "open"
-    }
-
-    fn fork_gate(&self, _ctx: &mut ForkCtx) -> Option<Box<dyn PortGate>> {
-        Some(Box::new(*self))
     }
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {

@@ -35,8 +35,8 @@
 //!    merged stream from [`TypedSnapshot::leap`] is loaded back — the
 //!    exact bytes a cycle-by-cycle run would reach at `c + k·P`.
 //!
-//! `FGQOS_NO_LEAP=1` disables the engine; `FGQOS_NAIVE=1` always wins
-//! over `FGQOS_LEAP=1` (the naive core never leaps). Bit-identity
+//! Leaping is on by default; `FGQOS_NO_LEAP=1` disables the engine, and
+//! so does `FGQOS_NAIVE=1` (the naive core never leaps). Bit-identity
 //! against the plain calendar core is pinned by proptests in
 //! `tests/fast_forward.rs` and `tests/scenario_v2.rs`.
 
@@ -196,7 +196,8 @@ struct BoundaryRecord {
 }
 
 /// Per-`Soc` leap engine state and telemetry. Not part of the snapshot
-/// stream: leaping is an execution strategy, not architectural state.
+/// stream: leaping is an execution strategy, not architectural state, so
+/// a clone (a fork) starts detection fresh with zeroed telemetry.
 pub(crate) struct LeapState {
     /// Off when the naive core runs, `FGQOS_NO_LEAP=1` is set, or a
     /// component denied support (denials are structural, so one denial
@@ -226,6 +227,12 @@ pub(crate) struct LeapState {
     pub(crate) cycles_skipped: u64,
     /// Leaps applied (`k ≥ 1`).
     pub(crate) leaps: u64,
+}
+
+impl Clone for LeapState {
+    fn clone(&self) -> Self {
+        LeapState::new(self.enabled)
+    }
 }
 
 impl LeapState {

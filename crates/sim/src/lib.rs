@@ -58,6 +58,34 @@
 
 #![warn(missing_docs)]
 
+/// Declares `$helper`, the object-safe clone behind `Box<dyn $tr>`:
+/// blanket-implemented for every `$tr + Clone` type, so a component
+/// derives `Clone` and writes nothing else to be copyable as a trait
+/// object (a fork is a `clone` plus one state walk, see [`snapshot`]).
+macro_rules! boxed_clone {
+    ($helper:ident, $tr:ident) => {
+        /// Object-safe cloning of a boxed component trait object,
+        /// implemented for every implementor that is `Clone`: derive
+        /// `Clone` and never implement this directly.
+        pub trait $helper {
+            /// A boxed copy of `self`.
+            fn clone_box(&self) -> Box<dyn $tr>;
+        }
+
+        impl<T: $tr + Clone + 'static> $helper for T {
+            fn clone_box(&self) -> Box<dyn $tr> {
+                Box::new(self.clone())
+            }
+        }
+
+        impl Clone for Box<dyn $tr> {
+            fn clone(&self) -> Self {
+                (**self).clone_box()
+            }
+        }
+    };
+}
+
 pub mod arena;
 pub mod axi;
 pub mod calendar;
@@ -94,9 +122,10 @@ pub use time::{Bandwidth, Cycle, Freq};
 pub use trace::{ChromeTraceBuilder, Trace, TraceEvent, TracingGate};
 
 // Snapshot building blocks, re-exported so downstream crates implement the
-// fork/snap seams without depending on `fgqos-snap` directly.
+// state walk and rebind driver handles without depending on `fgqos-snap`
+// directly.
 pub use fgqos_snap::{
-    BlobStore, CowVec, ForkCtx, SharedFork, SnapDecodeError, SnapshotBlob, SnapshotError,
+    fnv64, BlobStore, CowVec, ForkCtx, SharedFork, SnapDecodeError, SnapshotBlob, SnapshotError,
     StateWalker, TypedSnapshot,
 };
 

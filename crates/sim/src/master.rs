@@ -13,7 +13,7 @@ use crate::interconnect::Crossbar;
 use crate::leap::LeapSupport;
 use crate::stats::{BandwidthMeter, LatencyStats, WindowRecorder};
 use crate::time::Cycle;
-use fgqos_snap::{ForkCtx, SnapshotError, StateWalker};
+use fgqos_snap::StateWalker;
 use std::fmt;
 
 /// Broad class of a master, fixing sensible defaults.
@@ -52,12 +52,14 @@ pub struct PendingRequest {
     pub not_before: Cycle,
 }
 
+boxed_clone!(CloneSource, TrafficSource);
+
 /// Generates the memory-access stream of one master.
 ///
 /// The owning [`Master`] pulls the next request only when it has issue
 /// capacity (staged slot free and outstanding credit available), so
 /// closed-loop sources see completions before the next pull.
-pub trait TrafficSource {
+pub trait TrafficSource: CloneSource {
     /// Produces the next request, or `None` if the source has nothing to
     /// issue right now (the master retries every cycle).
     fn next_request(&mut self, now: Cycle) -> Option<PendingRequest>;
@@ -88,32 +90,17 @@ pub trait TrafficSource {
         LeapSupport::deny()
     }
 
-    /// Deep-copies this source for a forked run, remapping shared
-    /// handles through `ctx`. Returning `None` — the default — declares
-    /// the source unforkable and makes
-    /// [`Soc::snapshot`](crate::system::Soc::snapshot) fail.
-    fn fork_source(&self, _ctx: &mut ForkCtx) -> Option<Box<dyn TrafficSource>> {
-        None
-    }
-
-    /// Walks this source's architectural state: every field that
-    /// influences the remaining request stream, in one list that hashes,
-    /// records and loads (see [`StateWalker`]). The default opens a
-    /// `source` section and refuses to load with a diagnostic
-    /// [`SnapDecodeError::Unsupported`](fgqos_snap::SnapDecodeError::Unsupported).
+    /// Walks this source's architectural state — every field that
+    /// influences the remaining request stream — in one list that
+    /// hashes, records, loads and forks (see [`StateWalker`] for the
+    /// field kinds). A forkable source is `Clone` plus this walk: a fork
+    /// clones the machine and walks it once, rebinding every `Arc`
+    /// handle declared with [`shared`](StateWalker::shared).
     ///
-    /// One walk serves every purpose: the same field list hashes the
-    /// fingerprint, records the blob stream, tags the typed spans the
-    /// leap engine rebases, and loads a recorded stream back. Walk each
-    /// field with its kind: [`plain`](StateWalker::plain) for mutable
-    /// state (overwritten on load), [`cycle`](StateWalker::cycle) for
-    /// absolute cycle stamps, [`counter`](StateWalker::counter) /
-    /// [`counter_sat`](StateWalker::counter_sat) for accumulators, and
-    /// [`fixed`](StateWalker::fixed) / [`fixed_str`](StateWalker::fixed_str)
-    /// for configuration facts the rebuilt skeleton already holds — a
-    /// load compares those and fails with
-    /// [`SnapDecodeError::BadValue`](fgqos_snap::SnapDecodeError::BadValue)
-    /// on a mismatch, never overwriting them.
+    /// The default opens a `source` section and calls
+    /// [`unsupported`](StateWalker::unsupported), which refuses both a
+    /// load ([`SnapDecodeError::Unsupported`](fgqos_snap::SnapDecodeError::Unsupported))
+    /// and a fork ([`SnapshotError::Unforkable`](fgqos_snap::SnapshotError::Unforkable)).
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("source");
         w.unsupported("traffic source");
@@ -139,10 +126,6 @@ impl TrafficSource for Box<dyn TrafficSource> {
 
     fn leap_support(&self, now: Cycle) -> LeapSupport {
         self.as_ref().leap_support(now)
-    }
-
-    fn fork_source(&self, ctx: &mut ForkCtx) -> Option<Box<dyn TrafficSource>> {
-        self.as_ref().fork_source(ctx)
     }
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
@@ -325,10 +308,6 @@ impl TrafficSource for SequentialSource {
         }
     }
 
-    fn fork_source(&self, _ctx: &mut ForkCtx) -> Option<Box<dyn TrafficSource>> {
-        Some(Box::new(self.clone()))
-    }
-
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("seq-source");
         w.plain(&mut self.base);
@@ -386,6 +365,7 @@ impl MasterStats {
 }
 
 /// One master port: source + gate + issue state machine.
+#[derive(Clone)]
 pub struct Master {
     id: MasterId,
     name: String,
@@ -697,46 +677,6 @@ impl Master {
         self.gate_dirty = true;
     }
 
-    /// Deep-copies this master for a forked run, remapping shared
-    /// handles through `ctx`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError::Unforkable`] when the source or gate
-    /// does not implement forking.
-    pub(crate) fn fork(&self, ctx: &mut ForkCtx) -> Result<Master, SnapshotError> {
-        let source = self
-            .source
-            .fork_source(ctx)
-            .ok_or_else(|| SnapshotError::Unforkable {
-                label: format!("{}.source", self.name),
-            })?;
-        let gate = self
-            .gate
-            .fork_gate(ctx)
-            .ok_or_else(|| SnapshotError::Unforkable {
-                label: format!("{}.{}", self.name, self.gate.label()),
-            })?;
-        Ok(Master {
-            id: self.id,
-            name: self.name.clone(),
-            kind: self.kind,
-            source,
-            gate,
-            max_outstanding: self.max_outstanding,
-            staged: self.staged,
-            in_flight: self.in_flight,
-            serial: self.serial,
-            last_denied: self.last_denied,
-            gate_dirty: self.gate_dirty,
-            retry_at: self.retry_at,
-            fifo_blocked: self.fifo_blocked,
-            pull_pending: self.pull_pending,
-            last_tick: self.last_tick,
-            stats: self.stats.clone(),
-        })
-    }
-
     /// Walks the master's full state — issue state machine, fast-forward
     /// bookkeeping, source, gate and statistics (see [`StateWalker`]).
     /// Identity fields — id, name, kind, outstanding limit — are fixed,
@@ -940,6 +880,7 @@ mod tests {
 
     #[test]
     fn gate_denial_counts_stall_cycles() {
+        #[derive(Clone)]
         struct DenyAll;
         impl PortGate for DenyAll {
             fn try_accept(&mut self, _r: &Request, _n: Cycle) -> GateDecision {

@@ -7,13 +7,15 @@
 //! rebuilt from component `next_activity` contracts at every run entry,
 //! and an empty transaction arena implies every queue between master and
 //! DRAM is drained. What remains is per-component architectural state
-//! (sources, gates, bank rows, statistics), which every component knows
-//! how to deep-copy (`fork_*`) and walk (`visit_state`).
+//! (sources, gates, bank rows, statistics), which every component clones
+//! (`#[derive(Clone)]`) and walks (`visit_state`).
 //!
 //! **One walk.** Every stateful component lists its fields once, in
 //! `visit_state`, against a [`fgqos_snap::StateWalker`]: the same list
 //! hashes the state, records it as the blob wire format, tags the typed
-//! spans the leap engine rebases, and loads a recorded stream back.
+//! spans the leap engine rebases, loads a recorded stream back, and
+//! rebinds shared handles in a fork. A component that calls
+//! [`StateWalker::unsupported`] cannot load, and so cannot fork either.
 //!
 //! **Fingerprint.** [`Soc::fingerprint`] folds the full architectural
 //! state through the walker's byte-stable FNV-1a stream, prefixed by
@@ -23,9 +25,11 @@
 //! `tests/snapshot.rs` is the evidence.
 //!
 //! **Forking.** [`SocSnapshot::fork`] produces an independent Soc that
-//! continues from the boundary. Shared handles (regulator register
-//! files, aggregate budget state) are remapped through a
-//! [`fgqos_snap::ForkCtx`] so sharing topology is preserved; external
+//! continues from the boundary: a `clone` of the captured machine plus
+//! one walk in fork mode ([`StateWalker::forker`]). The walk remaps every
+//! shared handle (regulator register files, aggregate budget state)
+//! declared with [`StateWalker::shared`] through a
+//! [`fgqos_snap::ForkCtx`], so sharing topology is preserved; external
 //! driver handles can join the same context via
 //! [`SocSnapshot::fork_with`] plus the driver-side rebinding helpers
 //! (e.g. `RegulatorDriver::forked` in `fgqos-core`). Large stat arrays
@@ -91,49 +95,29 @@ impl Soc {
         self.arena.visit_state(w);
     }
 
-    /// Deep-copies this Soc, remapping shared handles through `ctx`.
-    ///
-    /// External driver handles bound to this Soc (e.g. a
-    /// `RegulatorDriver` holding the same register file as a gate) can
-    /// be rebound to the copy by passing the same `ctx` to their
-    /// `forked` helpers, in any order relative to this call.
+    /// Forks this Soc (see [`SocSnapshot::fork_with`]): a clone of every
+    /// component, then one fork walk that remaps shared handles through
+    /// `ctx`. The leap engine is an execution strategy, not architectural
+    /// state: the fork starts detection fresh with zeroed telemetry.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Unforkable`] when any source, gate or
-    /// controller does not implement forking (interrupt dispatchers and
-    /// tracing gates are the stock examples).
-    pub fn fork_with(&self, ctx: &mut ForkCtx) -> Result<Soc, SnapshotError> {
-        let mut masters = Vec::with_capacity(self.masters.len());
-        for m in &self.masters {
-            masters.push(m.fork(ctx)?);
-        }
-        let mut controllers = Vec::with_capacity(self.controllers.len());
-        for c in &self.controllers {
-            controllers.push(c.fork_ctrl(ctx).ok_or_else(|| SnapshotError::Unforkable {
-                label: c.label().to_string(),
-            })?);
-        }
-        Ok(Soc {
-            freq: self.freq,
-            cycle: self.cycle,
-            masters,
-            xbar: self.xbar.clone(),
-            dram: self.dram.clone(),
-            controllers,
-            arena: self.arena.clone(),
-            naive: self.naive,
-            // The leap engine is an execution strategy, not architectural
-            // state: a fork starts detection fresh with zeroed telemetry.
-            leap: crate::leap::LeapState::new(self.leap.enabled),
-        })
+    /// [`SnapshotError::Unforkable`] naming the first component whose
+    /// walk is [`unsupported`](StateWalker::unsupported).
+    pub(crate) fn fork_with(&self, ctx: &mut ForkCtx) -> Result<Soc, SnapshotError> {
+        let mut soc = self.clone();
+        let mut w = StateWalker::forker(ctx);
+        soc.visit_state(&mut w);
+        w.forkable()?;
+        Ok(soc)
     }
 
     /// Captures this Soc into a versioned snapshot, consuming it.
     ///
     /// The Soc must be at a quiesced boundary (see [`Soc::is_quiesced`]
-    /// and [`Soc::quiesce_point`]). Forkability of every component is
-    /// validated by a probe fork at capture time, so the per-point
+    /// and [`Soc::quiesce_point`]). The recording walk that captures the
+    /// state also proves every component forkable (none called
+    /// [`StateWalker::unsupported`]), so the per-point
     /// [`SocSnapshot::fork`] calls cannot fail later.
     ///
     /// Consuming the Soc keeps its shared handles alive unchanged, which
@@ -145,29 +129,20 @@ impl Soc {
     ///
     /// [`SnapshotError::NotQuiesced`] when transactions are in flight;
     /// [`SnapshotError::Unforkable`] when a component cannot be forked.
-    pub fn snapshot(self) -> Result<SocSnapshot, SnapshotError> {
+    pub fn snapshot(mut self) -> Result<SocSnapshot, SnapshotError> {
         if !self.is_quiesced() {
             return Err(SnapshotError::NotQuiesced {
                 live_txns: self.arena.live(),
             });
         }
-        // Probe fork: surfaces Unforkable now instead of per point.
-        let mut probe = ForkCtx::new();
-        self.fork_with(&mut probe)?;
-        let mut soc = self;
         let mut w = StateWalker::recording();
-        soc.visit_state(&mut w);
+        self.visit_state(&mut w);
+        w.forkable()?;
         Ok(SocSnapshot {
-            soc,
+            soc: self,
             fingerprint: w.finish(),
             state: w.take_bytes(),
         })
-    }
-
-    /// Reconstructs a runnable Soc from a snapshot (a fresh fork; the
-    /// snapshot remains usable for further forks).
-    pub fn restore(snapshot: &SocSnapshot) -> Soc {
-        snapshot.fork()
     }
 
     /// Loads a serialized state stream (see [`SocSnapshot::state_bytes`])
@@ -322,14 +297,11 @@ impl SocSnapshot {
                 at: 0,
             });
         }
-        let snap = soc.snapshot().map_err(|e| match e {
-            SnapshotError::Unforkable { label } => {
-                SnapDecodeError::Unsupported { component: label }
-            }
-            SnapshotError::NotQuiesced { live_txns } => SnapDecodeError::BadValue {
-                what: format!("{live_txns} live transaction(s) after load"),
-                at: 0,
-            },
+        // The load refused unsupported components and in-flight state
+        // already, so capture cannot fail; map defensively all the same.
+        let snap = soc.snapshot().map_err(|e| SnapDecodeError::BadValue {
+            what: e.to_string(),
+            at: 0,
         })?;
         if snap.fingerprint != blob.fingerprint {
             return Err(SnapDecodeError::FingerprintMismatch {
@@ -413,7 +385,7 @@ mod tests {
         assert!(snap.verify());
 
         let mut a = snap.fork();
-        let mut b = Soc::restore(&snap);
+        let mut b = snap.fork();
         assert_eq!(a.fingerprint(), baseline);
         a.run(50_000);
         b.run(50_000);

@@ -266,30 +266,7 @@ impl LatencyStats {
         w.counter(&mut self.sum);
         w.plain(&mut self.min);
         w.plain(&mut self.max);
-        if !w.loading() {
-            for (i, &c) in self.buckets.iter().enumerate().filter(|(_, &c)| c > 0) {
-                w.plain(&mut { i });
-                w.counter(&mut { c });
-            }
-            return;
-        }
-        let buckets = self.buckets.make_mut();
-        buckets.fill(0);
-        let (mut acc, mut next) = (0u64, 0usize);
-        while acc < self.count {
-            let (mut i, mut c) = (0usize, 0u64);
-            w.plain(&mut i);
-            w.plain(&mut c);
-            if i >= buckets.len() || i < next || c == 0 || c > self.count - acc {
-                return w.bad(format!(
-                    "latency bucket ({i}, {c}) inconsistent with count {}",
-                    self.count
-                ));
-            }
-            buckets[i] = c;
-            acc += c;
-            next = i + 1;
-        }
+        w.histogram(&mut self.buckets, self.count);
     }
 }
 

@@ -27,7 +27,7 @@ use crate::master::{Master, MasterKind, MasterStats, TrafficSource};
 use crate::metrics::MetricsRegistry;
 use crate::time::{Bandwidth, Cycle, Freq};
 use crate::trace::{ChromeTraceBuilder, Trace};
-use fgqos_snap::{ForkCtx, StateWalker};
+use fgqos_snap::StateWalker;
 use std::any::Any;
 
 /// Top-level SoC parameters.
@@ -41,13 +41,15 @@ pub struct SocConfig {
     pub xbar: XbarConfig,
 }
 
+boxed_clone!(CloneController, Controller);
+
 /// Software-side agent ticked by the simulation loop.
 ///
 /// Controllers model the host-CPU software of the paper's stack (drivers,
 /// QoS managers, MemGuard tick handlers). They run "beside" the hardware:
 /// the SoC calls [`Controller::on_cycle`] every cycle and the controller
 /// decides internally when to act (e.g. every OS tick).
-pub trait Controller: Any {
+pub trait Controller: Any + CloneController {
     /// Called once per simulated cycle.
     ///
     /// Under fast-forward this is only invoked at *executed* cycles, so
@@ -78,31 +80,16 @@ pub trait Controller: Any {
         "controller"
     }
 
-    /// Deep-copies this controller for a forked run, remapping shared
-    /// handles (driver register files) through `ctx`. Returning `None` —
-    /// the default — declares the controller unforkable and makes
-    /// [`Soc::snapshot`] fail.
-    fn fork_ctrl(&self, _ctx: &mut ForkCtx) -> Option<Box<dyn Controller>> {
-        None
-    }
-
     /// Walks this controller's architectural state in one list that
-    /// hashes, records and loads (see [`StateWalker`]). The default opens
-    /// a section named by the label and refuses to load with a diagnostic
-    /// [`SnapDecodeError::Unsupported`](fgqos_snap::SnapDecodeError::Unsupported).
+    /// hashes, records, loads and forks (see [`StateWalker`] for the
+    /// field kinds). A forkable controller is `Clone` plus this walk: a
+    /// fork clones the machine and walks it once, rebinding every driver
+    /// handle declared with [`shared`](StateWalker::shared).
     ///
-    /// One walk serves every purpose: the same field list hashes the
-    /// fingerprint, records the blob stream, tags the typed spans the
-    /// leap engine rebases, and loads a recorded stream back. Walk each
-    /// field with its kind: [`plain`](StateWalker::plain) for mutable
-    /// state (overwritten on load), [`cycle`](StateWalker::cycle) for
-    /// absolute cycle stamps, [`counter`](StateWalker::counter) /
-    /// [`counter_sat`](StateWalker::counter_sat) for accumulators, and
-    /// [`fixed`](StateWalker::fixed) / [`fixed_str`](StateWalker::fixed_str)
-    /// for configuration facts the rebuilt skeleton already holds — a
-    /// load compares those and fails with
-    /// [`SnapDecodeError::BadValue`](fgqos_snap::SnapDecodeError::BadValue)
-    /// on a mismatch, never overwriting them.
+    /// The default opens a section named by the label and calls
+    /// [`unsupported`](StateWalker::unsupported), which refuses both a
+    /// load ([`SnapDecodeError::Unsupported`](fgqos_snap::SnapDecodeError::Unsupported))
+    /// and a fork ([`SnapshotError::Unforkable`](fgqos_snap::SnapshotError::Unforkable)).
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section(self.label());
         w.unsupported(self.label());
@@ -236,24 +223,11 @@ impl SocBuilder {
         let dram = DramController::new(self.cfg.dram.clone());
         // FGQOS_NAIVE=1 forces cycle-by-cycle stepping (A/B debugging,
         // speedup measurement); any other value keeps fast-forward on.
+        // Steady-state leaping defaults on in fast mode; FGQOS_NO_LEAP=1
+        // is the escape hatch.
         let env_on = |name: &str| std::env::var_os(name).is_some_and(|v| v != "0" && !v.is_empty());
         let naive = env_on("FGQOS_NAIVE");
-        // Steady-state leaping defaults on in fast mode. FGQOS_NO_LEAP=1
-        // is the escape hatch; FGQOS_LEAP=1 states intent explicitly
-        // (e.g. CI equivalence loops) but cannot override the naive core
-        // or the escape hatch — a conflict gets one clear diagnostic.
         let no_leap = env_on("FGQOS_NO_LEAP");
-        if env_on("FGQOS_LEAP") && (naive || no_leap) {
-            static CONFLICT: std::sync::Once = std::sync::Once::new();
-            let loser = if naive {
-                "FGQOS_NAIVE=1 (the naive reference core never leaps)"
-            } else {
-                "FGQOS_NO_LEAP=1"
-            };
-            CONFLICT.call_once(|| {
-                eprintln!("fgqos: FGQOS_LEAP=1 conflicts with {loser}; steady-state leaping stays disabled");
-            });
-        }
         Soc {
             freq: self.cfg.freq,
             cycle: Cycle::ZERO,
@@ -268,8 +242,10 @@ impl SocBuilder {
     }
 }
 
-/// Which condition ends an event-driven run early (mirrors the early
-/// returns of the naive loops exactly).
+/// Which condition ends a run early. Checked at entry and after every
+/// executed cycle — the only points the condition can change — so both
+/// cores stop at the identical cycle.
+#[derive(Clone, Copy)]
 enum StopWhen {
     /// Run to the deadline unconditionally.
     Never,
@@ -298,8 +274,12 @@ pub struct WindowBoundary {
 }
 
 /// The simulated SoC: masters, crossbar, DRAM and software controllers.
-// Fields are crate-visible for the snapshot/fork module (snapshot.rs),
-// which reassembles a Soc field by field.
+///
+/// `Clone` copies every component but shares their `Arc` handles
+/// (register files, group budgets) with the original; an independent
+/// copy is a [`SocSnapshot::fork`](crate::snapshot::SocSnapshot::fork).
+// Fields are crate-visible for the snapshot and leap modules.
+#[derive(Clone)]
 pub struct Soc {
     pub(crate) freq: Freq,
     pub(crate) cycle: Cycle,
@@ -431,30 +411,6 @@ impl Soc {
             self.masters[idx].on_response(response, now);
         }
         self.cycle += 1;
-    }
-
-    /// Earliest cycle `>= now` at which any component can change state:
-    /// the minimum over every master (source schedule, staged request,
-    /// gate window), the crossbar, the DRAM controller and every
-    /// software controller. `None` when the whole SoC is quiescent.
-    pub fn next_event(&self) -> Option<Cycle> {
-        let now = self.cycle;
-        let mut wake: Option<Cycle> = None;
-        let mut merge = |c: Option<Cycle>| {
-            wake = match (wake, c) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        };
-        for m in &self.masters {
-            merge(m.next_activity(now));
-        }
-        merge(self.xbar.next_activity(now));
-        merge(self.dram.next_activity(now));
-        for c in &self.controllers {
-            merge(c.next_activity(now));
-        }
-        wake
     }
 
     /// Builds a fresh event calendar from the current component states.
@@ -589,12 +545,45 @@ impl Soc {
         }
     }
 
+    /// Whether `stop` holds now. [`StopWhen::AllDone`] only counts
+    /// strictly before `deadline` (the guard post
+    /// [`Soc::run_until_all_done`] documents).
+    fn stopped(&self, stop: StopWhen, deadline: Cycle) -> bool {
+        match stop {
+            StopWhen::Never => false,
+            StopWhen::MasterDone(id) => self.master_done(id),
+            StopWhen::AllDone => self.cycle < deadline && self.masters.iter().all(Master::is_done),
+            StopWhen::Quiesced => self.is_quiesced(),
+        }
+    }
+
+    /// The one run driver: advances up to `max_cycles`, stopping at the
+    /// first cycle `stop` holds (checked at entry and after every
+    /// executed cycle). Returns that cycle, or `None` at the deadline.
+    fn drive(&mut self, max_cycles: u64, stop: StopWhen) -> Option<Cycle> {
+        let deadline = self.cycle + max_cycles;
+        if self.stopped(stop, deadline) {
+            return Some(self.cycle);
+        }
+        if !self.naive {
+            if let Some(at) = self.run_fast(deadline, stop) {
+                return Some(at);
+            }
+        }
+        while self.cycle < deadline {
+            self.step();
+            if self.stopped(stop, deadline) {
+                return Some(self.cycle);
+            }
+        }
+        self.stopped(stop, deadline).then_some(self.cycle)
+    }
+
     /// Event-driven core: advances to `deadline`, executing only cycles
     /// where some component is due. Returns `Some(stop cycle)` when
-    /// `stop` is satisfied after an executed cycle (`guard_post` demands
-    /// the stop cycle lie strictly before the deadline, matching
-    /// [`Soc::run_until_all_done`]'s naive loop); `None` at the deadline.
-    fn run_fast(&mut self, deadline: Cycle, stop: StopWhen, guard_post: bool) -> Option<Cycle> {
+    /// `stop` is satisfied after an executed cycle; `None` at the
+    /// deadline.
+    fn run_fast(&mut self, deadline: Cycle, stop: StopWhen) -> Option<Cycle> {
         let mut cal = self.build_calendar();
         let mut due = Vec::new();
         while self.cycle < deadline {
@@ -606,13 +595,7 @@ impl Soc {
             cal.take_due(next_exec, &mut due);
             self.execute_cycle(now, &mut cal, &due);
             self.cycle = now + 1;
-            let stopped = match stop {
-                StopWhen::Never => false,
-                StopWhen::MasterDone(id) => self.master_done(id),
-                StopWhen::AllDone => self.masters.iter().all(Master::is_done),
-                StopWhen::Quiesced => self.arena.live() == 0,
-            };
-            if stopped && (!guard_post || self.cycle < deadline) {
+            if self.stopped(stop, deadline) {
                 self.flush_fast_stats(self.cycle);
                 return Some(self.cycle);
             }
@@ -631,14 +614,7 @@ impl Soc {
 
     /// Runs for `cycles` cycles.
     pub fn run(&mut self, cycles: u64) {
-        let deadline = self.cycle + cycles;
-        if self.naive {
-            while self.cycle < deadline {
-                self.step();
-            }
-            return;
-        }
-        self.run_fast(deadline, StopWhen::Never, false);
+        self.drive(cycles, StopWhen::Never);
     }
 
     /// Runs for `cycles` cycles in `window`-sized segments, yielding to
@@ -731,57 +707,15 @@ impl Soc {
     ///
     /// Returns the completion time, or `None` on timeout.
     pub fn run_until_done(&mut self, id: MasterId, max_cycles: u64) -> Option<Cycle> {
-        let deadline = self.cycle + max_cycles;
-        if self.naive {
-            while self.cycle < deadline {
-                if self.master_done(id) {
-                    return Some(self.cycle);
-                }
-                self.step();
-                if self.master_done(id) {
-                    return Some(self.cycle);
-                }
-            }
-            return if self.master_done(id) {
-                Some(self.cycle)
-            } else {
-                None
-            };
-        }
-        // Completion state only changes at executed cycles, so checking
-        // at entry and after each executed cycle matches naive stepping's
-        // per-cycle checks exactly.
-        if self.master_done(id) {
-            return Some(self.cycle);
-        }
-        match self.run_fast(deadline, StopWhen::MasterDone(id), false) {
-            Some(c) => Some(c),
-            None if self.master_done(id) => Some(self.cycle),
-            None => None,
-        }
+        self.drive(max_cycles, StopWhen::MasterDone(id))
     }
 
     /// Runs until every master finishes, up to `max_cycles`.
     ///
-    /// Returns the completion time, or `None` on timeout.
+    /// Returns the completion time, or `None` on timeout. A completion
+    /// landing exactly on the deadline counts as a timeout.
     pub fn run_until_all_done(&mut self, max_cycles: u64) -> Option<Cycle> {
-        let deadline = self.cycle + max_cycles;
-        if self.naive {
-            while self.cycle < deadline {
-                if self.masters.iter().all(Master::is_done) {
-                    return Some(self.cycle);
-                }
-                self.step();
-                if self.cycle < deadline && self.masters.iter().all(Master::is_done) {
-                    return Some(self.cycle);
-                }
-            }
-            return None;
-        }
-        if self.cycle < deadline && self.masters.iter().all(Master::is_done) {
-            return Some(self.cycle);
-        }
-        self.run_fast(deadline, StopWhen::AllDone, true)
+        self.drive(max_cycles, StopWhen::AllDone)
     }
 
     /// `true` when the SoC is at a quiesced boundary: no transaction is
@@ -805,28 +739,7 @@ impl Soc {
     /// the identical boundary: the arena can only drain at an executed
     /// cycle, and executed cycles coincide by construction.
     pub fn quiesce_point(&mut self, max_cycles: u64) -> Option<Cycle> {
-        let deadline = self.cycle + max_cycles;
-        if self.naive {
-            while self.cycle < deadline {
-                if self.is_quiesced() {
-                    return Some(self.cycle);
-                }
-                self.step();
-            }
-            return if self.is_quiesced() {
-                Some(self.cycle)
-            } else {
-                None
-            };
-        }
-        if self.is_quiesced() {
-            return Some(self.cycle);
-        }
-        match self.run_fast(deadline, StopWhen::Quiesced, false) {
-            Some(c) => Some(c),
-            None if self.is_quiesced() => Some(self.cycle),
-            None => None,
-        }
+        self.drive(max_cycles, StopWhen::Quiesced)
     }
 
     /// Mutable access to one master (tests, ablation hooks).

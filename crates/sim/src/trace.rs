@@ -153,7 +153,11 @@ impl Trace {
 
 /// A [`PortGate`] decorator that records accept/deny decisions into a
 /// [`Trace`] while delegating to an inner gate.
-#[derive(Debug)]
+///
+/// Clones share one trace log, so a traced Soc cannot be snapshotted or
+/// forked: its state walk refuses with
+/// [`unsupported`](fgqos_snap::StateWalker::unsupported).
+#[derive(Debug, Clone)]
 pub struct TracingGate<G> {
     inner: G,
     trace: Trace,
@@ -171,7 +175,7 @@ impl<G: PortGate> TracingGate<G> {
     }
 }
 
-impl<G: PortGate> PortGate for TracingGate<G> {
+impl<G: PortGate + Clone + 'static> PortGate for TracingGate<G> {
     fn on_cycle(&mut self, now: Cycle) {
         self.inner.on_cycle(now);
     }
@@ -218,6 +222,11 @@ impl<G: PortGate> PortGate for TracingGate<G> {
 
     fn collect_metrics(&self, prefix: &str, registry: &mut crate::metrics::MetricsRegistry) {
         self.inner.collect_metrics(prefix, registry);
+    }
+
+    fn visit_state(&mut self, w: &mut fgqos_snap::StateWalker<'_>) {
+        w.section(self.label());
+        w.unsupported("tracing-gate");
     }
 }
 

@@ -15,6 +15,9 @@
 //!   between a component and an external driver) must map to ONE new
 //!   `Arc` shared the same way; `ForkCtx` memoises the mapping by source
 //!   pointer so sharing topology is preserved regardless of visit order.
+//!   A fork is a `clone` plus one walk in fork mode
+//!   ([`StateWalker::forker`]), which passes every handle a component
+//!   declares with [`StateWalker::shared`] through the context.
 //! - [`CowVec`] — copy-on-write vector for the large stat arrays
 //!   (latency histograms, per-window series), so forking N runs from one
 //!   snapshot does not copy N × the warm-up history until a fork writes.

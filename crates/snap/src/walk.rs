@@ -1,7 +1,7 @@
-//! One field walk per component: hashing, recording, typed-span tagging
-//! and loading all run the same `visit_state` field list.
+//! One field walk per component: hashing, recording, typed-span tagging,
+//! loading and forking all run the same `visit_state` field list.
 //!
-//! A [`StateWalker`] is created in one of two modes:
+//! A [`StateWalker`] is created in one of three modes:
 //!
 //! - **write** — [`hasher`](StateWalker::hasher) folds every field into a
 //!   byte-stable FNV-1a 64 digest; [`recording`](StateWalker::recording)
@@ -11,20 +11,28 @@
 //!   of [`crate::typed`]).
 //! - **load** — [`loader`](StateWalker::loader) reads the same fields back
 //!   from a recorded stream into the component.
+//! - **fork** — [`forker`](StateWalker::forker) runs over a fresh `clone`
+//!   of a machine and rebinds every shared handle through a [`ForkCtx`],
+//!   so the clone's sharing topology mirrors the original's.
 //!
 //! Every field goes through one method that does the right thing in each
 //! mode. The field kinds:
 //!
-//! | method | write | load |
-//! |---|---|---|
-//! | [`plain`](StateWalker::plain) | value bytes | overwrite |
-//! | [`cycle`](StateWalker::cycle) | bytes, typed `Cycle` | overwrite |
-//! | [`counter`](StateWalker::counter), [`counter_sat`](StateWalker::counter_sat) | bytes, typed counter | overwrite |
-//! | [`fixed`](StateWalker::fixed), [`fixed_str`](StateWalker::fixed_str) | value bytes | compare with the skeleton |
+//! | method | write | load | fork |
+//! |---|---|---|---|
+//! | [`plain`](StateWalker::plain) | value bytes | overwrite | — |
+//! | [`cycle`](StateWalker::cycle) | bytes, typed `Cycle` | overwrite | — |
+//! | [`counter`](StateWalker::counter), [`counter_sat`](StateWalker::counter_sat) | bytes, typed counter | overwrite | — |
+//! | [`fixed`](StateWalker::fixed), [`fixed_str`](StateWalker::fixed_str) | value bytes | compare with the skeleton | — |
+//! | [`shared`](StateWalker::shared) | — | — | [`ForkCtx::fork_arc`] |
 //!
 //! *Fixed* fields are configuration facts the rebuilt skeleton already
 //! holds (clock, names, counts, structural parameters): a stream that
 //! disagrees is a [`SnapDecodeError::BadValue`], never an overwrite.
+//! *Shared* fields are `Arc` handles (register files, group budgets):
+//! the owner walks the payload, the handle itself adds no bytes.
+//! [`unsupported`](StateWalker::unsupported) refuses both a load and a
+//! fork: a component that cannot load cannot fork.
 //!
 //! Encodings are fixed little-endian (`usize` widens to `u64`, `bool` is
 //! one byte, `f64` is its bit pattern, strings are length-prefixed), so
@@ -36,8 +44,10 @@
 
 use crate::typed::{FieldKind, FieldSpan, TypedSnapshot};
 use crate::wire::{SnapDecodeError, SnapReader};
-use crate::CowVec;
+use crate::{CowVec, ForkCtx, SharedFork, SnapshotError};
+use std::any::Any;
 use std::fmt;
+use std::sync::Arc;
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -84,12 +94,18 @@ enum Mode<'a> {
         r: SnapReader<'a>,
         err: Option<SnapDecodeError>,
     },
+    /// Rebinds shared handles of a freshly cloned machine; every other
+    /// field is left alone.
+    Fork { ctx: &'a mut ForkCtx },
 }
 
 /// The one state walker every component's `visit_state` takes (see the
 /// [module docs](self)).
 pub struct StateWalker<'a> {
     mode: Mode<'a>,
+    /// The first component that called [`unsupported`](Self::unsupported)
+    /// outside load mode.
+    refused: Option<String>,
 }
 
 impl fmt::Debug for StateWalker<'_> {
@@ -99,6 +115,7 @@ impl fmt::Debug for StateWalker<'_> {
             Mode::Hash { .. } => "record",
             Mode::Typed { .. } => "typed-record",
             Mode::Load { .. } => "load",
+            Mode::Fork { .. } => "fork",
         };
         f.debug_struct("StateWalker")
             .field("mode", &mode)
@@ -110,25 +127,21 @@ impl fmt::Debug for StateWalker<'_> {
 impl StateWalker<'static> {
     /// A write walker folding every field into an FNV-1a 64 digest.
     pub fn hasher() -> Self {
-        StateWalker {
-            mode: Mode::Hash {
-                hash: FNV_OFFSET,
-                bytes: 0,
-                record: None,
-            },
-        }
+        StateWalker::new(Mode::Hash {
+            hash: FNV_OFFSET,
+            bytes: 0,
+            record: None,
+        })
     }
 
     /// A hasher that also captures every byte: the recorded stream is
     /// the snapshot wire format, and [`fnv64`] of it is the digest.
     pub fn recording() -> Self {
-        StateWalker {
-            mode: Mode::Hash {
-                hash: FNV_OFFSET,
-                bytes: 0,
-                record: Some(Vec::with_capacity(RECORD_HINT)),
-            },
-        }
+        StateWalker::new(Mode::Hash {
+            hash: FNV_OFFSET,
+            bytes: 0,
+            record: Some(Vec::with_capacity(RECORD_HINT)),
+        })
     }
 
     /// A recording walker that also maps which spans are cycle stamps
@@ -136,24 +149,35 @@ impl StateWalker<'static> {
     /// no running digest; [`finish`](StateWalker::finish) hashes the
     /// recorded bytes on demand.
     pub fn typed_recording() -> Self {
-        StateWalker {
-            mode: Mode::Typed {
-                buf: Vec::with_capacity(RECORD_HINT),
-                fields: Vec::with_capacity(SPAN_HINT),
-            },
-        }
+        StateWalker::new(Mode::Typed {
+            buf: Vec::with_capacity(RECORD_HINT),
+            fields: Vec::with_capacity(SPAN_HINT),
+        })
     }
 }
 
 impl<'a> StateWalker<'a> {
+    fn new(mode: Mode<'a>) -> Self {
+        StateWalker {
+            mode,
+            refused: None,
+        }
+    }
+
     /// A load walker reading a recorded stream back field by field.
     pub fn loader(bytes: &'a [u8]) -> Self {
-        StateWalker {
-            mode: Mode::Load {
-                r: SnapReader::new(bytes),
-                err: None,
-            },
-        }
+        StateWalker::new(Mode::Load {
+            r: SnapReader::new(bytes),
+            err: None,
+        })
+    }
+
+    /// A fork walker: run over a fresh `clone` of a machine, it replaces
+    /// every [`shared`](Self::shared) handle with its `ctx` counterpart
+    /// and touches nothing else. [`forkable`](Self::forkable) reports a
+    /// component that refused.
+    pub fn forker(ctx: &'a mut ForkCtx) -> Self {
+        StateWalker::new(Mode::Fork { ctx })
     }
 
     /// True in load mode. Components branch on this only where the two
@@ -171,6 +195,7 @@ impl<'a> StateWalker<'a> {
             Mode::Hash { hash, .. } => *hash,
             Mode::Typed { buf, .. } => fnv64(buf),
             Mode::Load { r, .. } => fnv64(r.consumed()),
+            Mode::Fork { .. } => fnv64(&[]),
         }
     }
 
@@ -180,6 +205,7 @@ impl<'a> StateWalker<'a> {
             Mode::Hash { bytes, .. } => *bytes,
             Mode::Typed { buf, .. } => buf.len() as u64,
             Mode::Load { r, .. } => r.position() as u64,
+            Mode::Fork { .. } => 0,
         }
     }
 
@@ -221,6 +247,23 @@ impl<'a> StateWalker<'a> {
         }
     }
 
+    /// Whether the state walked so far can be forked: a write or fork
+    /// walk notes the first component that called
+    /// [`unsupported`](Self::unsupported) — it cannot be restored, so it
+    /// cannot be forked either.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Unforkable`] naming that component.
+    pub fn forkable(&self) -> Result<(), SnapshotError> {
+        match &self.refused {
+            Some(label) => Err(SnapshotError::Unforkable {
+                label: label.clone(),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Records `e` as the load's error unless an earlier one stuck (a
     /// no-op in write mode).
     pub fn fail(&mut self, e: SnapDecodeError) {
@@ -244,10 +287,17 @@ impl<'a> StateWalker<'a> {
         }
     }
 
-    /// Fails the load with [`SnapDecodeError::Unsupported`]: the default
-    /// for components that never opted into loading.
+    /// Declares that `component` cannot be restored: a load fails with
+    /// [`SnapDecodeError::Unsupported`], a fork with
+    /// [`SnapshotError::Unforkable`] (see [`forkable`](Self::forkable)),
+    /// and a write walk notes it. The default for components that never
+    /// opted into loading.
     pub fn unsupported(&mut self, component: &str) {
-        self.fail(SnapDecodeError::unsupported(component));
+        if self.loading() {
+            self.fail(SnapDecodeError::unsupported(component));
+        } else if self.refused.is_none() {
+            self.refused = Some(component.to_string());
+        }
     }
 
     fn ok_to_read(&self) -> bool {
@@ -286,6 +336,7 @@ impl<'a> StateWalker<'a> {
                 }
             }
             Mode::Typed { buf, .. } => buf.extend_from_slice(bytes),
+            Mode::Fork { .. } => {}
             Mode::Load { .. } => unreachable!("put is write-only"),
         }
     }
@@ -453,23 +504,74 @@ impl<'a> StateWalker<'a> {
 
     /// A length-prefixed copy-on-write series. Writing walks clones of
     /// the elements, so fingerprinting a fork never un-shares the
-    /// allocation; a loader rebuilds the series from the stream.
+    /// allocation; a loader rebuilds the series from the stream; a fork
+    /// keeps sharing it and walks nothing.
     pub fn cow_vec<T: Clone + Default>(
         &mut self,
         v: &mut CowVec<T>,
         mut each: impl FnMut(&mut Self, &mut T),
     ) {
         let n = self.len(v.len());
-        if self.loading() {
-            let mut items = vec![T::default(); n];
-            for x in &mut items {
-                each(self, x);
+        match self.mode {
+            Mode::Load { .. } => {
+                let mut items = vec![T::default(); n];
+                for x in &mut items {
+                    each(self, x);
+                }
+                *v = CowVec::new(items);
             }
-            *v = CowVec::new(items);
-        } else {
-            for x in v.iter() {
-                each(self, &mut x.clone());
+            Mode::Fork { .. } => {}
+            _ => {
+                for x in v.iter() {
+                    each(self, &mut x.clone());
+                }
             }
+        }
+    }
+
+    /// A copy-on-write histogram whose bins sum to `total`, streamed
+    /// sparsely: `(bin, count)` for every non-zero bin, counts typed as
+    /// counters. A loader rebuilds it, requiring ascending bins whose
+    /// counts sum to exactly `total`; a fork keeps sharing it and walks
+    /// nothing.
+    pub fn histogram(&mut self, v: &mut CowVec<u64>, total: u64) {
+        match self.mode {
+            Mode::Fork { .. } => {}
+            Mode::Load { .. } => {
+                let bins = v.make_mut();
+                bins.fill(0);
+                let (mut acc, mut next) = (0u64, 0usize);
+                while acc < total {
+                    let (mut i, mut c) = (0usize, 0u64);
+                    self.plain(&mut i);
+                    self.plain(&mut c);
+                    if i >= bins.len() || i < next || c == 0 || c > total - acc {
+                        return self.bad(format!(
+                            "histogram bin ({i}, {c}) inconsistent with total {total}"
+                        ));
+                    }
+                    bins[i] = c;
+                    acc += c;
+                    next = i + 1;
+                }
+            }
+            _ => {
+                for (i, &c) in v.iter().enumerate().filter(|(_, &c)| c > 0) {
+                    self.plain(&mut { i });
+                    self.counter(&mut { c });
+                }
+            }
+        }
+    }
+
+    /// A shared `Arc` handle (a register file, a group budget). It adds
+    /// no bytes — the owner walks the payload — and a fork replaces it
+    /// with [`ForkCtx::fork_arc`]'s copy, so every holder of one source
+    /// handle ends up holding one forked handle.
+    #[inline]
+    pub fn shared<T: SharedFork + Any + Send + Sync>(&mut self, handle: &mut Arc<T>) {
+        if let Mode::Fork { ctx } = &mut self.mode {
+            *handle = ctx.fork_arc(handle);
         }
     }
 
@@ -810,6 +912,71 @@ mod tests {
         assert!(matches!(
             r.finish_load(),
             Err(SnapDecodeError::BadValue { .. })
+        ));
+    }
+
+    /// Two holders of one shared handle plus a plain field.
+    struct Holders {
+        a: Arc<std::sync::Mutex<u64>>,
+        b: Arc<std::sync::Mutex<u64>>,
+        n: u64,
+    }
+
+    impl Holders {
+        fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+            w.shared(&mut self.a);
+            w.shared(&mut self.b);
+            w.plain(&mut self.n);
+        }
+    }
+
+    #[test]
+    fn shared_handles_fork_and_write_no_bytes() {
+        let shared = Arc::new(std::sync::Mutex::new(7));
+        let mut h = Holders {
+            a: shared.clone(),
+            b: shared.clone(),
+            n: 3,
+        };
+        let mut w = StateWalker::recording();
+        h.visit_state(&mut w);
+        assert_eq!(w.take_bytes(), 3u64.to_le_bytes(), "handles add no bytes");
+
+        let mut ctx = ForkCtx::new();
+        let mut w = StateWalker::forker(&mut ctx);
+        h.visit_state(&mut w);
+        w.forkable().expect("nothing refused");
+        assert!(Arc::ptr_eq(&h.a, &h.b), "sharing topology survives");
+        assert!(!Arc::ptr_eq(&h.a, &shared), "the fork owns a copy");
+        *h.a.lock().unwrap() = 9;
+        assert_eq!(*shared.lock().unwrap(), 7);
+        assert_eq!(h.n, 3);
+    }
+
+    #[test]
+    fn unsupported_refuses_load_fork_and_notes_writes() {
+        let mut w = StateWalker::hasher();
+        w.unsupported("irq");
+        w.unsupported("later");
+        assert_eq!(
+            w.forkable(),
+            Err(SnapshotError::Unforkable {
+                label: "irq".into()
+            }),
+            "the first refusal sticks"
+        );
+
+        let mut ctx = ForkCtx::new();
+        let mut w = StateWalker::forker(&mut ctx);
+        w.unsupported("irq");
+        assert!(w.forkable().is_err());
+
+        let mut w = StateWalker::loader(&[]);
+        w.unsupported("irq");
+        assert_eq!(w.forkable(), Ok(()), "a load refuses through finish_load");
+        assert!(matches!(
+            w.finish_load(),
+            Err(SnapDecodeError::Unsupported { .. })
         ));
     }
 

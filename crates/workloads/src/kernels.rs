@@ -13,7 +13,7 @@ use crate::spec::{AddressPattern, SpecSource, TrafficSpec};
 use fgqos_sim::axi::{Dir, Response};
 use fgqos_sim::master::{PendingRequest, TrafficSource};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateWalker};
+use fgqos_sim::StateWalker;
 use std::fmt;
 
 /// A benchmark kernel with a fixed memory-phase model.
@@ -256,10 +256,6 @@ impl TrafficSource for KernelSource {
 
     fn is_done(&self) -> bool {
         self.current.is_none()
-    }
-
-    fn fork_source(&self, _ctx: &mut ForkCtx) -> Option<Box<dyn TrafficSource>> {
-        Some(Box::new(self.clone()))
     }
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {

@@ -29,7 +29,7 @@ use crate::spec::{SpecSource, TrafficSpec};
 use fgqos_sim::axi::Response;
 use fgqos_sim::master::{PendingRequest, TrafficSource};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateWalker};
+use fgqos_sim::StateWalker;
 
 /// Per-segment seed derivation: decorrelates the RNG streams of
 /// successive segments without a second seed knob in the DSL.
@@ -140,10 +140,6 @@ impl TrafficSource for PhasedSource {
         // issue again (a pre-built future segment with total 0 — a
         // declared halt — counts as already exhausted).
         self.segments[self.active..].iter().all(SpecSource::is_done)
-    }
-
-    fn fork_source(&self, _ctx: &mut ForkCtx) -> Option<Box<dyn TrafficSource>> {
-        Some(Box::new(self.clone()))
     }
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {

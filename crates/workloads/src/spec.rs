@@ -11,7 +11,7 @@ use fgqos_sim::axi::{Dir, BEAT_BYTES, MAX_BURST_BEATS};
 use fgqos_sim::leap::LeapSupport;
 use fgqos_sim::master::{PendingRequest, TrafficSource};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateWalker};
+use fgqos_sim::StateWalker;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -302,10 +302,6 @@ impl TrafficSource for SpecSource {
             s = s.merge(LeapSupport::modulus(b.on_cycles + b.off_cycles));
         }
         s
-    }
-
-    fn fork_source(&self, _ctx: &mut ForkCtx) -> Option<Box<dyn TrafficSource>> {
-        Some(Box::new(self.clone()))
     }
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {

@@ -20,7 +20,7 @@ use crate::spec::TrafficSpec;
 use fgqos_sim::axi::{Dir, Response, BEAT_BYTES, MAX_BURST_BEATS};
 use fgqos_sim::master::{PendingRequest, TrafficSource};
 use fgqos_sim::time::Cycle;
-use fgqos_sim::{ForkCtx, StateWalker};
+use fgqos_sim::StateWalker;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -303,10 +303,6 @@ impl TrafficSource for TraceSource {
 
     fn is_done(&self) -> bool {
         self.done_loops >= self.loops
-    }
-
-    fn fork_source(&self, _ctx: &mut ForkCtx) -> Option<Box<dyn TrafficSource>> {
-        Some(Box::new(self.clone()))
     }
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {

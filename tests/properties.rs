@@ -422,7 +422,7 @@ proptest! {
 /// A hostile gate making arbitrary admission decisions (failure
 /// injection): the SoC must neither deadlock nor violate conservation no
 /// matter what a gate does.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ChaosGate {
     rng_state: u64,
     deny_bias: u64, // deny when (hash % 100) < deny_bias

@@ -175,6 +175,38 @@ fn malformed_and_oversized_frames_keep_the_connection_usable() {
 }
 
 #[test]
+fn deeply_nested_frame_is_refused_without_killing_the_server() {
+    let server = real_server(two_threads());
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut writer = stream;
+    // About 10 KB, far under the frame cap, but 10,000 levels deep: a
+    // parser recursing once per level would overflow the connection
+    // thread's stack and abort the whole process.
+    let frame = format!(r#"{{"op":"submit","scenario":{}"#, "[".repeat(10_000));
+    writer
+        .write_all(format!("{frame}\n").as_bytes())
+        .expect("write");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read");
+    let refused = Value::parse(line.trim_end()).expect("response parses");
+    assert_eq!(refused.get("ok"), Some(&Value::Bool(false)));
+    let error = refused.get("error").and_then(Value::as_str).unwrap();
+    assert!(error.contains("malformed frame"), "{error}");
+    // The same server still completes an ordinary submit.
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client
+        .submit_and_wait(
+            SCENARIO,
+            CYCLES,
+            &SubmitOptions::default(),
+            Duration::from_secs(30),
+        )
+        .expect("ordinary submit after the deep frame");
+    finish(server);
+}
+
+#[test]
 fn deadline_expiry_and_graceful_drain_end_to_end() {
     // A stub executor that sleeps makes queue timing deterministic.
     let slow: Executor = Arc::new(|_spec: &JobSpec| {

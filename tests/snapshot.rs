@@ -45,7 +45,7 @@ struct MasterSpec {
 
 fn master_specs() -> impl Strategy<Value = Vec<MasterSpec>> {
     prop::collection::vec(
-        (0u8..6, 0u8..5, 0u64..1_000, 0u64..10_000, 0u64..10_000).prop_map(
+        (0u8..6, 0u8..6, 0u64..1_000, 0u64..10_000, 0u64..10_000).prop_map(
             |(gate_sel, src_sel, seed, p1, p2)| MasterSpec {
                 gate_sel,
                 src_sel,
@@ -93,9 +93,19 @@ fn make_source(i: usize, m: MasterSpec) -> Box<dyn TrafficSource> {
             let records = TraceSource::from_spec(spec, m.seed, 60).records().to_vec();
             Box::new(TraceSource::with_loops(records, 2))
         }
-        _ => {
+        4 => {
             let kernel = Kernel::all()[(m.p1 % 6) as usize];
             Box::new(kernel.source(base, 1, m.seed))
+        }
+        _ => {
+            // A cached core: a small footprint mixes hits and misses.
+            let spec =
+                TrafficSpec::latency_sensitive(base, 16 << 10, 64, 10 + m.p1 % 300).with_total(200);
+            let cache = CacheConfig {
+                size_bytes: 4 << 10,
+                ..CacheConfig::default()
+            };
+            Box::new(CachedSource::new(SpecSource::new(spec, m.seed), cache))
         }
     }
 }
