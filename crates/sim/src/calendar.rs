@@ -1,35 +1,18 @@
-//! Hierarchical event calendar: a timing wheel over near cycles plus a
-//! sorted heap for far wakes.
+//! Event calendar: one wake cycle per component token, scanned linearly.
 //!
-//! The fast-path simulation loop (see [`crate::system::Soc`]) keeps one
-//! calendar token per schedulable component — each master (which folds in
-//! its gate's window edges and its source's issue points), the DRAM
-//! controller (bank timing, bus drain, refresh) and every software
-//! controller. A token's *wake* is the earliest cycle at which ticking
-//! that component could change simulation state; the calendar answers
-//! "which cycle executes next?" and "who is due now?" without scanning
-//! every component.
+//! The fast run loop ([`crate::system::Soc`]) keeps a token per master,
+//! the DRAM controller, the crossbar backlog and each controller, woken
+//! at the earliest cycle ticking it could change state. With a handful
+//! of tokens, one scan of the flat `wake` array finds the next due cycle.
 //!
-//! Near wakes (within [`NEAR_SLOTS`] cycles of the cursor) land in a
-//! circular slot array indexed by `cycle % NEAR_SLOTS`; far wakes go to a
-//! min-heap and migrate into the wheel as the cursor approaches. The
-//! `wake` array is authoritative: superseded wheel/heap entries are
-//! detected lazily (entry cycle ≠ current wake) and dropped when visited,
-//! so reschedules are O(1) instead of requiring removal.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Width of the timing wheel in cycles. Events scheduled further out than
-/// this from the cursor wait in the far heap. Sized to cover the common
-/// event horizon of the memory path (bank timings, burst drains, DRAM
-/// queue turnaround) so steady-state traffic never touches the heap.
-pub const NEAR_SLOTS: usize = 256;
+//! Past wakes: a cursor holds the latest cycle passed to `next_due` or
+//! `take_due`; scheduling below it is a logic error (debug-asserted), and
+//! a wake the cursor passed untaken is ignored (`next_due` sees `>= now`).
 
 /// Wake cycle meaning "never".
 pub const NEVER: u64 = u64::MAX;
 
-/// A timing-wheel + far-heap event calendar over dense component tokens.
+/// A flat event calendar over dense component tokens.
 ///
 /// ```
 /// use fgqos_sim::calendar::{EventCalendar, NEVER};
@@ -37,7 +20,7 @@ pub const NEVER: u64 = u64::MAX;
 /// let mut cal = EventCalendar::new(3, 0);
 /// cal.set(0, 5);
 /// cal.set(1, 5);
-/// cal.set(2, 100_000); // far future: heap
+/// cal.set(2, 100_000); // far future
 /// assert_eq!(cal.next_due(0), Some(5));
 /// let mut due = Vec::new();
 /// cal.take_due(5, &mut due);
@@ -47,50 +30,31 @@ pub const NEVER: u64 = u64::MAX;
 /// ```
 #[derive(Debug)]
 pub struct EventCalendar {
-    /// Authoritative earliest-wake per token; `NEVER` = unscheduled.
+    /// Earliest wake per token; `NEVER` = unscheduled.
     wake: Vec<u64>,
-    /// Circular near-window slots of `(cycle, token)` entries.
-    near: Vec<Vec<(u64, u32)>>,
-    /// Far events, min-ordered by `(cycle, token)`.
-    far: BinaryHeap<Reverse<(u64, u32)>>,
-    /// Cycle the wheel window starts at; slots cover
-    /// `[cursor, cursor + NEAR_SLOTS)`.
+    /// Latest cycle passed to `next_due`/`take_due`.
     cursor: u64,
 }
 
 impl EventCalendar {
-    /// Creates a calendar for `tokens` components with all wakes at
-    /// `NEVER`, its wheel starting at cycle `start`.
-    pub fn new(tokens: usize, start: u64) -> Self {
-        EventCalendar {
-            wake: vec![NEVER; tokens],
-            near: (0..NEAR_SLOTS).map(|_| Vec::new()).collect(),
-            far: BinaryHeap::new(),
-            cursor: start,
-        }
+    /// A calendar for `tokens` unscheduled components, starting at cycle `cursor`.
+    pub fn new(tokens: usize, cursor: u64) -> Self {
+        let wake = vec![NEVER; tokens];
+        EventCalendar { wake, cursor }
     }
 
-    /// The authoritative wake of `token` (`NEVER` when unscheduled).
-    #[inline]
+    /// The wake of `token` (`NEVER` when unscheduled).
     pub fn wake_of(&self, token: u32) -> u64 {
         self.wake[token as usize]
     }
 
-    /// Schedules `token` at exactly `cycle`, superseding any previous
-    /// wake (earlier or later — stale entries are dropped lazily).
+    /// Schedules `token` at exactly `cycle` (`NEVER` unschedules it).
     pub fn set(&mut self, token: u32, cycle: u64) {
-        if self.wake[token as usize] == cycle {
-            return; // already scheduled here; avoid duplicate entries
-        }
+        debug_assert!(cycle >= self.cursor, "cannot schedule in the past");
         self.wake[token as usize] = cycle;
-        if cycle == NEVER {
-            return;
-        }
-        self.insert(cycle, token);
     }
 
-    /// Schedules `token` at `cycle` only if that is earlier than its
-    /// current wake.
+    /// Schedules `token` at `cycle` if that is earlier than its wake.
     pub fn set_min(&mut self, token: u32, cycle: u64) {
         if cycle < self.wake[token as usize] {
             self.set(token, cycle);
@@ -102,101 +66,33 @@ impl EventCalendar {
         self.wake[token as usize] = NEVER;
     }
 
-    fn insert(&mut self, cycle: u64, token: u32) {
-        debug_assert!(cycle >= self.cursor, "cannot schedule in the past");
-        if cycle - self.cursor < NEAR_SLOTS as u64 {
-            self.near[(cycle % NEAR_SLOTS as u64) as usize].push((cycle, token));
-        } else {
-            self.far.push(Reverse((cycle, token)));
-        }
-    }
-
-    /// Migrates far-heap entries that now fall inside the wheel window.
-    fn refill_near(&mut self) {
-        let horizon = self.cursor + NEAR_SLOTS as u64;
-        while let Some(&Reverse((cycle, token))) = self.far.peek() {
-            if self.wake[token as usize] != cycle {
-                self.far.pop(); // superseded
-                continue;
-            }
-            if cycle >= horizon {
-                break;
-            }
-            self.far.pop();
-            self.near[(cycle % NEAR_SLOTS as u64) as usize].push((cycle, token));
-        }
-    }
-
-    /// Earliest cycle `>= now` at which any token is due, or `None` when
-    /// nothing is scheduled. Advances the wheel cursor to `now`, pruning
-    /// stale entries as it scans.
+    /// Earliest wake `>= now`, or `None` when nothing is scheduled there.
     pub fn next_due(&mut self, now: u64) -> Option<u64> {
         debug_assert!(now >= self.cursor, "time cannot move backwards");
         self.cursor = now;
-        self.refill_near();
-        // Scan the wheel window slot by slot for the earliest live entry.
-        let mut best: Option<u64> = None;
-        for offset in 0..NEAR_SLOTS as u64 {
-            let cycle_at = now + offset;
-            let slot = &mut self.near[(cycle_at % NEAR_SLOTS as u64) as usize];
-            if slot.is_empty() {
-                continue;
-            }
-            let wake = &self.wake;
-            slot.retain(|&(c, t)| c >= now && wake[t as usize] == c);
-            if let Some(c) = slot
-                .iter()
-                .map(|&(c, _)| c)
-                .filter(|&c| c.wrapping_sub(now) < NEAR_SLOTS as u64)
-                .min()
-            {
-                best = Some(best.map_or(c, |b| b.min(c)));
-                if c == cycle_at {
-                    // Nothing in later slots can beat an exact hit here.
-                    break;
-                }
-            }
-        }
-        if best.is_some() {
-            return best;
-        }
-        // Wheel empty: the answer lives in the far heap (if anywhere).
-        while let Some(&Reverse((cycle, token))) = self.far.peek() {
-            if self.wake[token as usize] != cycle {
-                self.far.pop();
-                continue;
-            }
-            return Some(cycle);
-        }
-        None
+        let next = self.wake.iter().map(|&w| if w >= now { w } else { NEVER });
+        next.min().filter(|&w| w != NEVER)
     }
 
-    /// Collects every token due at exactly `now` into `out` (ascending
-    /// token order) and marks them taken (`wake = NEVER`): the caller
-    /// ticks them and re-schedules from their fresh `next_activity`.
+    /// Takes the tokens due at exactly `now` into `out` (ascending), unscheduling them.
     pub fn take_due(&mut self, now: u64, out: &mut Vec<u32>) {
-        out.clear();
         debug_assert!(now >= self.cursor, "time cannot move backwards");
         self.cursor = now;
-        self.refill_near();
-        let slot = &mut self.near[(now % NEAR_SLOTS as u64) as usize];
-        let wake = &mut self.wake;
-        slot.retain(|&(c, t)| {
-            if c == now && wake[t as usize] == now {
-                wake[t as usize] = NEVER;
-                out.push(t);
-                false
-            } else {
-                c > now && wake[t as usize] == c
+        out.clear();
+        for (token, wake) in self.wake.iter_mut().enumerate() {
+            if *wake == now && now != NEVER {
+                *wake = NEVER;
+                out.push(token as u32);
             }
-        });
-        out.sort_unstable();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn due_at(cal: &mut EventCalendar, now: u64) -> Vec<u32> {
         let mut out = Vec::new();
@@ -208,7 +104,7 @@ mod tests {
     fn near_and_far_scheduling() {
         let mut cal = EventCalendar::new(4, 0);
         cal.set(0, 3);
-        cal.set(1, 300); // beyond the wheel: far heap
+        cal.set(1, 300);
         cal.set(2, 70_000);
         assert_eq!(cal.next_due(0), Some(3));
         assert_eq!(due_at(&mut cal, 3), [0]);
@@ -226,11 +122,11 @@ mod tests {
         cal.set(0, 5); // earlier
         assert_eq!(cal.next_due(0), Some(5));
         assert_eq!(due_at(&mut cal, 5), [0]);
-        // The stale entry at 10 must not resurface.
+        // The superseded wake at 10 must not resurface.
         assert_eq!(cal.next_due(6), None);
 
         cal.set(1, 20);
-        cal.set(1, 40); // later: old entry at 20 is stale
+        cal.set(1, 40); // later: the wake at 20 is superseded
         assert_eq!(cal.next_due(6), Some(40));
         assert!(due_at(&mut cal, 20).is_empty());
         assert_eq!(due_at(&mut cal, 40), [1]);
@@ -278,20 +174,20 @@ mod tests {
     #[test]
     fn wheel_wraparound_does_not_alias() {
         let mut cal = EventCalendar::new(2, 0);
-        // Two wakes NEAR_SLOTS apart share a slot index.
+        // Two wakes 256 cycles apart: congruent modulo any 256-slot ring.
         cal.set(0, 10);
-        cal.set(1, 10 + NEAR_SLOTS as u64);
+        cal.set(1, 10 + 256);
         assert_eq!(cal.next_due(0), Some(10));
         assert_eq!(due_at(&mut cal, 10), [0]);
-        assert_eq!(cal.next_due(11), Some(10 + NEAR_SLOTS as u64));
-        assert_eq!(due_at(&mut cal, 10 + NEAR_SLOTS as u64), [1]);
+        assert_eq!(cal.next_due(11), Some(10 + 256));
+        assert_eq!(due_at(&mut cal, 10 + 256), [1]);
     }
 
     #[test]
     fn far_events_migrate_into_wheel() {
         let mut cal = EventCalendar::new(1, 0);
         cal.set(0, 1_000);
-        // Cursor moves close enough that the wake enters the wheel.
+        // The cursor moves close to the far wake before it falls due.
         assert_eq!(cal.next_due(900), Some(1_000));
         assert_eq!(due_at(&mut cal, 1_000), [0]);
     }
@@ -299,18 +195,14 @@ mod tests {
     #[test]
     fn wake_exactly_on_wheel_boundary_waits_in_far_heap() {
         let mut cal = EventCalendar::new(3, 0);
-        // With the cursor at 0 the wheel covers [0, NEAR_SLOTS): the last
-        // in-window cycle is NEAR_SLOTS-1, and a wake at exactly
-        // NEAR_SLOTS is the first far cycle. Both map to adjacent slots,
-        // and the boundary one must not be visible a full lap early.
-        let edge = NEAR_SLOTS as u64;
+        // Wakes on either side of cycle 256, two tokens sharing the later
+        // cycle: each must fire exactly once, at its own cycle.
+        let edge = 256;
         cal.set(0, edge - 1);
         cal.set(1, edge);
         cal.set(2, edge); // two tokens sharing the boundary cycle
         assert_eq!(cal.next_due(0), Some(edge - 1));
         assert_eq!(due_at(&mut cal, edge - 1), [0]);
-        // Advancing one cycle pulls the window forward; the boundary
-        // wakes migrate out of the heap and fire exactly once.
         assert_eq!(cal.next_due(edge), Some(edge));
         assert_eq!(due_at(&mut cal, edge), [1, 2]);
         assert_eq!(cal.next_due(edge + 1), None);
@@ -319,13 +211,12 @@ mod tests {
     #[test]
     fn boundary_reschedule_across_the_window_edge() {
         let mut cal = EventCalendar::new(1, 0);
-        // Push a token back and forth across the window edge: the final
-        // wake is authoritative, the superseded entries (one in the
-        // wheel, one in the heap) must both be dropped lazily.
-        let edge = NEAR_SLOTS as u64;
-        cal.set(0, edge - 1); // wheel
-        cal.set(0, edge + 5); // heap — supersedes the wheel entry
-        cal.set(0, edge - 2); // wheel again — supersedes the heap entry
+        // Push a token back and forth across cycle 256: the final wake
+        // wins and the superseded ones never fire.
+        let edge = 256;
+        cal.set(0, edge - 1);
+        cal.set(0, edge + 5);
+        cal.set(0, edge - 2);
         assert_eq!(cal.next_due(0), Some(edge - 2));
         assert_eq!(due_at(&mut cal, edge - 2), [0]);
         assert!(due_at(&mut cal, edge - 1).is_empty());
@@ -336,16 +227,13 @@ mod tests {
     #[test]
     fn far_promotion_into_wrapped_slot() {
         let mut cal = EventCalendar::new(2, 0);
-        cal.set(0, 300); // far from cursor 0
-        cal.set(1, 2_000); // stays far
+        cal.set(0, 300);
+        cal.set(1, 2_000);
 
-        // At cursor 200 the window is [200, 456): cycle 300 is promoted
-        // into slot 300 % 256 = 44, numerically *behind* the cursor's own
-        // slot (200 % 256 = 200) — the wrapped half of the wheel. The
-        // scan must still find it at the right cycle.
+        // At cursor 200, cycle 300 is congruent (mod 256) to a cycle
+        // behind the cursor; it must still fire at 300, exactly once.
         assert_eq!(cal.next_due(200), Some(300));
         assert_eq!(due_at(&mut cal, 300), [0]);
-        // And the wrapped entry must not resurface a lap later.
         assert_eq!(cal.next_due(301), Some(2_000));
         assert_eq!(due_at(&mut cal, 2_000), [1]);
         assert_eq!(cal.next_due(2_001), None);
@@ -373,5 +261,103 @@ mod tests {
             now = next;
         }
         assert_eq!(fired, 1);
+    }
+
+    #[test]
+    fn passed_wakes_are_ignored() {
+        let mut cal = EventCalendar::new(2, 0);
+        cal.set(0, 5);
+        cal.set(1, 50);
+        // The cursor skips past token 0's wake without taking it.
+        assert_eq!(cal.next_due(10), Some(50));
+        assert_eq!(cal.wake_of(0), 5);
+        assert_eq!(due_at(&mut cal, 50), [1]);
+        assert_eq!(cal.next_due(51), None);
+    }
+
+    const TOKENS: u32 = 6;
+
+    /// The reference model's wake of `token`.
+    fn model_wake(model: &BTreeSet<(u64, u32)>, token: u32) -> u64 {
+        model
+            .iter()
+            .find(|&&(_, t)| t == token)
+            .map_or(NEVER, |&(c, _)| c)
+    }
+
+    fn model_set(model: &mut BTreeSet<(u64, u32)>, token: u32, cycle: u64) {
+        model.remove(&(model_wake(model, token), token));
+        if cycle != NEVER {
+            model.insert((cycle, token));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Random `set`/`set_min`/`clear`/`next_due`/`take_due`
+        /// sequences agree with an ordered-set model of `(cycle, token)`
+        /// wakes. Op fields: `(kind, token, offset, size)`; a wake is
+        /// the cursor plus an offset below `2^size` (so 0..2^20 cycles
+        /// ahead), or `NEVER` for size 0.
+        #[test]
+        fn calendar_matches_ordered_set_model(
+            ops in prop::collection::vec(
+                (0u8..5, 0u32..TOKENS, 0u64..1 << 20, 0u32..21),
+                1..200,
+            ),
+        ) {
+            let mut cal = EventCalendar::new(TOKENS as usize, 0);
+            let mut model = BTreeSet::new();
+            let mut cursor = 0u64;
+            for (kind, token, offset, size) in ops {
+                let cycle = match size {
+                    0 => NEVER,
+                    s => cursor + offset % (1 << s),
+                };
+                match kind {
+                    0 => {
+                        cal.set(token, cycle);
+                        model_set(&mut model, token, cycle);
+                    }
+                    1 => {
+                        cal.set_min(token, cycle);
+                        if cycle < model_wake(&model, token) {
+                            model_set(&mut model, token, cycle);
+                        }
+                    }
+                    2 => {
+                        cal.clear(token);
+                        model_set(&mut model, token, NEVER);
+                    }
+                    3 => {
+                        // Advance to an arbitrary cycle, possibly past
+                        // pending wakes (which are then ignored).
+                        let now = if cycle == NEVER { cursor } else { cycle };
+                        let want = model.range((now, 0)..).next().map(|&(c, _)| c);
+                        prop_assert_eq!(cal.next_due(now), want);
+                        cursor = now;
+                    }
+                    _ => {
+                        // Take at the next due cycle, as the run loop does.
+                        let Some(&(now, _)) = model.range((cursor, 0)..).next() else {
+                            continue;
+                        };
+                        let want: Vec<u32> =
+                            model.range((now, 0)..=(now, u32::MAX)).map(|&(_, t)| t).collect();
+                        for &t in &want {
+                            model.remove(&(now, t));
+                        }
+                        let mut got = Vec::new();
+                        cal.take_due(now, &mut got);
+                        prop_assert_eq!(got, want);
+                        cursor = now;
+                    }
+                }
+                for t in 0..TOKENS {
+                    prop_assert_eq!(cal.wake_of(t), model_wake(&model, t));
+                }
+            }
+        }
     }
 }

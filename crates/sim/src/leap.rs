@@ -31,9 +31,10 @@
 //!    (traces, window series, custom components) denies leaping
 //!    outright — the default.
 //! 4. `k` is clamped so the landing stays at or before the run
-//!    deadline and strictly before every `until` horizon, then the
-//!    merged stream from [`TypedSnapshot::leap`] is loaded back — the
-//!    exact bytes a cycle-by-cycle run would reach at `c + k·P`.
+//!    deadline and at or before every `until` horizon (the event at
+//!    `until` itself then runs on a simulated cycle), then the merged
+//!    stream from [`TypedSnapshot::leap`] is loaded back — the exact
+//!    bytes a cycle-by-cycle run would reach at `c + k·P`.
 //!
 //! Leaping is on by default; `FGQOS_NO_LEAP=1` disables the engine, and
 //! so does `FGQOS_NAIVE=1` (the naive core never leaps). Bit-identity
@@ -488,6 +489,12 @@ mod tests {
         );
         // Until horizon tightens it.
         let sup = LeapSupport::until(Cycle::new(1_350));
+        assert_eq!(
+            leap_count(1_000, 100, Cycle::new(2_050), &sup, &[], &[]),
+            Some(3)
+        );
+        // A landing exactly on the until horizon is allowed.
+        let sup = LeapSupport::until(Cycle::new(1_300));
         assert_eq!(
             leap_count(1_000, 100, Cycle::new(2_050), &sup, &[], &[]),
             Some(3)

@@ -5,11 +5,12 @@
 //! * **Naive stepping** ([`Soc::step`] in a loop): every component ticks
 //!   every cycle. This is the reference semantics — simple, obviously
 //!   correct, O(masters × cycles).
-//! * **Event-calendar scheduling** (the default): a hierarchical
-//!   [`EventCalendar`] holds one wake token per master (folding gate
+//! * **Event-calendar scheduling** (the default): a flat
+//!   [`EventCalendar`] holds one wake cycle per master (folding gate
 //!   window edges and source issue points), one for the DRAM controller
 //!   (bank timings, completions, refresh), one for crossbar backlog and
-//!   one per software controller. Only cycles where some component can
+//!   one per software controller; a linear scan of those few words finds
+//!   the next cycle to execute. Only cycles where some component can
 //!   change state are executed, and within an executed cycle only the
 //!   due components tick (in the naive phase order). Per-cycle stall
 //!   accounting over skipped spans is replicated lazily, so both cores

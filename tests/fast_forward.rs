@@ -331,6 +331,50 @@ proptest! {
     }
 }
 
+/// A fixed spread of `n` contended masters: every gate family and every
+/// source family, cycled with coprime strides so neighbours differ, with
+/// `contended_specs`' tight replenish windows (`p1 < 2000`).
+fn wide_specs(n: u64) -> Vec<MasterSpec> {
+    (0..n)
+        .map(|i| MasterSpec {
+            gate_sel: (i % 5) as u8,
+            src_sel: (i * 3 % 5) as u8,
+            seed: 17 + i * 31,
+            p1: i * 389 % 2_000,
+            p2: i * 1_237 % 10_000,
+        })
+        .collect()
+}
+
+/// The calendar holds one token per master, so 16 and 32 masters take it
+/// well past the 4–8 the proptests draw: both cores must still agree, to
+/// completion and cut at a mid-flight horizon, with refresh on.
+#[test]
+fn wide_machines_match_naive_at_16_and_32_masters() {
+    for n in [16, 32] {
+        let specs = wide_specs(n);
+        let mut naive = build_soc(&specs, true);
+        naive.set_naive(true);
+        let mut fast = build_soc(&specs, true);
+        naive.run(50_000);
+        fast.run(50_000);
+        assert_eq!(
+            fingerprint(&naive),
+            fingerprint(&fast),
+            "{n} masters at 50k"
+        );
+
+        let done_naive = naive.run_until_all_done(5_000_000);
+        let done_fast = fast.run_until_all_done(5_000_000);
+        assert_eq!(
+            done_naive, done_fast,
+            "{n} masters: completion cycles diverge"
+        );
+        assert!(done_naive.is_some(), "{n} masters deadlocked");
+        assert_eq!(fingerprint(&naive), fingerprint(&fast), "{n} masters done");
+    }
+}
+
 /// Builds the closed-loop stack: a critical reader with a monitor-only
 /// regulator, TC-regulated best-effort streams, a software policy
 /// reprogramming budgets each control period, and an IRQ dispatcher
