@@ -22,18 +22,17 @@
 //! max per-window overshoot (bytes), best-effort GiB/s.
 
 use fgqos_baselines::qos400::{OtRegulatorConfig, OtRegulatorGate};
+use fgqos_bench::corun::{self, CoRun, Scheme};
 use fgqos_bench::report::Report;
-use fgqos_bench::scenario::{Scenario, Scheme};
 use fgqos_bench::{sweep, table};
 use fgqos_core::bucket::{BucketConfig, LeakyBucketRegulator};
+use fgqos_core::driver::RegulatorDriver;
 use fgqos_core::regulator::{ChargePolicy, OvershootPolicy, RegulatorConfig, TcRegulator};
 use fgqos_sim::gate::PortGate;
 use fgqos_sim::interconnect::Arbitration;
 use fgqos_sim::master::MasterKind;
-use fgqos_sim::system::SocBuilder;
+use fgqos_sim::system::{SocBuilder, SocConfig};
 use fgqos_workloads::spec::SpecSource;
-
-const MAX_CYCLES: u64 = u64::MAX / 2;
 
 struct Outcome {
     slowdown: f64,
@@ -42,48 +41,38 @@ struct Outcome {
     be_gibs: f64,
 }
 
-fn run_variant(
-    scenario: &Scenario,
-    charge: ChargePolicy,
-    overshoot: OvershootPolicy,
-    arbitration: Arbitration,
-    period: u32,
-    budget: u32,
+/// Runs the standard co-run with a hand-built gate on every interferer:
+/// the regulator-internal variants no `.fgq` key exposes. `gate` may
+/// register the regulator's driver for overshoot telemetry.
+fn run_gated(
+    scenario: &CoRun,
     iso: u64,
+    arbitration: Arbitration,
+    mut gate: impl FnMut(&mut Vec<RegulatorDriver>) -> Box<dyn PortGate>,
 ) -> Outcome {
-    // Build by hand so every knob is reachable.
     let (crit_monitor, _crit_driver) = TcRegulator::monitor_only(1_000);
-    let mut cfg = scenario.soc_config();
+    let mut cfg = SocConfig::default();
     cfg.xbar.arbitration = arbitration;
     let mut builder = SocBuilder::new(cfg).master_full(
         "critical",
         SpecSource::new(scenario.critical_spec(), scenario.seed),
         MasterKind::Cpu,
         crit_monitor,
-        1,
+        scenario.critical_outstanding,
     );
     let mut drivers = Vec::new();
     for i in 0..scenario.interferers {
-        let (reg, driver) = TcRegulator::create(RegulatorConfig {
-            period_cycles: period,
-            budget_bytes: budget,
-            enabled: true,
-            charge,
-            overshoot,
-            ..RegulatorConfig::default()
-        });
-        drivers.push(driver);
         builder = builder.gated_master(
             format!("dma{i}"),
             SpecSource::new(scenario.interferer_spec(i), scenario.seed + 100 + i as u64),
             MasterKind::Accelerator,
-            reg,
+            gate(&mut drivers),
         );
     }
     let mut soc = builder.build();
     let critical = soc.master_id("critical").expect("critical");
     let cycles = soc
-        .run_until_done(critical, MAX_CYCLES)
+        .run_until_done(critical, u64::MAX / 2)
         .expect("finishes")
         .get();
     let st = soc.master_stats(critical);
@@ -100,48 +89,6 @@ fn run_variant(
             .map(|d| d.telemetry().max_overshoot)
             .max()
             .unwrap_or(0),
-        be_gibs: be_bytes as f64 / cycles as f64 * 1e9 / (1024.0 * 1024.0 * 1024.0),
-    }
-}
-
-/// Runs the standard co-run with an arbitrary gate on every interferer.
-fn run_gated(
-    scenario: &Scenario,
-    iso: u64,
-    mut gate_factory: impl FnMut() -> Box<dyn PortGate>,
-) -> Outcome {
-    let (crit_monitor, _crit_driver) = TcRegulator::monitor_only(1_000);
-    let mut builder = SocBuilder::new(scenario.soc_config()).master_full(
-        "critical",
-        SpecSource::new(scenario.critical_spec(), scenario.seed),
-        MasterKind::Cpu,
-        crit_monitor,
-        1,
-    );
-    for i in 0..scenario.interferers {
-        builder = builder.gated_master(
-            format!("dma{i}"),
-            SpecSource::new(scenario.interferer_spec(i), scenario.seed + 100 + i as u64),
-            MasterKind::Accelerator,
-            gate_factory(),
-        );
-    }
-    let mut soc = builder.build();
-    let critical = soc.master_id("critical").expect("critical");
-    let cycles = soc
-        .run_until_done(critical, MAX_CYCLES)
-        .expect("finishes")
-        .get();
-    let st = soc.master_stats(critical);
-    let mut be_bytes = 0u64;
-    for i in 0..scenario.interferers {
-        let id = soc.master_id(&format!("dma{i}")).expect("dma");
-        be_bytes += soc.master_stats(id).bytes_completed;
-    }
-    Outcome {
-        slowdown: cycles as f64 / iso as f64,
-        p99: st.latency.percentile(0.99),
-        overshoot: 0,
         be_gibs: be_bytes as f64 / cycles as f64 * 1e9 / (1024.0 * 1024.0 * 1024.0),
     }
 }
@@ -172,9 +119,9 @@ fn main() {
         "EXP-A",
         "design-choice ablations of the tightly-coupled regulator",
     );
-    let scenario = Scenario {
+    let scenario = CoRun {
         interferer_txn_bytes: 512,
-        ..Scenario::default()
+        ..CoRun::default()
     };
     let iso = scenario.isolation_cycles();
 
@@ -244,7 +191,7 @@ fn main() {
 
     let results = sweep::run_parallel(points, |variant| match variant {
         Variant::Unregulated => {
-            let (unreg_cycles, _) = scenario.run(Scheme::Unregulated, MAX_CYCLES);
+            let (unreg_cycles, _, _) = corun::run(&scenario.fgq(Scheme::Unregulated));
             (
                 "unregulated",
                 Outcome {
@@ -264,11 +211,22 @@ fn main() {
             budget,
         } => (
             name,
-            run_variant(&scenario, charge, overshoot, arb, period, budget, iso),
+            run_gated(&scenario, iso, arb, |drivers| {
+                let (reg, driver) = TcRegulator::create(RegulatorConfig {
+                    period_cycles: period,
+                    budget_bytes: budget,
+                    enabled: true,
+                    charge,
+                    overshoot,
+                    ..RegulatorConfig::default()
+                });
+                drivers.push(driver);
+                Box::new(reg)
+            }),
         ),
         Variant::LeakyBucket => (
             "leaky-bucket",
-            run_gated(&scenario, iso, || {
+            run_gated(&scenario, iso, Arbitration::RoundRobin, |_| {
                 Box::new(LeakyBucketRegulator::new(BucketConfig {
                     budget_bytes: 1_024,
                     period_cycles: 1_000,
@@ -278,13 +236,13 @@ fn main() {
             }),
         ),
         Variant::Qos400 { name, txn_bytes } => {
-            let s = Scenario {
+            let s = CoRun {
                 interferer_txn_bytes: txn_bytes,
                 ..scenario.clone()
             };
             (
                 name,
-                run_gated(&s, iso, || {
+                run_gated(&s, iso, Arbitration::RoundRobin, |_| {
                     Box::new(OtRegulatorGate::new(OtRegulatorConfig {
                         max_outstanding: 2,
                         txns_per_period: 2,

@@ -12,19 +12,19 @@
 //! Printed columns: kernel, isolation kilocycles, slowdown under each
 //! scheme, best-effort GiB/s under each regulated scheme.
 
+use fgqos_bench::corun::{self, CoRun, Scheme};
 use fgqos_bench::report::Report;
-use fgqos_bench::scenario::{Built, Scenario, Scheme};
 use fgqos_bench::{sweep, table};
+use fgqos_sim::system::Soc;
 use fgqos_workloads::kernels::Kernel;
 
 const ITERATIONS: u64 = 3;
-const MAX_CYCLES: u64 = u64::MAX / 2;
 
-fn be_gibs(built: &Built, cycles: u64, n: usize) -> f64 {
+fn be_gibs(soc: &Soc, cycles: u64, n: usize) -> f64 {
     let mut bytes = 0u64;
     for i in 0..n {
-        let id = built.soc.master_id(&format!("dma{i}")).expect("interferer");
-        bytes += built.soc.master_stats(id).bytes_completed;
+        let id = soc.master_id(&format!("dma{i}")).expect("interferer");
+        bytes += soc.master_stats(id).bytes_completed;
     }
     bytes as f64 / cycles as f64 * 1e9 / (1024.0 * 1024.0 * 1024.0)
 }
@@ -32,10 +32,10 @@ fn be_gibs(built: &Built, cycles: u64, n: usize) -> f64 {
 fn main() {
     let mut r = Report::new("exp_benchmarks");
     r.banner("EXP-T2", "kernel slowdown under interference, per scheme");
-    let scenario = Scenario {
+    let scenario = CoRun {
         interferer_txn_bytes: 512,
         critical_outstanding: 2,
-        ..Scenario::default()
+        ..CoRun::default()
     };
     let n = scenario.interferers;
     r.context("interferers", format!("{n} greedy 512 B write streams"));
@@ -51,20 +51,23 @@ fn main() {
         "be_tc_gibs",
     ]);
 
+    let alone = CoRun {
+        interferers: 0,
+        ..scenario.clone()
+    };
     // One sweep point per kernel; each worker measures its own isolation
     // baseline and all three scheme co-runs.
     let rows = sweep::run_parallel(Kernel::all().to_vec(), |kernel| {
-        let source = || kernel.source(0, ITERATIONS, 7);
-        let iso = scenario.isolation_cycles_with(source());
+        // The kernel replaces the template's synthetic critical traffic.
+        let kernel_critical = format!(
+            "\n[override master critical]\nworkload kernel:{}:{ITERATIONS}\nbase 0\nseed 7\n",
+            kernel.name()
+        );
+        let iso = corun::run(&(alone.fgq(Scheme::Unregulated) + &kernel_critical)).0;
 
         let run = |scheme: Scheme| -> (f64, f64) {
-            let mut built = scenario.build_with_critical(source(), scheme);
-            let cycles = built
-                .soc
-                .run_until_done(built.critical, MAX_CYCLES)
-                .expect("kernel finishes")
-                .get();
-            (cycles as f64 / iso as f64, be_gibs(&built, cycles, n))
+            let (cycles, soc, _) = corun::run(&(scenario.fgq(scheme) + &kernel_critical));
+            (cycles as f64 / iso as f64, be_gibs(&soc, cycles, n))
         };
 
         let (sd_unreg, _) = run(Scheme::Unregulated);

@@ -33,10 +33,12 @@
 //! consecutive 10 µs windows in which the critical actor made <50 % of
 //! its isolation-rate progress), interferer achieved MiB/s.
 
+use fgqos_bench::corun::{CoRun, Scheme};
 use fgqos_bench::report::Report;
-use fgqos_bench::scenario::{Built, Scenario, Scheme};
+use fgqos_bench::scenario::ScenarioSpec;
 use fgqos_bench::{sweep, table};
 use fgqos_core::driver::RegulatorDriver;
+use fgqos_core::fabric::QosFabric;
 use fgqos_sim::axi::MasterId;
 use fgqos_sim::snapshot::SocSnapshot;
 use fgqos_sim::system::Soc;
@@ -73,13 +75,13 @@ fn longest_starvation(windows: &[u64], threshold: u64) -> u64 {
     worst * PROGRESS_WINDOW
 }
 
-fn scenario() -> Scenario {
-    Scenario {
+fn scenario() -> CoRun {
+    CoRun {
         interferers: 3,
         interferer_txn_bytes: 512,
         critical_txns: 30_000,
         critical_start: WARMUP_CYCLES,
-        ..Scenario::default()
+        ..CoRun::default()
     }
 }
 
@@ -89,23 +91,22 @@ fn per_interferer() -> Bandwidth {
 
 /// Builds the co-run system under the base config and runs the shared
 /// warm-up phase to its quiesced boundary just before launch.
-fn warmed_prefix() -> Built {
+fn warmed_prefix() -> (Soc, MasterId, QosFabric) {
     let freq = Freq::default();
     let base_budget = per_interferer().to_window_budget(BASE_PERIOD, freq);
-    let mut built = scenario().build(Scheme::Tc {
+    let text = scenario().fgq(Scheme::Tc {
         period: BASE_PERIOD as u32,
         budget: base_budget.min(u32::MAX as u64) as u32,
     });
-    built
-        .soc
-        .master_mut(built.critical)
-        .record_windows(PROGRESS_WINDOW);
-    built.soc.run(WARMUP_CYCLES - QUIESCE_MARGIN);
-    built
-        .soc
-        .quiesce_point(QUIESCE_MARGIN)
+    let (mut soc, fabric) = ScenarioSpec::parse(&text)
+        .expect("co-run text parses")
+        .build();
+    let critical = soc.master_id("critical").expect("critical");
+    soc.master_mut(critical).record_windows(PROGRESS_WINDOW);
+    soc.run(WARMUP_CYCLES - QUIESCE_MARGIN);
+    soc.quiesce_point(QUIESCE_MARGIN)
         .expect("base-regulated warm-up reaches a quiesced boundary before launch");
-    built
+    (soc, critical, fabric)
 }
 
 /// Programs the point config at the boundary, runs the measured tail
@@ -157,41 +158,35 @@ fn measure(
     ]
 }
 
-/// The warm-start prefix state: the boundary snapshot plus the driver
-/// handles each fork rebinds through its own [`ForkCtx`].
+/// The warm-start prefix state: the boundary snapshot plus the QoS
+/// fabric each fork rebinds through its own [`ForkCtx`].
 struct WarmBoundary {
     snap: SocSnapshot,
     critical: MasterId,
-    drivers: Vec<RegulatorDriver>,
+    fabric: QosFabric,
 }
 
 impl WarmBoundary {
     fn capture() -> Self {
-        let Built {
-            soc,
-            critical,
-            interferer_drivers,
-            ..
-        } = warmed_prefix();
+        let (soc, critical, fabric) = warmed_prefix();
         let snap = soc
             .snapshot()
             .expect("boundary is quiesced and every component forks");
         WarmBoundary {
             snap,
             critical,
-            drivers: interferer_drivers,
+            fabric,
         }
     }
 
     fn eval(&self, period: u64, iso: u64, iso_rate_per_window: u64) -> Vec<String> {
         let mut ctx = ForkCtx::new();
         let mut soc = self.snap.fork_with(&mut ctx);
-        let drivers: Vec<RegulatorDriver> =
-            self.drivers.iter().map(|d| d.forked(&mut ctx)).collect();
+        let fabric = self.fabric.fork_rebound(&mut ctx);
         measure(
             &mut soc,
             self.critical,
-            &drivers,
+            &fabric.best_effort_drivers(),
             period,
             iso,
             iso_rate_per_window,
@@ -249,11 +244,11 @@ fn main() {
         )
     } else {
         sweep::run_parallel(periods, |period| {
-            let mut built = warmed_prefix();
+            let (mut soc, critical, fabric) = warmed_prefix();
             measure(
-                &mut built.soc,
-                built.critical,
-                &built.interferer_drivers,
+                &mut soc,
+                critical,
+                &fabric.best_effort_drivers(),
                 period,
                 iso,
                 iso_rate_per_window,

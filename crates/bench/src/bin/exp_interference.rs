@@ -10,8 +10,8 @@
 //! completion cycles, slowdown vs. isolation, critical p50/p99 latency
 //! (cycles), aggregate DRAM bandwidth (GiB/s).
 
+use fgqos_bench::corun::{self, CoRun, Scheme};
 use fgqos_bench::report::Report;
-use fgqos_bench::scenario::{Scenario, Scheme};
 use fgqos_bench::{sweep, table};
 use fgqos_sim::axi::Dir;
 
@@ -21,7 +21,7 @@ fn main() {
         "EXP-F1",
         "critical slowdown vs. number of unregulated interferers",
     );
-    let base = Scenario::default();
+    let base = CoRun::default();
     r.context(
         "critical",
         "256 B random closed-loop reads, think 100 cycles",
@@ -44,14 +44,14 @@ fn main() {
         .flat_map(|dir| (0..=7usize).map(move |n| (dir, n)))
         .collect();
     let rows = sweep::run_parallel(points, |(dir, n)| {
-        let s = Scenario {
+        let s = CoRun {
             interferers: n,
             interferer_dir: dir,
             ..base.clone()
         };
-        let (cycles, built) = s.run(Scheme::Unregulated, u64::MAX / 2);
-        let st = built.soc.master_stats(built.critical);
-        let dram_bw = built.soc.total_bandwidth();
+        let (cycles, soc, _) = corun::run(&s.fgq(Scheme::Unregulated));
+        let st = soc.master_stats(soc.master_id("critical").expect("critical"));
+        let dram_bw = soc.total_bandwidth();
         vec![
             table::int(n as u64),
             dir.to_string(),

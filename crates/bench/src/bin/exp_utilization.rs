@@ -31,10 +31,10 @@
 //! [`Boundary`] for why the groups are singletons). The output must be
 //! byte-identical to the cold path; CI diffs the committed artifact.
 
+use fgqos_bench::corun::{CoRun, Scheme};
 use fgqos_bench::report::Report;
-use fgqos_bench::scenario::{Built, Scenario, Scheme};
+use fgqos_bench::scenario::ScenarioSpec;
 use fgqos_bench::{sweep, table};
-use fgqos_core::policy::ReclaimConfig;
 use fgqos_sim::axi::MasterId;
 use fgqos_sim::snapshot::SocSnapshot;
 use fgqos_sim::system::Soc;
@@ -67,55 +67,51 @@ fn gib_per_s(rate_bytes_per_cycle: f64) -> f64 {
     rate_bytes_per_cycle * 1e9 / (1024.0 * 1024.0 * 1024.0)
 }
 
-/// Builds the co-run system for one grid point.
-fn build_point(scenario: &Scenario, point: Point) -> Built {
-    match point {
-        Point::Unregulated => scenario.build(Scheme::Unregulated),
-        Point::PremPhase { phase } => {
-            // PREM-style mutual exclusion aligned to the critical phases.
-            scenario.build(Scheme::PremPhase {
-                phase,
-                guard: 2_500,
-            })
-        }
+/// Builds the co-run system for one grid point and returns it with its
+/// critical port.
+fn build_point(scenario: &CoRun, point: Point) -> (Soc, MasterId) {
+    let text = match point {
+        Point::Unregulated => scenario.fgq(Scheme::Unregulated),
+        // PREM-style mutual exclusion aligned to the critical phases.
+        Point::PremPhase { phase } => scenario.fgq(Scheme::PremPhase {
+            phase,
+            guard: 2_500,
+        }),
         Point::MemGuard { bpk } => {
             let tick = 1_000_000u64;
-            scenario.build(Scheme::MemGuard {
+            scenario.fgq(Scheme::MemGuard {
                 tick,
                 budget: bpk * tick / 1_000,
                 irq: 2_000,
             })
         }
-        Point::Tc {
-            budget,
-            reclaim: false,
-        } => scenario.build(Scheme::Tc {
-            period: 1_000,
-            budget,
-        }),
-        Point::Tc {
-            budget,
-            reclaim: true,
-        } => {
-            // Lend the critical actor's protection headroom to the
-            // best-effort ports while its phase is idle. The reserve
-            // matches the active-phase demand (~0.25 B/cycle); the
-            // gain expresses that protecting the critical actor
-            // costs far more bandwidth than it consumes. Any sign of
-            // critical activity clamps straight back to base.
-            scenario.build_with_reclaim(
-                1_000,
+        Point::Tc { budget, reclaim } => {
+            let mut text = scenario.fgq(Scheme::Tc {
+                period: 1_000,
                 budget,
-                ReclaimConfig {
-                    critical_reserved: 2_500,
-                    control_period: 10_000,
-                    gain: 25,
-                    busy_threshold: Some(256),
-                    ..ReclaimConfig::default()
-                },
-            )
+            });
+            if reclaim {
+                // Lend the critical actor's protection headroom to the
+                // best-effort ports while its phase is idle. The reserve
+                // matches the active-phase demand (~0.25 B/cycle); the
+                // gain expresses that protecting the critical actor
+                // costs far more bandwidth than it consumes. Any sign of
+                // critical activity clamps straight back to base. `base`
+                // is one control period's worth of window budgets.
+                text += &format!(
+                    "\n[policy reclaim]\nreserved 2500\nbase {}\ncontrol 10000\n\
+                     gain 25\nbusy 256\n",
+                    budget as u64 * 10
+                );
+            }
+            text
         }
-    }
+    };
+    let (soc, _fabric) = ScenarioSpec::parse(&text)
+        .expect("co-run text parses")
+        .build();
+    let critical = soc.master_id("critical").expect("critical");
+    (soc, critical)
 }
 
 /// Runs one built (or forked) point to critical completion and reduces
@@ -142,14 +138,10 @@ struct Boundary {
 }
 
 impl Boundary {
-    fn capture(scenario: &Scenario, point: Point) -> Boundary {
-        let built = build_point(scenario, point);
-        let critical = built.critical;
+    fn capture(scenario: &CoRun, point: Point) -> Boundary {
+        let (soc, critical) = build_point(scenario, point);
         Boundary {
-            snap: built
-                .soc
-                .snapshot()
-                .expect("fresh utilization soc is forkable"),
+            snap: soc.snapshot().expect("fresh utilization soc is forkable"),
             critical,
         }
     }
@@ -183,7 +175,7 @@ fn main() {
     // per 256 B access, ~8 % memory time), as a task with a 10 % QoS
     // bound necessarily is.
     let phase = 500_000u64;
-    let scenario = Scenario {
+    let scenario = CoRun {
         critical_burst: Some(BurstShape {
             on_cycles: phase,
             off_cycles: phase,
@@ -191,7 +183,7 @@ fn main() {
         critical_txns: 3_000,
         critical_think: 1_000,
         interferer_txn_bytes: 512,
-        ..Scenario::default()
+        ..CoRun::default()
     };
     let n = scenario.interferers;
     let iso = scenario.isolation_cycles();
@@ -225,8 +217,8 @@ fn main() {
         )
     } else {
         sweep::run_parallel(points, |point| {
-            let built = build_point(&scenario, point);
-            run_point(built.soc, built.critical, iso, n)
+            let (soc, critical) = build_point(&scenario, point);
+            run_point(soc, critical, iso, n)
         })
     };
 

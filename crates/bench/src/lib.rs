@@ -17,12 +17,16 @@
 //! | `exp_bounds` | EXP-B: analytic bound vs. observed worst case |
 //! | `exp_placement` | EXP-P: per-port vs. shared regulator placement |
 //!
-//! This library crate hosts the shared harness utilities ([`scenario`],
-//! [`sweep`], [`table`]) used by those binaries and by the Criterion
-//! benches. Every binary evaluates its grid through
-//! [`sweep::run_parallel`], so wall-clock scales with the machine while
-//! row order stays deterministic.
+//! This library crate also hosts the `.fgq` scenario DSL ([`scenario`]),
+//! the one system description every consumer builds through, and the
+//! shared harness utilities ([`corun`], [`sweep`], [`table`]) used by
+//! those binaries and by the Criterion benches. The co-run experiments
+//! render their systems as `.fgq` text ([`corun::CoRun::fgq`]) and build
+//! them through [`scenario::ScenarioSpec`]. Every binary evaluates its
+//! grid through [`sweep::run_parallel`], so wall-clock scales with the
+//! machine while row order stays deterministic.
 
+pub mod corun;
 pub mod report;
 pub mod rng;
 pub mod scenario;

@@ -1,386 +1,1883 @@
-//! Shared experiment scenarios.
+//! Declarative scenario files (Scenario DSL v2).
 //!
-//! Every experiment in the paper's evaluation is a variation of one
-//! template: a latency-sensitive *critical* actor co-runs with N
-//! bandwidth-hungry *interferers*, under one of four arbitration schemes.
-//! This module builds those systems so the `exp_*` binaries stay small
-//! and consistent with each other.
+//! Experiments on the real board are described by a configuration (which
+//! ports exist, their roles, budgets, traffic) rather than by code. This
+//! module gives the simulated stack the same workflow: a small
+//! line-oriented text format parsed into a [`ScenarioSpec`], which builds
+//! a ready-to-run [`Soc`] plus the
+//! [`QosFabric`] software handle. It is the one path from a system
+//! description to a [`Soc`]: the `fgqos` CLI, serve, hunt, live runs,
+//! snapshots and the `exp_*` co-run experiments
+//! ([`corun`](crate::corun)) all build through [`ScenarioSpec::build`].
+//! The umbrella crate re-exports this module as `fgqos::scenario`.
+//!
+//! The complete language reference lives in `docs/scenario-format.md`;
+//! worked examples live in `scenarios/`. Every v1 scenario parses
+//! unchanged.
+//!
+//! # Format
+//!
+//! ```text
+//! # comments and blank lines are ignored
+//! clock_mhz 1000
+//! cycles 200000                    # default run length (CLI can override)
+//! expect p99_latency(cpu) < 900    # checked after the run
+//!
+//! [master cpu]
+//! kind cpu                 # cpu | accel
+//! role critical            # critical | best-effort | unmanaged
+//! pattern random           # seq | random | strided:<bytes>
+//! base 0x0
+//! footprint 4M
+//! txn 256
+//! think 1000
+//! total 10000
+//!
+//! [master dma0]
+//! kind accel
+//! role best-effort
+//! period 1000
+//! budget 2048
+//! pattern seq
+//! base 0x40000000
+//! footprint 16M
+//! txn 1024
+//!
+//! [xbar]
+//! arbitration weighted             # rr | priority | weighted
+//! weights 4,1                      # one per master, in declaration order
+//!
+//! [policy reclaim]
+//! reserved 2500
+//! base 10240
+//! control 10000
+//! gain 25
+//! busy 256
+//!
+//! [phase ramp]                     # timed regulator re-programming
+//! at 50000
+//! budget dma0 8192
+//!
+//! [fault storm]                    # timed fault injection
+//! at 100000
+//! rogue dma0                       # dma0 drops all rate limits
+//! ```
+//!
+//! Masters also accept `burst <on> <off>` (on/off phasing in cycles),
+//! `gap`, `write_ratio`, `dir`, `outstanding`, `seed` and `start <cycle>`
+//! (delayed launch, synthetic workloads only). An unmanaged master may
+//! carry a baseline gate: `gate memguard <tick> <budget> <irq>` or
+//! `gate tdma <slot> <guard>`. Sizes accept `K`/`M`/`G`
+//! suffixes (powers of two) and `0x` hex.
+//!
+//! v2 adds top-level `cycles`, `until_done`, `expect` and `extends`
+//! directives, `[phase]` / `[fault]` sections and `[override master]`
+//! re-opening (for `extends`-based variant files). Scenario inheritance
+//! (`extends <path>`) is resolved textually by [`resolve_extends_with`] /
+//! [`load_scenario_text`] before parsing.
 
 use fgqos_baselines::memguard::{MemGuardConfig, MemGuardGate};
 use fgqos_baselines::tdma::{TdmaGate, TdmaSchedule};
-use fgqos_core::driver::RegulatorDriver;
-use fgqos_core::policy::{ReclaimConfig, ReclaimPolicy};
-use fgqos_core::regulator::{RegulatorConfig, TcRegulator};
-use fgqos_sim::axi::{Dir, MasterId};
-use fgqos_sim::dram::DramConfig;
-use fgqos_sim::master::{MasterKind, TrafficSource};
+use fgqos_core::fabric::{QosFabric, QosFabricBuilder};
+use fgqos_core::policy::ReclaimConfig;
+use fgqos_core::program::{FusedController, ProgramOp, ScenarioProgram, TimedOp};
+use fgqos_sim::axi::Dir;
+use fgqos_sim::dram::{DramConfig, RefreshStorm};
+use fgqos_sim::gate::OpenGate;
+use fgqos_sim::interconnect::{Arbitration, XbarConfig};
+use fgqos_sim::master::MasterKind;
 use fgqos_sim::system::{Soc, SocBuilder, SocConfig};
-use fgqos_sim::time::Cycle;
-use fgqos_workloads::spec::{BurstShape, SpecSource, TrafficSpec};
+use fgqos_sim::time::{Cycle, Freq};
+use fgqos_workloads::kernels::Kernel;
+use fgqos_workloads::phased::PhasedSource;
+use fgqos_workloads::spec::{AddressPattern, BurstShape, SpecSource, TrafficSpec};
+use std::error::Error;
+use std::fmt;
+use std::path::Path;
 
-/// The arbitration scheme applied to the interferers.
-#[derive(Debug, Clone, Copy)]
-pub enum Scheme {
-    /// No regulation (the motivation case).
-    Unregulated,
-    /// The paper's tightly-coupled regulator, one instance per
-    /// interferer, each with this window period and byte budget.
-    Tc {
-        /// Replenishment window in cycles.
-        period: u32,
-        /// Byte budget per window per interferer.
-        budget: u32,
-    },
-    /// Software MemGuard on every interferer.
+/// Error from [`ScenarioSpec::parse`].
+#[derive(Debug)]
+pub struct ParseScenarioError {
+    /// 1-based line number (0 for structural errors).
+    pub line: usize,
+    /// What was wrong.
+    pub message: String,
+}
+
+impl fmt::Display for ParseScenarioError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "scenario line {}: {}", self.line, self.message)
+    }
+}
+
+impl Error for ParseScenarioError {}
+
+impl ParseScenarioError {
+    /// Renders a compiler-style `file:line: message` diagnostic (the
+    /// form `fgqos check` prints). Errors without a meaningful line
+    /// (whole-file validation) render as `file: message`.
+    pub fn diagnostic(&self, file: &str) -> String {
+        if self.line > 0 {
+            format!("{file}:{}: {}", self.line, self.message)
+        } else {
+            format!("{file}: {}", self.message)
+        }
+    }
+}
+
+fn err(line: usize, message: impl Into<String>) -> ParseScenarioError {
+    ParseScenarioError {
+        line,
+        message: message.into(),
+    }
+}
+
+/// Edit distance between two keys, for did-you-mean hints.
+fn levenshtein(a: &str, b: &str) -> usize {
+    let b_len = b.chars().count();
+    let mut prev: Vec<usize> = (0..=b_len).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut cur = Vec::with_capacity(b_len + 1);
+        cur.push(i + 1);
+        for (j, cb) in b.chars().enumerate() {
+            let cost = usize::from(ca != cb);
+            cur.push((prev[j] + cost).min(prev[j + 1] + 1).min(cur[j] + 1));
+        }
+        prev = cur;
+    }
+    prev[b_len]
+}
+
+/// Renders ` (did you mean "…"?)` when some candidate is close to the
+/// input, or an empty string. Ties break alphabetically so diagnostics
+/// are deterministic.
+fn suggest(input: &str, candidates: &[&str]) -> String {
+    candidates
+        .iter()
+        .map(|c| (levenshtein(input, c), *c))
+        .filter(|(d, c)| *d <= 2 && *d < c.len())
+        .min()
+        .map(|(_, c)| format!(" (did you mean {c:?}?)"))
+        .unwrap_or_default()
+}
+
+const TOP_KEYS: &[&str] = &["clock_mhz", "cycles", "until_done", "expect", "extends"];
+const MASTER_KEYS: &[&str] = &[
+    "kind",
+    "role",
+    "burst",
+    "workload",
+    "pattern",
+    "dir",
+    "base",
+    "footprint",
+    "txn",
+    "think",
+    "gap",
+    "total",
+    "write_ratio",
+    "period",
+    "budget",
+    "outstanding",
+    "seed",
+    "start",
+    "gate",
+];
+const XBAR_KEYS: &[&str] = &["arbitration", "weights"];
+const RECLAIM_KEYS: &[&str] = &["reserved", "base", "control", "gain", "busy"];
+const PHASE_KEYS: &[&str] = &["at", "budget", "period", "enable"];
+const FAULT_KEYS: &[&str] = &[
+    "at",
+    "rogue",
+    "bursty",
+    "halt",
+    "regulator",
+    "controller",
+    "refresh_storm",
+];
+const SECTION_NAMES: &[&str] = &["master", "override", "phase", "fault", "xbar", "policy"];
+const EXPECT_METRICS: &[&str] = &[
+    "p50_latency",
+    "p99_latency",
+    "max_latency",
+    "bytes",
+    "bandwidth",
+    "isolation",
+];
+
+/// Parses `128`, `0x80`, `4K`, `16M`, `1G`.
+fn parse_size(token: &str, line: usize) -> Result<u64, ParseScenarioError> {
+    let t = token.trim();
+    let (body, mult) = match t.chars().last() {
+        Some('K') | Some('k') => (&t[..t.len() - 1], 1u64 << 10),
+        Some('M') | Some('m') => (&t[..t.len() - 1], 1 << 20),
+        Some('G') | Some('g') => (&t[..t.len() - 1], 1 << 30),
+        _ => (t, 1),
+    };
+    let v = if let Some(hex) = body.strip_prefix("0x").or_else(|| body.strip_prefix("0X")) {
+        u64::from_str_radix(hex, 16)
+    } else {
+        body.parse()
+    }
+    .map_err(|e| err(line, format!("bad number {token:?}: {e}")))?;
+    Ok(v * mult)
+}
+
+fn parse_u32(token: &str, line: usize, what: &str) -> Result<u32, ParseScenarioError> {
+    let v = parse_size(token, line)?;
+    u32::try_from(v).map_err(|_| err(line, format!("{what} {v} exceeds the 32-bit register")))
+}
+
+fn parse_on_off(token: &str, line: usize, what: &str) -> Result<bool, ParseScenarioError> {
+    match token {
+        "on" => Ok(true),
+        "off" => Ok(false),
+        other => Err(err(
+            line,
+            format!("{what} must be `on` or `off`, got {other:?}"),
+        )),
+    }
+}
+
+/// QoS role of a declared master.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Role {
+    /// Monitored, never throttled.
+    Critical,
+    /// Regulated by a tightly-coupled regulator.
+    BestEffort,
+    /// No QoS hardware of the paper's design: a plain [`OpenGate`], or
+    /// the baseline [`GateSpec`] its `gate` key names.
+    #[default]
+    Unmanaged,
+}
+
+/// A baseline arbitration gate on an unmanaged master (`gate` key).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GateSpec {
+    /// Software MemGuard: a per-tick byte budget, enforced after an
+    /// interrupt latency (`gate memguard <tick> <budget> <irq>`).
     MemGuard {
-        /// OS tick in cycles.
+        /// OS tick in cycles (non-zero).
         tick: u64,
-        /// Byte budget per tick per interferer.
+        /// Byte budget per tick.
         budget: u64,
         /// Interrupt enforcement latency in cycles.
         irq: u64,
     },
-    /// PREM-style TDMA: one slot per master. Slot 0 belongs to the
-    /// critical actor (which is itself left ungated — it owns its slot
-    /// implicitly because all interferers are silenced during it).
+    /// PREM-style TDMA: a two-slot rotation in which the master owns
+    /// the second slot (`gate tdma <slot> <guard>`).
     Tdma {
-        /// Slot length in cycles.
+        /// Slot length in cycles (non-zero).
         slot: u64,
-    },
-    /// PREM-style mutually exclusive phases aligned to the critical
-    /// actor's burst shape: all interferers are silenced during the
-    /// critical actor's active phase (slot 0) and share its idle phase
-    /// (slot 1). `guard` keeps interferer bursts from spilling into the
-    /// next critical phase.
-    PremPhase {
-        /// Phase (slot) length in cycles; must match the critical burst.
-        phase: u64,
-        /// Guard band before the phase boundary, in cycles.
+        /// Guard band before the slot end, in cycles (below `slot`).
         guard: u64,
     },
 }
 
-impl Scheme {
-    /// Short reporting name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Scheme::Unregulated => "unregulated",
-            Scheme::Tc { .. } => "tc-regulator",
-            Scheme::MemGuard { .. } => "memguard",
-            Scheme::Tdma { .. } => "prem-tdma",
-            Scheme::PremPhase { .. } => "prem-phase",
-        }
-    }
-}
-
-/// Parameters of the co-run template.
+/// Workload of a declared master: synthetic traffic or a kernel model.
 #[derive(Debug, Clone)]
-pub struct Scenario {
-    /// Number of interfering accelerator ports.
-    pub interferers: usize,
-    /// Interferer transaction size in bytes.
-    pub interferer_txn_bytes: u64,
-    /// Interferer traffic direction.
-    pub interferer_dir: Dir,
-    /// Critical actor's transaction count (workload size).
-    pub critical_txns: u64,
-    /// Critical actor's transaction size in bytes.
-    pub critical_txn_bytes: u64,
-    /// Critical actor's closed-loop think time in cycles.
-    pub critical_think: u64,
-    /// Optional on/off phasing of the critical actor (bursty workloads
-    /// with compute-only phases the reclaim policy can exploit).
-    pub critical_burst: Option<BurstShape>,
-    /// Outstanding-transaction limit of the critical actor.
-    pub critical_outstanding: usize,
-    /// Cycle at which the critical actor launches (0 = immediately).
-    /// Warm-start sweeps delay the launch past a shared interferer
-    /// warm-up phase so every measured sample lands after the boundary.
-    pub critical_start: u64,
-    /// RNG seed.
+pub enum Workload {
+    /// Declarative synthetic traffic.
+    Spec(TrafficSpec),
+    /// A benchmark kernel model replayed for a number of iterations,
+    /// placed at a base address: the master's `base` key if given, else
+    /// `(1 + seed % 16) << 28` (so kernel masters that share a seed,
+    /// such as two that keep the default seed 1, share `0x2000_0000`).
+    Kernel(Kernel, u64, u64),
+}
+
+/// One declared master.
+#[derive(Debug, Clone)]
+pub struct MasterSpec {
+    /// Port name (unique).
+    pub name: String,
+    /// Master kind (sets the default outstanding limit).
+    pub kind: MasterKind,
+    /// QoS role.
+    pub role: Role,
+    /// Regulation window (best-effort only).
+    pub period: u32,
+    /// Byte budget per window (best-effort only).
+    pub budget: u32,
+    /// Workload description.
+    pub workload: Workload,
+    /// Outstanding override (0 = kind default).
+    pub outstanding: usize,
+    /// Deterministic seed (`seed` key, default 1 for every master).
     pub seed: u64,
+    /// Cycle of the first request (`start` key, synthetic workloads
+    /// only; 0 = immediately).
+    pub start: u64,
+    /// Baseline gate (`gate` key, unmanaged masters only).
+    pub gate: Option<GateSpec>,
 }
 
-impl Default for Scenario {
-    fn default() -> Self {
-        Scenario {
-            interferers: 6,
-            interferer_txn_bytes: 1024,
-            interferer_dir: Dir::Write,
-            critical_txns: 2_000,
-            critical_txn_bytes: 256,
-            critical_think: 100,
-            critical_burst: None,
-            critical_outstanding: 1,
-            critical_start: 0,
-            seed: 1,
+/// Optional reclaim policy section.
+#[derive(Debug, Clone, Copy)]
+pub struct ReclaimSpec {
+    /// See [`ReclaimConfig`].
+    pub config: ReclaimConfig,
+}
+
+/// One regulator write of a `[phase]` section.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PhaseOp {
+    /// Program the per-window byte budget.
+    Budget(u32),
+    /// Program the window length in cycles.
+    Period(u32),
+    /// Enable or disable the regulator.
+    Enable(bool),
+}
+
+/// A [`PhaseOp`] bound to a best-effort master (wildcards expanded).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PhaseAction {
+    /// Target master name.
+    pub master: String,
+    /// The register write.
+    pub op: PhaseOp,
+}
+
+/// A named `[phase]` section: regulator writes applied at a cycle.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PhaseSpec {
+    /// Phase name (unique, documentation only).
+    pub name: String,
+    /// Cycle at which the writes are applied.
+    pub at: u64,
+    /// Writes, in declaration order (`*` targets expanded).
+    pub actions: Vec<PhaseAction>,
+}
+
+/// One event of a `[fault]` section.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FaultEvent {
+    /// The master drops every rate limit (gap, think, burst shaping and
+    /// transaction bound) and streams flat out.
+    Rogue {
+        /// Target master (synthetic workload only).
+        master: String,
+    },
+    /// The master switches to on/off burst shaping.
+    Bursty {
+        /// Target master (synthetic workload only).
+        master: String,
+        /// Active-phase length in cycles.
+        on: u64,
+        /// Silent-phase length in cycles.
+        off: u64,
+    },
+    /// The master stops issuing entirely.
+    Halt {
+        /// Target master (synthetic workload only).
+        master: String,
+    },
+    /// The master's regulator is forced on or off.
+    Regulator {
+        /// Target master (best-effort only).
+        master: String,
+        /// New enable state.
+        enabled: bool,
+    },
+    /// The host policy controller stops running from this cycle on.
+    ControllerOff,
+    /// DRAM refreshes densify to `interval` cycles for `duration` cycles.
+    RefreshStorm {
+        /// Refresh-to-refresh spacing during the storm.
+        interval: u64,
+        /// Storm length in cycles.
+        duration: u64,
+    },
+}
+
+impl FaultEvent {
+    /// The master whose traffic this event rewrites, if any.
+    fn traffic_master(&self) -> Option<&str> {
+        match self {
+            FaultEvent::Rogue { master }
+            | FaultEvent::Bursty { master, .. }
+            | FaultEvent::Halt { master } => Some(master),
+            _ => None,
         }
     }
 }
 
-/// A built co-run system plus the driver handles the software side holds.
-pub struct Built {
-    /// The SoC, ready to run.
-    pub soc: Soc,
-    /// Port id of the critical actor.
-    pub critical: MasterId,
-    /// Monitor-only driver attached to the critical port.
-    pub critical_driver: RegulatorDriver,
-    /// Drivers of the interferer regulators (empty unless `Scheme::Tc`).
-    pub interferer_drivers: Vec<RegulatorDriver>,
+/// A named `[fault]` section: events injected at a cycle.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultSpec {
+    /// Fault name (unique, documentation only).
+    pub name: String,
+    /// Cycle at which the events take effect.
+    pub at: u64,
+    /// Events, in declaration order.
+    pub events: Vec<FaultEvent>,
 }
 
-impl Scenario {
-    /// The critical actor's traffic spec.
-    pub fn critical_spec(&self) -> TrafficSpec {
-        let spec = TrafficSpec::latency_sensitive(
-            0,
-            4 << 20,
-            self.critical_txn_bytes,
-            self.critical_think,
+/// Comparison operator of an `expect` directive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CmpOp {
+    /// `<`
+    Lt,
+    /// `<=`
+    Le,
+    /// `>`
+    Gt,
+    /// `>=`
+    Ge,
+}
+
+impl CmpOp {
+    /// Evaluates `lhs OP rhs`.
+    pub fn holds(self, lhs: u64, rhs: u64) -> bool {
+        match self {
+            CmpOp::Lt => lhs < rhs,
+            CmpOp::Le => lhs <= rhs,
+            CmpOp::Gt => lhs > rhs,
+            CmpOp::Ge => lhs >= rhs,
+        }
+    }
+}
+
+/// Latency statistic referenced by an `expect` directive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LatencyMetric {
+    /// Median request latency.
+    P50,
+    /// 99th-percentile request latency.
+    P99,
+    /// Maximum request latency.
+    Max,
+}
+
+/// The measurable predicate of an `expect` directive.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ExpectKind {
+    /// `<metric>(<master>) <op> <cycles>` over the master's request
+    /// latency distribution.
+    Latency {
+        /// Which statistic.
+        metric: LatencyMetric,
+        /// Target master.
+        master: String,
+        /// Comparison.
+        op: CmpOp,
+        /// Threshold in cycles.
+        value: u64,
+    },
+    /// `bytes(<master>) <op> <bytes>` over completed bytes.
+    Bytes {
+        /// Target master.
+        master: String,
+        /// Comparison.
+        op: CmpOp,
+        /// Threshold in bytes.
+        value: u64,
+    },
+    /// `bandwidth(<master>) within <percent>% of budget`: the average
+    /// bytes per completed regulation window tracks the programmed
+    /// budget.
+    WithinBudget {
+        /// Target master (best-effort only).
+        master: String,
+        /// Allowed relative deviation in percent.
+        percent: f64,
+    },
+    /// `isolation(<master>)`: the critical master was never stalled by
+    /// regulation and no best-effort port overshot its window budget by
+    /// more than one maximum burst.
+    Isolation {
+        /// Target master (critical only).
+        master: String,
+    },
+}
+
+impl ExpectKind {
+    fn master(&self) -> &str {
+        match self {
+            ExpectKind::Latency { master, .. }
+            | ExpectKind::Bytes { master, .. }
+            | ExpectKind::WithinBudget { master, .. }
+            | ExpectKind::Isolation { master } => master,
+        }
+    }
+}
+
+/// One `expect` directive.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExpectSpec {
+    /// Canonical source text (as written, for reports).
+    pub text: String,
+    /// `not` prefix: the predicate must be false.
+    pub negated: bool,
+    /// The predicate.
+    pub kind: ExpectKind,
+    /// 1-based source line.
+    pub line: usize,
+}
+
+fn parse_expect(value: &str, line: usize) -> Result<ExpectSpec, ParseScenarioError> {
+    let src = value.trim().to_string();
+    let mut rest = src.as_str();
+    let negated = match rest.strip_prefix("not ") {
+        Some(r) => {
+            rest = r.trim_start();
+            true
+        }
+        None => false,
+    };
+    let open = rest.find('(').ok_or_else(|| {
+        err(
+            line,
+            format!("malformed expect {src:?}: expected `metric(master)`"),
         )
-        .with_total(self.critical_txns);
-        match self.critical_burst {
-            Some(b) => spec.with_burst(b),
-            None => spec,
+    })?;
+    let close = rest
+        .find(')')
+        .filter(|c| *c > open)
+        .ok_or_else(|| err(line, format!("malformed expect {src:?}: missing `)`")))?;
+    let metric = rest[..open].trim();
+    let master = rest[open + 1..close].trim().to_string();
+    if master.is_empty() {
+        return Err(err(
+            line,
+            format!("malformed expect {src:?}: missing master name"),
+        ));
+    }
+    let tail = rest[close + 1..].trim();
+    let kind = match metric {
+        "isolation" => {
+            if !tail.is_empty() {
+                return Err(err(
+                    line,
+                    format!("malformed expect {src:?}: isolation(...) takes no comparison"),
+                ));
+            }
+            ExpectKind::Isolation { master }
         }
-    }
-
-    /// The i-th interferer's traffic spec.
-    pub fn interferer_spec(&self, i: usize) -> TrafficSpec {
-        TrafficSpec::stream(
-            (1 + i as u64) << 28,
-            16 << 20,
-            self.interferer_txn_bytes,
-            self.interferer_dir,
-        )
-    }
-
-    /// SoC configuration shared by all schemes (refresh enabled).
-    pub fn soc_config(&self) -> SocConfig {
-        SocConfig {
-            dram: DramConfig::default(),
-            ..SocConfig::default()
+        "bandwidth" => {
+            let spec = tail.strip_prefix("within").ok_or_else(|| {
+                err(
+                    line,
+                    format!(
+                        "malformed expect {src:?}: bandwidth(...) expects \
+                         `within <percent>% of budget`"
+                    ),
+                )
+            })?;
+            let spec = spec.trim_start();
+            let (pct, of) = spec.split_once(char::is_whitespace).ok_or_else(|| {
+                err(
+                    line,
+                    format!("malformed expect {src:?}: missing `of budget`"),
+                )
+            })?;
+            if of.split_whitespace().collect::<Vec<_>>() != ["of", "budget"] {
+                return Err(err(
+                    line,
+                    format!("malformed expect {src:?}: expected `of budget`, got {of:?}"),
+                ));
+            }
+            let body = pct.strip_suffix('%').ok_or_else(|| {
+                err(
+                    line,
+                    format!("malformed expect {src:?}: percent needs a `%` suffix"),
+                )
+            })?;
+            let percent: f64 = body
+                .parse()
+                .map_err(|e| err(line, format!("malformed expect {src:?}: bad percent: {e}")))?;
+            if !percent.is_finite() || percent < 0.0 {
+                return Err(err(
+                    line,
+                    format!("malformed expect {src:?}: percent must be non-negative"),
+                ));
+            }
+            ExpectKind::WithinBudget { master, percent }
         }
-    }
-
-    /// Builds the co-run system under `scheme` with the default critical
-    /// traffic (see [`Scenario::critical_spec`]).
-    pub fn build(&self, scheme: Scheme) -> Built {
-        let source = SpecSource::new(self.critical_spec(), self.seed)
-            .with_start(Cycle::new(self.critical_start));
-        self.build_with_critical(source, scheme)
-    }
-
-    /// Builds the co-run system under `scheme` with a custom critical
-    /// traffic source (e.g. a benchmark kernel model).
-    pub fn build_with_critical(
-        &self,
-        critical_source: impl TrafficSource + 'static,
-        scheme: Scheme,
-    ) -> Built {
-        let monitor_period = 1_000;
-        let (crit_monitor, critical_driver) = TcRegulator::monitor_only(monitor_period);
-        let mut builder = SocBuilder::new(self.soc_config()).master_full(
-            "critical",
-            critical_source,
-            MasterKind::Cpu,
-            crit_monitor,
-            self.critical_outstanding,
-        );
-        let mut interferer_drivers = Vec::new();
-        for i in 0..self.interferers {
-            let name = format!("dma{i}");
-            let source = SpecSource::new(self.interferer_spec(i), self.seed + 100 + i as u64);
-            builder = match scheme {
-                Scheme::Unregulated => builder.master(name, source, MasterKind::Accelerator),
-                Scheme::Tc { period, budget } => {
-                    let (reg, driver) = TcRegulator::create(RegulatorConfig {
-                        period_cycles: period,
-                        budget_bytes: budget,
-                        enabled: true,
-                        ..RegulatorConfig::default()
-                    });
-                    interferer_drivers.push(driver);
-                    builder.gated_master(name, source, MasterKind::Accelerator, reg)
-                }
-                Scheme::MemGuard { tick, budget, irq } => {
-                    let gate = MemGuardGate::new(MemGuardConfig {
-                        tick_cycles: tick,
-                        budget_bytes: budget,
-                        irq_latency_cycles: irq,
-                    });
-                    builder.gated_master(name, source, MasterKind::Accelerator, gate)
-                }
-                Scheme::Tdma { slot } => {
-                    let schedule = TdmaSchedule::new(slot, self.interferers + 1);
-                    let gate = TdmaGate::new(schedule, vec![i + 1], 0);
-                    builder.gated_master(name, source, MasterKind::Accelerator, gate)
-                }
-                Scheme::PremPhase { phase, guard } => {
-                    let schedule = TdmaSchedule::new(phase, 2);
-                    let gate = TdmaGate::new(schedule, vec![1], guard);
-                    builder.gated_master(name, source, MasterKind::Accelerator, gate)
+        "p50_latency" | "p99_latency" | "max_latency" | "bytes" => {
+            let (op_tok, val_tok) = tail.split_once(char::is_whitespace).ok_or_else(|| {
+                err(
+                    line,
+                    format!("malformed expect {src:?}: expected `<op> <value>`"),
+                )
+            })?;
+            let op = match op_tok {
+                "<" => CmpOp::Lt,
+                "<=" => CmpOp::Le,
+                ">" => CmpOp::Gt,
+                ">=" => CmpOp::Ge,
+                other => {
+                    return Err(err(
+                        line,
+                        format!(
+                            "malformed expect {src:?}: unknown comparison {other:?} \
+                             (use <, <=, > or >=)"
+                        ),
+                    ))
                 }
             };
+            let value = parse_size(val_tok.trim(), line)?;
+            match metric {
+                "bytes" => ExpectKind::Bytes { master, op, value },
+                "p50_latency" => ExpectKind::Latency {
+                    metric: LatencyMetric::P50,
+                    master,
+                    op,
+                    value,
+                },
+                "p99_latency" => ExpectKind::Latency {
+                    metric: LatencyMetric::P99,
+                    master,
+                    op,
+                    value,
+                },
+                _ => ExpectKind::Latency {
+                    metric: LatencyMetric::Max,
+                    master,
+                    op,
+                    value,
+                },
+            }
         }
-        let soc = builder.build();
-        let critical = soc.master_id("critical").expect("critical registered");
-        Built {
-            soc,
-            critical,
-            critical_driver,
-            interferer_drivers,
+        other => {
+            return Err(err(
+                line,
+                format!(
+                    "malformed expect: unknown metric {other:?}{}",
+                    suggest(other, EXPECT_METRICS)
+                ),
+            ))
         }
-    }
+    };
+    Ok(ExpectSpec {
+        text: src,
+        negated,
+        kind,
+        line,
+    })
+}
 
-    /// Builds the tightly-coupled scheme plus a CMRI-style
-    /// [`ReclaimPolicy`] over the interferers' regulators, configured by
-    /// `reclaim` (its `be_base` is overridden to match `base_budget`).
-    pub fn build_with_reclaim(
-        &self,
-        period: u32,
-        base_budget: u32,
-        reclaim: ReclaimConfig,
-    ) -> Built {
-        let (crit_monitor, critical_driver) = TcRegulator::monitor_only(1_000);
-        let mut regulators = Vec::new();
-        let mut interferer_drivers = Vec::new();
-        for _ in 0..self.interferers {
-            let (reg, driver) = TcRegulator::create(RegulatorConfig {
-                period_cycles: period,
-                budget_bytes: base_budget,
-                enabled: true,
-                ..RegulatorConfig::default()
-            });
-            regulators.push(reg);
-            interferer_drivers.push(driver);
+/// Parses the value of a `gate` key. Cycle arguments are capped at
+/// `u64::MAX / 2` so the gates' `now + cycles` wake-ups cannot overflow
+/// within a run.
+fn parse_gate(value: &str, line: usize) -> Result<GateSpec, ParseScenarioError> {
+    let mut parts = value.split_whitespace();
+    let kind = parts.next().unwrap_or("");
+    let args = parts
+        .map(|t| parse_size(t, line))
+        .collect::<Result<Vec<u64>, _>>()?;
+    let cycles = |c: u64, what: &str| {
+        if c > u64::MAX / 2 {
+            Err(err(
+                line,
+                format!("{what} must be at most {}", u64::MAX / 2),
+            ))
+        } else {
+            Ok(c)
         }
-        let windows = (reclaim.control_period / period as u64).max(1);
-        let policy = ReclaimPolicy::new(
-            critical_driver.clone(),
-            interferer_drivers.clone(),
-            ReclaimConfig {
-                be_base: base_budget as u64 * windows,
-                ..reclaim
-            },
-        );
-        let mut builder = SocBuilder::new(self.soc_config())
-            .master_full(
-                "critical",
-                SpecSource::new(self.critical_spec(), self.seed),
-                MasterKind::Cpu,
-                crit_monitor,
-                1,
-            )
-            .controller(policy);
-        for (i, reg) in regulators.into_iter().enumerate() {
-            let source = SpecSource::new(self.interferer_spec(i), self.seed + 100 + i as u64);
-            builder = builder.gated_master(format!("dma{i}"), source, MasterKind::Accelerator, reg);
+    };
+    match (kind, args.as_slice()) {
+        ("memguard", &[tick, budget, irq]) => {
+            if tick == 0 {
+                return Err(err(line, "memguard tick must be non-zero"));
+            }
+            Ok(GateSpec::MemGuard {
+                tick: cycles(tick, "memguard tick")?,
+                budget,
+                irq: cycles(irq, "memguard irq")?,
+            })
         }
-        let soc = builder.build();
-        let critical = soc.master_id("critical").expect("critical registered");
-        Built {
-            soc,
-            critical,
-            critical_driver,
-            interferer_drivers,
+        ("tdma", &[slot, guard]) => {
+            if slot == 0 {
+                return Err(err(line, "tdma slot must be non-zero"));
+            }
+            if guard >= slot {
+                return Err(err(line, "tdma guard must be shorter than the slot"));
+            }
+            Ok(GateSpec::Tdma {
+                slot: cycles(slot, "tdma slot")?,
+                guard,
+            })
         }
-    }
-
-    /// Runs the critical actor alone and returns its completion time in
-    /// cycles (the isolation baseline all slowdowns are computed from).
-    pub fn isolation_cycles(&self) -> u64 {
-        self.isolation_cycles_with(SpecSource::new(self.critical_spec(), self.seed))
-    }
-
-    /// Isolation baseline for a custom critical traffic source.
-    pub fn isolation_cycles_with(&self, critical_source: impl TrafficSource + 'static) -> u64 {
-        let (crit_monitor, _driver) = TcRegulator::monitor_only(1_000);
-        let mut soc = SocBuilder::new(self.soc_config())
-            .master_full(
-                "critical",
-                critical_source,
-                MasterKind::Cpu,
-                crit_monitor,
-                self.critical_outstanding,
-            )
-            .build();
-        soc.run_until_done(MasterId::new(0), u64::MAX / 2)
-            .expect("isolation run completes")
-            .get()
-    }
-
-    /// Builds under `scheme`, runs until the critical actor completes and
-    /// returns `(completion_cycles, built)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the critical actor does not finish within `max_cycles`.
-    pub fn run(&self, scheme: Scheme, max_cycles: u64) -> (u64, Built) {
-        let mut built = self.build(scheme);
-        let done = built
-            .soc
-            .run_until_done(built.critical, max_cycles)
-            .unwrap_or_else(|| panic!("critical did not finish under {}", scheme.name()));
-        (done.get(), built)
+        _ => Err(err(
+            line,
+            "gate must be `memguard <tick> <budget> <irq>` or `tdma <slot> <guard>`",
+        )),
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// A parsed scenario.
+#[derive(Debug)]
+pub struct ScenarioSpec {
+    /// SoC clock.
+    pub freq: Freq,
+    /// Crossbar configuration (`[xbar]` section).
+    pub xbar: XbarConfig,
+    /// Declared masters, in file order.
+    pub masters: Vec<MasterSpec>,
+    /// Optional reclaim policy.
+    pub reclaim: Option<ReclaimSpec>,
+    /// Timed regulator re-programming (`[phase]` sections), in file order.
+    pub phases: Vec<PhaseSpec>,
+    /// Timed fault injection (`[fault]` sections), in file order.
+    pub faults: Vec<FaultSpec>,
+    /// Inline assertions (`expect` directives), in file order.
+    pub expects: Vec<ExpectSpec>,
+    /// Declared run length (`cycles` directive); the CLI can override.
+    pub cycles: Option<u64>,
+    /// Declared finish master (`until_done` directive).
+    pub until_done: Option<String>,
+}
 
-    fn small() -> Scenario {
-        Scenario {
-            interferers: 2,
-            critical_txns: 200,
-            ..Scenario::default()
+#[derive(Debug)]
+struct MasterDraft {
+    name: String,
+    kind: Option<MasterKind>,
+    role: Role,
+    period: u32,
+    budget: u32,
+    pattern: AddressPattern,
+    base: Option<u64>,
+    footprint: u64,
+    txn: u64,
+    think: u64,
+    gap: u64,
+    total: u64,
+    write_ratio: f64,
+    dir: Dir,
+    burst: Option<BurstShape>,
+    kernel: Option<(Kernel, u64)>,
+    outstanding: usize,
+    seed: u64,
+    start: Option<(u64, usize)>,
+    gate: Option<(GateSpec, usize)>,
+    declared_at: usize,
+}
+
+impl MasterDraft {
+    fn new(name: String, line: usize) -> Self {
+        MasterDraft {
+            name,
+            kind: None,
+            role: Role::Unmanaged,
+            period: 1_000,
+            budget: 1_024,
+            pattern: AddressPattern::Sequential,
+            base: None,
+            footprint: 16 << 20,
+            txn: 256,
+            think: 0,
+            gap: 0,
+            total: u64::MAX,
+            write_ratio: 0.0,
+            dir: Dir::Read,
+            burst: None,
+            kernel: None,
+            outstanding: 0,
+            seed: 1,
+            start: None,
+            gate: None,
+            declared_at: line,
         }
     }
 
-    #[test]
-    fn isolation_baseline_is_stable() {
-        let s = small();
-        assert_eq!(s.isolation_cycles(), s.isolation_cycles());
+    fn finish(self) -> Result<MasterSpec, ParseScenarioError> {
+        let kind = self.kind.ok_or_else(|| {
+            err(
+                self.declared_at,
+                format!("master {:?} missing kind", self.name),
+            )
+        })?;
+        if let Some((_, line)) = self.gate.filter(|_| self.role != Role::Unmanaged) {
+            return Err(err(
+                line,
+                format!(
+                    "master {:?}: gate needs role unmanaged (critical and best-effort \
+                     ports carry the paper's regulator)",
+                    self.name
+                ),
+            ));
+        }
+        let workload = match self.kernel {
+            Some((kernel, iterations)) => {
+                if let Some((_, line)) = self.start {
+                    return Err(err(
+                        line,
+                        format!(
+                            "master {:?}: start needs a synthetic workload (kernels launch at 0)",
+                            self.name
+                        ),
+                    ));
+                }
+                let base = self.base.unwrap_or((1 + self.seed % 16) << 28);
+                Workload::Kernel(kernel, iterations, base)
+            }
+            None => {
+                let traffic = TrafficSpec {
+                    base: self.base.unwrap_or(0),
+                    footprint: self.footprint,
+                    txn_bytes: self.txn,
+                    dir: self.dir,
+                    write_ratio: self.write_ratio,
+                    pattern: self.pattern,
+                    gap: self.gap,
+                    think: self.think,
+                    total: self.total,
+                    burst: self.burst,
+                };
+                traffic
+                    .validate()
+                    .map_err(|m| err(self.declared_at, format!("master {:?}: {m}", self.name)))?;
+                Workload::Spec(traffic)
+            }
+        };
+        Ok(MasterSpec {
+            name: self.name,
+            kind,
+            role: self.role,
+            period: self.period,
+            budget: self.budget,
+            workload,
+            outstanding: self.outstanding,
+            seed: self.seed,
+            start: self.start.map_or(0, |(c, _)| c),
+            gate: self.gate.map(|(g, _)| g),
+        })
+    }
+}
+
+#[derive(Debug)]
+struct ActionDraft {
+    line: usize,
+    target: String,
+    op: PhaseOp,
+}
+
+#[derive(Debug)]
+struct PhaseDraft {
+    name: String,
+    at: Option<u64>,
+    actions: Vec<ActionDraft>,
+    declared_at: usize,
+}
+
+#[derive(Debug)]
+struct EventDraft {
+    line: usize,
+    event: FaultEvent,
+}
+
+#[derive(Debug)]
+struct FaultDraft {
+    name: String,
+    at: Option<u64>,
+    events: Vec<EventDraft>,
+    declared_at: usize,
+}
+
+enum Section {
+    Top,
+    Master(usize),
+    Reclaim(ReclaimConfig),
+    Xbar(XbarConfig),
+    Phase(usize),
+    Fault(usize),
+}
+
+impl ScenarioSpec {
+    /// Parses a scenario from text.
+    ///
+    /// `extends` inheritance must already be resolved (see
+    /// [`resolve_extends_with`] / [`load_scenario_text`]); an unresolved
+    /// `extends` directive is an error here.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first malformed line with its number.
+    pub fn parse(text: &str) -> Result<ScenarioSpec, ParseScenarioError> {
+        let mut freq = Freq::default();
+        let mut xbar = XbarConfig::default();
+        let mut reclaim: Option<ReclaimSpec> = None;
+        let mut drafts: Vec<MasterDraft> = Vec::new();
+        let mut phase_drafts: Vec<PhaseDraft> = Vec::new();
+        let mut fault_drafts: Vec<FaultDraft> = Vec::new();
+        let mut expects: Vec<ExpectSpec> = Vec::new();
+        let mut cycles: Option<u64> = None;
+        let mut until_done: Option<(String, usize)> = None;
+        let mut section = Section::Top;
+
+        let close =
+            |section: &mut Section, reclaim: &mut Option<ReclaimSpec>, xbar: &mut XbarConfig| {
+                match std::mem::replace(section, Section::Top) {
+                    Section::Reclaim(cfg) => *reclaim = Some(ReclaimSpec { config: cfg }),
+                    Section::Xbar(cfg) => *xbar = cfg,
+                    _ => {}
+                }
+            };
+
+        for (i, raw) in text.lines().enumerate() {
+            let line_no = i + 1;
+            let body = raw.split('#').next().unwrap_or("").trim();
+            if body.is_empty() {
+                continue;
+            }
+            if let Some(header) = body.strip_prefix('[') {
+                let header = header
+                    .strip_suffix(']')
+                    .ok_or_else(|| err(line_no, "unterminated section header"))?
+                    .trim();
+                close(&mut section, &mut reclaim, &mut xbar);
+                let mut parts = header.split_whitespace();
+                match parts.next() {
+                    Some("master") => {
+                        let name = parts
+                            .next()
+                            .ok_or_else(|| err(line_no, "master section needs a name"))?;
+                        if drafts.iter().any(|d| d.name == name) {
+                            return Err(err(line_no, format!("duplicate master name {name:?}")));
+                        }
+                        drafts.push(MasterDraft::new(name.to_string(), line_no));
+                        section = Section::Master(drafts.len() - 1);
+                    }
+                    Some("override") => {
+                        if parts.next() != Some("master") {
+                            return Err(err(
+                                line_no,
+                                "override section must be `override master <name>`",
+                            ));
+                        }
+                        let name = parts
+                            .next()
+                            .ok_or_else(|| err(line_no, "override master needs a name"))?;
+                        let idx = drafts.iter().position(|d| d.name == name).ok_or_else(|| {
+                            let names: Vec<&str> = drafts.iter().map(|d| d.name.as_str()).collect();
+                            err(
+                                line_no,
+                                format!(
+                                    "override of unknown master {name:?}{}",
+                                    suggest(name, &names)
+                                ),
+                            )
+                        })?;
+                        section = Section::Master(idx);
+                    }
+                    Some("phase") => {
+                        let name = parts
+                            .next()
+                            .ok_or_else(|| err(line_no, "phase section needs a name"))?;
+                        if phase_drafts.iter().any(|p| p.name == name) {
+                            return Err(err(line_no, format!("duplicate phase name {name:?}")));
+                        }
+                        phase_drafts.push(PhaseDraft {
+                            name: name.to_string(),
+                            at: None,
+                            actions: Vec::new(),
+                            declared_at: line_no,
+                        });
+                        section = Section::Phase(phase_drafts.len() - 1);
+                    }
+                    Some("fault") => {
+                        let name = parts
+                            .next()
+                            .ok_or_else(|| err(line_no, "fault section needs a name"))?;
+                        if fault_drafts.iter().any(|f| f.name == name) {
+                            return Err(err(line_no, format!("duplicate fault name {name:?}")));
+                        }
+                        fault_drafts.push(FaultDraft {
+                            name: name.to_string(),
+                            at: None,
+                            events: Vec::new(),
+                            declared_at: line_no,
+                        });
+                        section = Section::Fault(fault_drafts.len() - 1);
+                    }
+                    Some("xbar") => {
+                        section = Section::Xbar(XbarConfig::default());
+                    }
+                    Some("policy") => match parts.next() {
+                        Some("reclaim") => {
+                            section = Section::Reclaim(ReclaimConfig::default());
+                        }
+                        other => {
+                            return Err(err(line_no, format!("unknown policy {other:?}")));
+                        }
+                    },
+                    Some(other) => {
+                        return Err(err(
+                            line_no,
+                            format!("unknown section {other:?}{}", suggest(other, SECTION_NAMES)),
+                        ))
+                    }
+                    None => return Err(err(line_no, "empty section header")),
+                }
+                continue;
+            }
+            let (key, value) = body
+                .split_once(char::is_whitespace)
+                .ok_or_else(|| err(line_no, format!("expected `key value`, got {body:?}")))?;
+            let value = value.trim();
+            // Run-control and assertion directives are global: they are
+            // valid anywhere a section key could appear (conventionally
+            // at the top or bottom of the file) and collide with no
+            // section key.
+            match key {
+                "cycles" => {
+                    cycles = Some(parse_size(value, line_no)?);
+                    continue;
+                }
+                "until_done" => {
+                    until_done = Some((value.to_string(), line_no));
+                    continue;
+                }
+                "expect" => {
+                    expects.push(parse_expect(value, line_no)?);
+                    continue;
+                }
+                _ => {}
+            }
+            match &mut section {
+                Section::Top => match key {
+                    "clock_mhz" => {
+                        freq = Freq::mhz(parse_size(value, line_no)?);
+                    }
+                    "extends" => {
+                        return Err(err(
+                            line_no,
+                            "unresolved extends: scenario inheritance is resolved when the \
+                             scenario is loaded from a file",
+                        ));
+                    }
+                    other => {
+                        return Err(err(
+                            line_no,
+                            format!(
+                                "unknown top-level key {other:?}{}",
+                                suggest(other, TOP_KEYS)
+                            ),
+                        ))
+                    }
+                },
+                Section::Master(idx) => {
+                    let d = &mut drafts[*idx];
+                    match key {
+                        "kind" => {
+                            d.kind = Some(match value {
+                                "cpu" => MasterKind::Cpu,
+                                "accel" => MasterKind::Accelerator,
+                                other => {
+                                    return Err(err(line_no, format!("unknown kind {other:?}")))
+                                }
+                            })
+                        }
+                        "role" => {
+                            d.role = match value {
+                                "critical" => Role::Critical,
+                                "best-effort" => Role::BestEffort,
+                                "unmanaged" => Role::Unmanaged,
+                                other => {
+                                    return Err(err(line_no, format!("unknown role {other:?}")))
+                                }
+                            }
+                        }
+                        "burst" => {
+                            let (on, off) = value
+                                .split_once(char::is_whitespace)
+                                .ok_or_else(|| err(line_no, "burst needs `<on> <off>`"))?;
+                            d.burst = Some(BurstShape {
+                                on_cycles: parse_size(on, line_no)?,
+                                off_cycles: parse_size(off, line_no)?,
+                            });
+                        }
+                        "workload" => {
+                            let spec = value.strip_prefix("kernel:").ok_or_else(|| {
+                                err(line_no, "workload must be kernel:<name>[:<iters>]")
+                            })?;
+                            let (name, iters) = match spec.split_once(':') {
+                                Some((n, i)) => (n, parse_size(i, line_no)?),
+                                None => (spec, 1),
+                            };
+                            let kernel = Kernel::all()
+                                .into_iter()
+                                .find(|k| k.name() == name)
+                                .ok_or_else(|| err(line_no, format!("unknown kernel {name:?}")))?;
+                            d.kernel = Some((kernel, iters));
+                        }
+                        "pattern" => {
+                            d.pattern = if value == "seq" {
+                                AddressPattern::Sequential
+                            } else if value == "random" {
+                                AddressPattern::Random
+                            } else if let Some(stride) = value.strip_prefix("strided:") {
+                                AddressPattern::Strided {
+                                    stride: parse_size(stride, line_no)?,
+                                }
+                            } else {
+                                return Err(err(line_no, format!("unknown pattern {value:?}")));
+                            }
+                        }
+                        "dir" => {
+                            d.dir = match value {
+                                "R" | "r" | "read" => Dir::Read,
+                                "W" | "w" | "write" => Dir::Write,
+                                other => {
+                                    return Err(err(line_no, format!("unknown dir {other:?}")))
+                                }
+                            }
+                        }
+                        "base" => d.base = Some(parse_size(value, line_no)?),
+                        "footprint" => d.footprint = parse_size(value, line_no)?,
+                        "txn" => d.txn = parse_size(value, line_no)?,
+                        "think" => d.think = parse_size(value, line_no)?,
+                        "gap" => d.gap = parse_size(value, line_no)?,
+                        "total" => d.total = parse_size(value, line_no)?,
+                        "write_ratio" => {
+                            d.write_ratio = value
+                                .parse()
+                                .map_err(|e| err(line_no, format!("bad ratio: {e}")))?
+                        }
+                        "period" => d.period = parse_u32(value, line_no, "period")?,
+                        "budget" => d.budget = parse_u32(value, line_no, "budget")?,
+                        "outstanding" => d.outstanding = parse_size(value, line_no)? as usize,
+                        "seed" => d.seed = parse_size(value, line_no)?,
+                        "start" => d.start = Some((parse_size(value, line_no)?, line_no)),
+                        "gate" => d.gate = Some((parse_gate(value, line_no)?, line_no)),
+                        other => {
+                            return Err(err(
+                                line_no,
+                                format!(
+                                    "unknown master key {other:?}{}",
+                                    suggest(other, MASTER_KEYS)
+                                ),
+                            ))
+                        }
+                    }
+                }
+                Section::Xbar(cfg) => match key {
+                    "arbitration" => {
+                        cfg.arbitration = match value {
+                            "rr" => Arbitration::RoundRobin,
+                            "priority" => Arbitration::FixedPriority,
+                            "weighted" => Arbitration::WeightedRoundRobin,
+                            other => {
+                                return Err(err(line_no, format!("unknown arbitration {other:?}")))
+                            }
+                        }
+                    }
+                    "weights" => {
+                        cfg.weights = value
+                            .split(',')
+                            .map(|w| parse_size(w, line_no).map(|v| v as u32))
+                            .collect::<Result<Vec<u32>, _>>()?;
+                    }
+                    other => {
+                        return Err(err(
+                            line_no,
+                            format!("unknown xbar key {other:?}{}", suggest(other, XBAR_KEYS)),
+                        ))
+                    }
+                },
+                Section::Reclaim(cfg) => match key {
+                    "reserved" => cfg.critical_reserved = parse_size(value, line_no)?,
+                    "base" => cfg.be_base = parse_size(value, line_no)?,
+                    "control" => cfg.control_period = parse_size(value, line_no)?,
+                    "gain" => cfg.gain = parse_size(value, line_no)?,
+                    "busy" => cfg.busy_threshold = Some(parse_size(value, line_no)?),
+                    other => {
+                        return Err(err(
+                            line_no,
+                            format!(
+                                "unknown reclaim key {other:?}{}",
+                                suggest(other, RECLAIM_KEYS)
+                            ),
+                        ))
+                    }
+                },
+                Section::Phase(idx) => {
+                    let p = &mut phase_drafts[*idx];
+                    match key {
+                        "at" => p.at = Some(parse_size(value, line_no)?),
+                        "budget" | "period" | "enable" => {
+                            let (target, arg) =
+                                value.split_once(char::is_whitespace).ok_or_else(|| {
+                                    err(line_no, format!("{key} needs `<master> <value>`"))
+                                })?;
+                            let arg = arg.trim();
+                            let op = match key {
+                                "budget" => PhaseOp::Budget(parse_u32(arg, line_no, "budget")?),
+                                "period" => {
+                                    let v = parse_u32(arg, line_no, "period")?;
+                                    if v == 0 {
+                                        return Err(err(line_no, "period must be non-zero"));
+                                    }
+                                    PhaseOp::Period(v)
+                                }
+                                _ => PhaseOp::Enable(parse_on_off(arg, line_no, "enable")?),
+                            };
+                            p.actions.push(ActionDraft {
+                                line: line_no,
+                                target: target.to_string(),
+                                op,
+                            });
+                        }
+                        other => {
+                            return Err(err(
+                                line_no,
+                                format!(
+                                    "unknown phase key {other:?}{}",
+                                    suggest(other, PHASE_KEYS)
+                                ),
+                            ))
+                        }
+                    }
+                }
+                Section::Fault(idx) => {
+                    let f = &mut fault_drafts[*idx];
+                    match key {
+                        "at" => f.at = Some(parse_size(value, line_no)?),
+                        "rogue" => f.events.push(EventDraft {
+                            line: line_no,
+                            event: FaultEvent::Rogue {
+                                master: value.to_string(),
+                            },
+                        }),
+                        "halt" => f.events.push(EventDraft {
+                            line: line_no,
+                            event: FaultEvent::Halt {
+                                master: value.to_string(),
+                            },
+                        }),
+                        "bursty" => {
+                            let mut parts = value.split_whitespace();
+                            let (m, on, off) =
+                                match (parts.next(), parts.next(), parts.next(), parts.next()) {
+                                    (Some(m), Some(on), Some(off), None) => (m, on, off),
+                                    _ => {
+                                        return Err(err(
+                                            line_no,
+                                            "bursty needs `<master> <on> <off>`",
+                                        ))
+                                    }
+                                };
+                            let on = parse_size(on, line_no)?;
+                            if on == 0 {
+                                return Err(err(line_no, "bursty on-phase must be non-zero"));
+                            }
+                            f.events.push(EventDraft {
+                                line: line_no,
+                                event: FaultEvent::Bursty {
+                                    master: m.to_string(),
+                                    on,
+                                    off: parse_size(off, line_no)?,
+                                },
+                            });
+                        }
+                        "regulator" => {
+                            let (m, state) = value
+                                .split_once(char::is_whitespace)
+                                .ok_or_else(|| err(line_no, "regulator needs `<master> on|off`"))?;
+                            f.events.push(EventDraft {
+                                line: line_no,
+                                event: FaultEvent::Regulator {
+                                    master: m.to_string(),
+                                    enabled: parse_on_off(state.trim(), line_no, "regulator")?,
+                                },
+                            });
+                        }
+                        "controller" => {
+                            if value != "off" {
+                                return Err(err(
+                                    line_no,
+                                    "controller fault must be `controller off`",
+                                ));
+                            }
+                            f.events.push(EventDraft {
+                                line: line_no,
+                                event: FaultEvent::ControllerOff,
+                            });
+                        }
+                        "refresh_storm" => {
+                            let (interval, duration) =
+                                value.split_once(char::is_whitespace).ok_or_else(|| {
+                                    err(line_no, "refresh_storm needs `<interval> <duration>`")
+                                })?;
+                            let interval = parse_size(interval, line_no)?;
+                            let duration = parse_size(duration.trim(), line_no)?;
+                            if interval == 0 {
+                                return Err(err(
+                                    line_no,
+                                    "refresh_storm interval must be non-zero",
+                                ));
+                            }
+                            if duration == 0 {
+                                return Err(err(
+                                    line_no,
+                                    "refresh_storm duration must be non-zero",
+                                ));
+                            }
+                            f.events.push(EventDraft {
+                                line: line_no,
+                                event: FaultEvent::RefreshStorm { interval, duration },
+                            });
+                        }
+                        other => {
+                            return Err(err(
+                                line_no,
+                                format!(
+                                    "unknown fault key {other:?}{}",
+                                    suggest(other, FAULT_KEYS)
+                                ),
+                            ))
+                        }
+                    }
+                }
+            }
+        }
+        close(&mut section, &mut reclaim, &mut xbar);
+
+        let mut masters: Vec<MasterSpec> = Vec::with_capacity(drafts.len());
+        for d in drafts {
+            masters.push(d.finish()?);
+        }
+        if masters.is_empty() {
+            return Err(err(0, "scenario declares no masters"));
+        }
+        if reclaim.is_some() {
+            let has_critical = masters.iter().any(|m| m.role == Role::Critical);
+            let has_be = masters.iter().any(|m| m.role == Role::BestEffort);
+            if !has_critical || !has_be {
+                return Err(err(
+                    0,
+                    "reclaim policy needs at least one critical and one best-effort master",
+                ));
+            }
+        }
+        if !xbar.weights.is_empty() && xbar.weights.len() != masters.len() {
+            return Err(err(0, "xbar weights must list one weight per master"));
+        }
+
+        let names: Vec<&str> = masters.iter().map(|m| m.name.as_str()).collect();
+        let find = |n: &str| masters.iter().find(|m| m.name == n);
+        let unknown =
+            |n: &str, line: usize| err(line, format!("unknown master {n:?}{}", suggest(n, &names)));
+
+        let mut phases: Vec<PhaseSpec> = Vec::with_capacity(phase_drafts.len());
+        for pd in phase_drafts {
+            let at = pd
+                .at
+                .ok_or_else(|| err(pd.declared_at, format!("phase {:?} missing `at`", pd.name)))?;
+            let mut actions = Vec::new();
+            for a in pd.actions {
+                let targets: Vec<String> = if a.target == "*" {
+                    let be: Vec<String> = masters
+                        .iter()
+                        .filter(|m| m.role == Role::BestEffort)
+                        .map(|m| m.name.clone())
+                        .collect();
+                    if be.is_empty() {
+                        return Err(err(
+                            a.line,
+                            format!("phase {:?}: `*` matches no best-effort masters", pd.name),
+                        ));
+                    }
+                    be
+                } else {
+                    let m = find(&a.target).ok_or_else(|| unknown(&a.target, a.line))?;
+                    if m.role != Role::BestEffort {
+                        return Err(err(
+                            a.line,
+                            format!(
+                                "master {:?} is not best-effort \
+                                 (only regulated ports can be re-programmed)",
+                                a.target
+                            ),
+                        ));
+                    }
+                    vec![a.target]
+                };
+                for t in targets {
+                    actions.push(PhaseAction {
+                        master: t,
+                        op: a.op,
+                    });
+                }
+            }
+            phases.push(PhaseSpec {
+                name: pd.name,
+                at,
+                actions,
+            });
+        }
+
+        let mut faults: Vec<FaultSpec> = Vec::with_capacity(fault_drafts.len());
+        for fd in fault_drafts {
+            let at = fd
+                .at
+                .ok_or_else(|| err(fd.declared_at, format!("fault {:?} missing `at`", fd.name)))?;
+            let mut events = Vec::with_capacity(fd.events.len());
+            for e in fd.events {
+                match &e.event {
+                    FaultEvent::Rogue { master }
+                    | FaultEvent::Bursty { master, .. }
+                    | FaultEvent::Halt { master } => {
+                        let m = find(master).ok_or_else(|| unknown(master, e.line))?;
+                        if !matches!(m.workload, Workload::Spec(_)) {
+                            return Err(err(
+                                e.line,
+                                format!(
+                                    "master {master:?} replays a kernel and cannot be faulted \
+                                     (traffic faults need a synthetic workload)"
+                                ),
+                            ));
+                        }
+                        if m.start > 0 {
+                            return Err(err(
+                                e.line,
+                                format!(
+                                    "master {master:?} has a `start` delay and cannot be \
+                                     traffic-faulted"
+                                ),
+                            ));
+                        }
+                    }
+                    FaultEvent::Regulator { master, .. } => {
+                        let m = find(master).ok_or_else(|| unknown(master, e.line))?;
+                        if m.role != Role::BestEffort {
+                            return Err(err(
+                                e.line,
+                                format!(
+                                    "master {master:?} is not best-effort (no regulator to fault)"
+                                ),
+                            ));
+                        }
+                    }
+                    FaultEvent::ControllerOff => {
+                        if reclaim.is_none() {
+                            return Err(err(
+                                e.line,
+                                "controller off needs a [policy reclaim] section to fault",
+                            ));
+                        }
+                    }
+                    FaultEvent::RefreshStorm { duration, .. } => {
+                        if at.checked_add(*duration).is_none() {
+                            return Err(err(e.line, "refresh_storm window overflows"));
+                        }
+                    }
+                }
+                events.push(e.event);
+            }
+            faults.push(FaultSpec {
+                name: fd.name,
+                at,
+                events,
+            });
+        }
+
+        // Traffic faults become segments of one PhasedSource per master:
+        // boundaries must be distinct per master.
+        let mut traffic_at: Vec<(&str, u64)> = faults
+            .iter()
+            .flat_map(|f| {
+                f.events
+                    .iter()
+                    .filter_map(move |e| e.traffic_master().map(|m| (m, f.at)))
+            })
+            .collect();
+        traffic_at.sort();
+        for w in traffic_at.windows(2) {
+            if w[0] == w[1] {
+                return Err(err(
+                    0,
+                    format!(
+                        "master {:?} has two traffic faults at cycle {}",
+                        w[0].0, w[0].1
+                    ),
+                ));
+            }
+        }
+        let mut storm_windows: Vec<(u64, u64)> = faults
+            .iter()
+            .flat_map(|f| {
+                f.events.iter().filter_map(move |e| match e {
+                    FaultEvent::RefreshStorm { duration, .. } => Some((f.at, f.at + duration)),
+                    _ => None,
+                })
+            })
+            .collect();
+        storm_windows.sort();
+        for w in storm_windows.windows(2) {
+            if w[1].0 < w[0].1 {
+                return Err(err(0, "refresh storms overlap"));
+            }
+        }
+
+        for ex in &expects {
+            let master = ex.kind.master();
+            let m = find(master).ok_or_else(|| unknown(master, ex.line))?;
+            match &ex.kind {
+                ExpectKind::WithinBudget { .. } if m.role != Role::BestEffort => {
+                    return Err(err(
+                        ex.line,
+                        format!(
+                            "bandwidth({master}) within ...% of budget needs a best-effort master"
+                        ),
+                    ));
+                }
+                ExpectKind::Isolation { .. } if m.role != Role::Critical => {
+                    return Err(err(
+                        ex.line,
+                        format!("isolation({master}) needs a critical master"),
+                    ));
+                }
+                _ => {}
+            }
+        }
+        if let Some((name, line)) = &until_done {
+            if find(name).is_none() {
+                return Err(unknown(name, *line));
+            }
+        }
+
+        Ok(ScenarioSpec {
+            freq,
+            xbar,
+            masters,
+            reclaim,
+            phases,
+            faults,
+            expects,
+            cycles,
+            until_done: until_done.map(|(n, _)| n),
+        })
     }
 
-    #[test]
-    fn unregulated_corun_is_slower_than_isolation() {
-        let s = small();
-        let iso = s.isolation_cycles();
-        let (t, _) = s.run(Scheme::Unregulated, 1_000_000_000);
-        assert!(t > iso, "contended {t} should exceed isolation {iso}");
+    /// Traffic fault events rewriting `name`'s workload, ordered by cycle.
+    fn traffic_events_for(&self, name: &str) -> Vec<(u64, &FaultEvent)> {
+        let mut v: Vec<(u64, &FaultEvent)> = self
+            .faults
+            .iter()
+            .flat_map(|f| {
+                f.events
+                    .iter()
+                    .filter(move |e| e.traffic_master() == Some(name))
+                    .map(move |e| (f.at, e))
+            })
+            .collect();
+        v.sort_by_key(|(at, _)| *at);
+        v
     }
 
-    #[test]
-    fn tc_regulation_recovers_critical_performance() {
-        let s = small();
-        let (unreg, _) = s.run(Scheme::Unregulated, 1_000_000_000);
-        let (reg, built) = s.run(
-            Scheme::Tc {
-                period: 1_000,
-                budget: 2_000,
+    /// Refresh storms declared by faults, sorted by start.
+    pub fn storms(&self) -> Vec<RefreshStorm> {
+        let mut storms: Vec<RefreshStorm> = self
+            .faults
+            .iter()
+            .flat_map(|f| {
+                f.events.iter().filter_map(move |e| match e {
+                    FaultEvent::RefreshStorm { interval, duration } => Some(RefreshStorm {
+                        start: f.at,
+                        end: f.at + duration,
+                        interval: *interval,
+                    }),
+                    _ => None,
+                })
+            })
+            .collect();
+        storms.sort_by_key(|s| s.start);
+        storms
+    }
+
+    /// The `[phase]` and regulator-`[fault]` writes as a
+    /// [`ScenarioProgram`] schedule over `fabric`'s drivers: phase ops in
+    /// declaration order with `extra` appended as the last-declared
+    /// phase, then fault ops. The program's stable sort by cycle keeps
+    /// that order among writes sharing a cycle.
+    pub fn program_ops(&self, fabric: &QosFabric, extra: Option<&PhaseSpec>) -> Vec<TimedOp> {
+        let mut ops: Vec<TimedOp> = Vec::new();
+        for p in self.phases.iter().chain(extra) {
+            for a in &p.actions {
+                let driver = fabric
+                    .driver(&a.master)
+                    .expect("phase targets validated at parse")
+                    .clone();
+                ops.push(TimedOp {
+                    at: p.at,
+                    driver,
+                    op: match a.op {
+                        PhaseOp::Budget(b) => ProgramOp::Budget(b),
+                        PhaseOp::Period(c) => ProgramOp::Period(c),
+                        PhaseOp::Enable(e) => ProgramOp::Enabled(e),
+                    },
+                });
+            }
+        }
+        for f in &self.faults {
+            for e in &f.events {
+                if let FaultEvent::Regulator { master, enabled } = e {
+                    let driver = fabric
+                        .driver(master)
+                        .expect("regulator fault targets validated at parse")
+                        .clone();
+                    ops.push(TimedOp {
+                        at: f.at,
+                        driver,
+                        op: ProgramOp::Enabled(*enabled),
+                    });
+                }
+            }
+        }
+        ops
+    }
+
+    /// The phase `period * P`, `budget * B`, `enable * on` at cycle `at`
+    /// would parse to: each line expanded over the best-effort masters in
+    /// declaration order.
+    pub fn knob_phase(&self, at: u64, period: u32, budget: u32) -> PhaseSpec {
+        let be: Vec<&MasterSpec> = self
+            .masters
+            .iter()
+            .filter(|m| m.role == Role::BestEffort)
+            .collect();
+        let actions = [
+            PhaseOp::Period(period),
+            PhaseOp::Budget(budget),
+            PhaseOp::Enable(true),
+        ]
+        .into_iter()
+        .flat_map(|op| {
+            be.iter().map(move |m| PhaseAction {
+                master: m.name.clone(),
+                op,
+            })
+        })
+        .collect();
+        PhaseSpec {
+            name: "knobs".to_string(),
+            at,
+            actions,
+        }
+    }
+
+    /// Builds the SoC and its QoS fabric.
+    pub fn build(&self) -> (Soc, QosFabric) {
+        let cfg = SocConfig {
+            freq: self.freq,
+            xbar: self.xbar.clone(),
+            dram: DramConfig {
+                storms: self.storms(),
+                ..DramConfig::default()
             },
-            1_000_000_000,
-        );
-        assert!(
-            reg < unreg,
-            "regulated ({reg}) must beat unregulated ({unreg})"
-        );
-        // The interferers were indeed throttled.
-        let t = built.interferer_drivers[0].telemetry();
-        assert!(t.stall_cycles > 0);
+        };
+        let mut fabric = QosFabricBuilder::new();
+        let mut builder = SocBuilder::new(cfg);
+        for m in &self.masters {
+            let outstanding = if m.outstanding > 0 {
+                m.outstanding
+            } else {
+                m.kind.default_outstanding()
+            };
+            let events = self.traffic_events_for(&m.name);
+            let source: Box<dyn fgqos_sim::master::TrafficSource> = match &m.workload {
+                Workload::Spec(t) if !events.is_empty() => {
+                    let mut segments = vec![(Cycle::ZERO, *t)];
+                    for (at, ev) in events {
+                        let prev = segments.last().expect("segments start non-empty").1;
+                        let next = match ev {
+                            FaultEvent::Rogue { .. } => TrafficSpec {
+                                gap: 0,
+                                think: 0,
+                                burst: None,
+                                total: u64::MAX,
+                                ..prev
+                            },
+                            FaultEvent::Bursty { on, off, .. } => TrafficSpec {
+                                burst: Some(BurstShape {
+                                    on_cycles: *on,
+                                    off_cycles: *off,
+                                }),
+                                ..prev
+                            },
+                            FaultEvent::Halt { .. } => TrafficSpec { total: 0, ..prev },
+                            _ => unreachable!("traffic_events_for returns traffic faults"),
+                        };
+                        segments.push((Cycle::new(at), next));
+                    }
+                    Box::new(PhasedSource::new(segments, m.seed))
+                }
+                Workload::Spec(t) => {
+                    Box::new(SpecSource::new(*t, m.seed).with_start(Cycle::new(m.start)))
+                }
+                Workload::Kernel(k, iters, base) => Box::new(k.source(*base, *iters, m.seed)),
+            };
+            builder = match m.role {
+                Role::Critical => {
+                    let gate = fabric.critical_port(&m.name, m.period.max(1));
+                    builder.master_full(&m.name, source, m.kind, gate, outstanding)
+                }
+                Role::BestEffort => {
+                    let gate = fabric.best_effort_port(&m.name, m.period.max(1), m.budget);
+                    builder.master_full(&m.name, source, m.kind, gate, outstanding)
+                }
+                Role::Unmanaged => match m.gate {
+                    None => builder.master_full(&m.name, source, m.kind, OpenGate, outstanding),
+                    Some(GateSpec::MemGuard { tick, budget, irq }) => {
+                        let gate = MemGuardGate::new(MemGuardConfig {
+                            tick_cycles: tick,
+                            budget_bytes: budget,
+                            irq_latency_cycles: irq,
+                        });
+                        builder.master_full(&m.name, source, m.kind, gate, outstanding)
+                    }
+                    Some(GateSpec::Tdma { slot, guard }) => {
+                        let gate = TdmaGate::new(TdmaSchedule::new(slot, 2), vec![1], guard);
+                        builder.master_full(&m.name, source, m.kind, gate, outstanding)
+                    }
+                },
+            };
+        }
+        let fabric = fabric.finish();
+        let ops = self.program_ops(&fabric, None);
+        if let Some(r) = &self.reclaim {
+            let policy = fabric.reclaim_policy(r.config);
+            let fuse = self
+                .faults
+                .iter()
+                .filter(|f| {
+                    f.events
+                        .iter()
+                        .any(|e| matches!(e, FaultEvent::ControllerOff))
+                })
+                .map(|f| f.at)
+                .min();
+            builder = match fuse {
+                Some(at) => builder.controller(FusedController::new(policy, at)),
+                None => builder.controller(policy),
+            };
+        }
+        // The program goes in *after* the reclaim policy so that at a
+        // coincident cycle an explicit `[phase]` write beats the
+        // background policy's write — the same tie-break a live control
+        // write gets (controllers settle, then the write applies), which
+        // is what keeps a replayed control journal bit-identical to the
+        // live run it recorded.
+        //
+        // Installed even with no ops: the controller *count* is part of
+        // the Soc fingerprint, and live-run replay identity compares a
+        // phase-free live run against a replay text that gained
+        // synthesized `[phase]` sections. An empty program schedules
+        // nothing and hashes identically to a fully drained one.
+        builder = builder.controller(ScenarioProgram::new(ops));
+        (builder.build(), fabric)
     }
+}
 
-    #[test]
-    fn critical_monitor_sees_critical_bytes() {
-        let s = small();
-        let (_, built) = s.run(Scheme::Unregulated, 1_000_000_000);
-        let telemetry = built.critical_driver.telemetry();
-        assert_eq!(
-            telemetry.total_bytes,
-            s.critical_txns * s.critical_txn_bytes
-        );
+/// Renders `t` as the synthetic-workload master keys (`pattern`, `base`,
+/// `footprint`, `txn`, `dir`, `write_ratio`, `gap`, `think`, and `total`
+/// and `burst` when set) that parse back to `t`, one per line.
+pub fn traffic_keys(t: &TrafficSpec) -> String {
+    let pattern = match t.pattern {
+        AddressPattern::Sequential => "seq".to_string(),
+        AddressPattern::Random => "random".to_string(),
+        AddressPattern::Strided { stride } => format!("strided:{stride}"),
+    };
+    let mut keys = format!(
+        "pattern {pattern}\nbase {:#x}\nfootprint {}\ntxn {}\ndir {}\nwrite_ratio {}\n\
+         gap {}\nthink {}\n",
+        t.base, t.footprint, t.txn_bytes, t.dir, t.write_ratio, t.gap, t.think
+    );
+    if t.total != u64::MAX {
+        keys += &format!("total {}\n", t.total);
     }
+    if let Some(b) = t.burst {
+        keys += &format!("burst {} {}\n", b.on_cycles, b.off_cycles);
+    }
+    keys
+}
+
+/// Resolves `extends <path>` inheritance by textual inclusion.
+///
+/// Every `extends` directive appearing before the first section header is
+/// replaced by the (recursively resolved) text `load` returns for its
+/// path; all other lines pass through unchanged. Cycles and chains deeper
+/// than 8 files are errors. The flattened text is what the rest of the
+/// stack sees — it is the serve cache key and the snapshot recipe, so
+/// inherited scenarios stay cacheable and restorable.
+///
+/// # Errors
+///
+/// Returns the offending `extends` line (numbered within the file that
+/// contains it) when `load` fails, a cycle is found, or the chain is too
+/// deep.
+pub fn resolve_extends_with<F>(text: &str, load: &mut F) -> Result<String, ParseScenarioError>
+where
+    F: FnMut(&str) -> Result<String, String>,
+{
+    fn inner<F>(
+        text: &str,
+        load: &mut F,
+        stack: &mut Vec<String>,
+    ) -> Result<String, ParseScenarioError>
+    where
+        F: FnMut(&str) -> Result<String, String>,
+    {
+        let mut out = String::with_capacity(text.len());
+        let mut in_sections = false;
+        for (i, raw) in text.lines().enumerate() {
+            let line_no = i + 1;
+            let body = raw.split('#').next().unwrap_or("").trim();
+            if body.starts_with('[') {
+                in_sections = true;
+            }
+            if !in_sections {
+                if let Some(("extends", path)) = body
+                    .split_once(char::is_whitespace)
+                    .map(|(k, v)| (k, v.trim()))
+                {
+                    if stack.iter().any(|p| p == path) {
+                        return Err(err(line_no, format!("extends cycle through {path:?}")));
+                    }
+                    if stack.len() >= 8 {
+                        return Err(err(line_no, "extends chain deeper than 8 files"));
+                    }
+                    let parent = load(path).map_err(|e| err(line_no, e))?;
+                    stack.push(path.to_string());
+                    let resolved = inner(&parent, load, stack)?;
+                    stack.pop();
+                    out.push_str(&resolved);
+                    if !resolved.ends_with('\n') {
+                        out.push('\n');
+                    }
+                    continue;
+                }
+            }
+            out.push_str(raw);
+            out.push('\n');
+        }
+        Ok(out)
+    }
+    inner(text, load, &mut Vec::new())
+}
+
+/// Reads a scenario file and resolves `extends` inheritance against the
+/// file's directory. Returns the flattened scenario text — the form all
+/// downstream machinery (parser, serve cache keys, snapshot recipes)
+/// operates on.
+///
+/// # Errors
+///
+/// Returns a [`ParseScenarioError`] if the file or any parent cannot be
+/// read, or inheritance is cyclic / too deep.
+pub fn load_scenario_text(path: &str) -> Result<String, ParseScenarioError> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| err(0, format!("cannot read {path}: {e}")))?;
+    let dir = Path::new(path)
+        .parent()
+        .map(Path::to_path_buf)
+        .unwrap_or_default();
+    resolve_extends_with(&text, &mut |rel| {
+        let p = dir.join(rel);
+        std::fs::read_to_string(&p).map_err(|e| format!("cannot read {}: {e}", p.display()))
+    })
 }

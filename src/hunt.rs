@@ -181,7 +181,8 @@ pub fn base_info(text: &str, spec: &ScenarioSpec) -> Result<BaseInfo, String> {
 
     // Masters the base scenario already injects traffic faults into are
     // off-limits: the DSL allows one traffic fault per (master, cycle)
-    // and excluding them keeps generated overlays collision-free.
+    // and excluding them keeps generated overlays collision-free. So are
+    // delayed (`start`) masters, whose traffic no fault may rewrite.
     let mut base_faulted: BTreeSet<&str> = BTreeSet::new();
     for f in &spec.faults {
         for e in &f.events {
@@ -199,6 +200,7 @@ pub fn base_info(text: &str, spec: &ScenarioSpec) -> Result<BaseInfo, String> {
         .filter(|m| {
             matches!(m.role, Role::BestEffort)
                 && matches!(m.workload, Workload::Spec(_))
+                && m.start == 0
                 && !base_faulted.contains(m.name.as_str())
         })
         .map(|m| m.name.clone())
@@ -552,6 +554,14 @@ mod tests {
         let spec = ScenarioSpec::parse(&text).unwrap();
         let b = base_info(&text, &spec).unwrap();
         assert!(b.fault_targets.is_empty(), "dma0 already carries a fault");
+    }
+
+    #[test]
+    fn base_info_excludes_delayed_targets() {
+        let text = format!("{BASE}\n[override master dma0]\nstart 5000\n");
+        let spec = ScenarioSpec::parse(&text).unwrap();
+        let b = base_info(&text, &spec).unwrap();
+        assert!(b.fault_targets.is_empty(), "dma0 launches late");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   register file, driver and QoS policies
 //! * [`baselines`] — MemGuard, PREM/TDMA and unregulated baselines
 //! * [`workloads`] — synthetic traffic generators and benchmark kernels
-//! * [`bench`](mod@bench) — experiment harness: sweeps, tables, structured reports
+//! * [`bench`](mod@bench) — experiment harness: sweeps, tables, structured
+//!   reports, and the `.fgq` scenario DSL (re-exported as [`scenario`])
 //! * [`serve`] — long-running scenario-execution service (job pool,
 //!   result cache, self-regulated admission control)
 //! * [`hunt_engine`] — adversarial worst-case contention search engine
@@ -16,7 +17,15 @@
 
 pub mod hunt;
 pub mod runner;
-pub mod scenario;
+
+/// The `.fgq` scenario DSL, re-exported from [`fgqos_bench::scenario`].
+/// Its parser and build tests live here and run through the public API.
+pub mod scenario {
+    pub use fgqos_bench::scenario::*;
+
+    #[cfg(test)]
+    mod tests;
+}
 
 pub use fgqos_baselines as baselines;
 pub use fgqos_bench as bench;
