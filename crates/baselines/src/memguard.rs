@@ -177,6 +177,7 @@ impl PortGate for MemGuardGate {
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("memguard");
+        w.no_leap();
         // Configuration travels in the stream for verification only: the
         // skeleton this state loads into must have been built with the
         // same parameters.

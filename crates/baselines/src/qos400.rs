@@ -167,6 +167,7 @@ impl PortGate for OtRegulatorGate {
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("qos400-ot");
+        w.no_leap();
         w.fixed(self.cfg.max_outstanding, "qos400 outstanding cap");
         w.fixed(self.cfg.txns_per_period, "qos400 txns per period");
         w.fixed(self.cfg.period_cycles, "qos400 period");

@@ -157,6 +157,7 @@ impl PortGate for TdmaGate {
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("tdma");
+        w.no_leap();
         // The schedule and slot assignment are structural configuration:
         // verified against the skeleton, never overwritten.
         w.fixed(self.schedule.slot_cycles, "tdma slot length");

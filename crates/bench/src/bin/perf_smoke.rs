@@ -123,7 +123,7 @@ fn main() {
     // Steady-state leap throughput: the engine must keep crossing the
     // saturated regulated horizon algebraically. A regression here means
     // detection stopped firing (a new snap field breaking lockstep, a
-    // component dropping its leap_support opt-in), not ordinary slowdown
+    // component walk newly declaring no_leap), not ordinary slowdown
     // — the gated number is orders of magnitude above cycle stepping.
     let leap = measure(leap_soc, LEAP_CYCLES, 3);
 

@@ -1336,6 +1336,7 @@ impl ScenarioSpec {
         }
         close(&mut section, &mut reclaim, &mut xbar);
 
+        let first_master_line = drafts.first().map_or(0, |d| d.declared_at);
         let mut masters: Vec<MasterSpec> = Vec::with_capacity(drafts.len());
         for d in drafts {
             masters.push(d.finish()?);
@@ -1540,6 +1541,14 @@ impl ScenarioSpec {
             }
         }
 
+        // Last, so every more specific error above wins.
+        if masters.iter().all(|m| m.role == Role::Unmanaged) {
+            return Err(err(
+                first_master_line,
+                "scenario needs at least one critical or best-effort master \
+                 (the QoS fabric has no port otherwise)",
+            ));
+        }
         Ok(ScenarioSpec {
             freq,
             xbar,

@@ -151,6 +151,7 @@ impl PortGate for LeakyBucketRegulator {
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("leaky-bucket");
+        w.no_leap();
         // Configuration travels in the stream for verification only: the
         // skeleton this state loads into must match it.
         w.fixed(self.cfg.budget_bytes, "leaky-bucket budget_bytes");

@@ -355,6 +355,8 @@ impl WindowMonitor {
             .as_ref()
             .map_or(DEFAULT_LOG_WINDOWS, |l| l.capacity);
         if let Some(log) = w.option_with(&mut self.log, || WindowLog::new(capacity)) {
+            // One record per window: an algebraic leap cannot reproduce it.
+            w.no_leap();
             w.drained(log.records.len(), "window log");
             let mut dropped = log.dropped;
             w.plain(&mut dropped);

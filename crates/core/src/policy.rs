@@ -76,6 +76,7 @@ impl Controller for StaticPartition {
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("static-partition");
+        w.no_leap();
         w.fixed(self.ports.len(), "static-partition port count");
         for p in &mut self.ports {
             p.driver.visit_state(w);
@@ -205,6 +206,7 @@ impl Controller for ReclaimPolicy {
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("reclaim");
+        w.no_leap();
         self.critical.visit_state(w);
         for d in &mut self.best_effort {
             d.visit_state(w);
@@ -353,6 +355,7 @@ impl Controller for FeedbackController {
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("feedback-aimd");
+        w.no_leap();
         self.critical.visit_state(w);
         for d in &mut self.best_effort {
             d.visit_state(w);

@@ -145,16 +145,6 @@ impl Controller for ScenarioProgram {
             .map(|t| Cycle::new(t.at).max(now))
     }
 
-    fn leap_support(&self, _now: Cycle) -> fgqos_sim::LeapSupport {
-        // Each pending op is a one-shot absolute-time behavior change;
-        // the next unapplied op's fire cycle bounds any leap. With the
-        // schedule exhausted the program is inert.
-        match self.ops.get(self.applied) {
-            Some(t) => fgqos_sim::LeapSupport::until(Cycle::new(t.at)),
-            None => fgqos_sim::LeapSupport::clear(),
-        }
-    }
-
     fn label(&self) -> &'static str {
         "scenario-program"
     }
@@ -179,6 +169,12 @@ impl Controller for ScenarioProgram {
             ));
         }
         self.applied = self.ops.len() - pending;
+        // Each pending op is a one-shot absolute-time behavior change;
+        // the next unapplied op's fire cycle bounds any leap. With the
+        // schedule exhausted the program is inert.
+        if let Some(t) = self.ops.get(self.applied) {
+            w.horizon(t.at);
+        }
     }
 }
 
@@ -220,19 +216,6 @@ impl Controller for FusedController {
             .filter(|c| c.get() < self.until)
     }
 
-    fn leap_support(&self, now: Cycle) -> fgqos_sim::LeapSupport {
-        if now.get() >= self.until {
-            // Blown fuse: the inner controller is never called again, so
-            // its state is frozen (plain snapshot fields) and nothing
-            // here depends on absolute time anymore.
-            fgqos_sim::LeapSupport::clear()
-        } else {
-            self.inner
-                .leap_support(now)
-                .merge(fgqos_sim::LeapSupport::until(Cycle::new(self.until)))
-        }
-    }
-
     fn label(&self) -> &'static str {
         "fused"
     }
@@ -240,7 +223,15 @@ impl Controller for FusedController {
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("fused");
         w.fixed(self.until, "fuse cycle");
-        self.inner.visit_state(w);
+        if w.boundary().is_some_and(|now| now >= self.until) {
+            // Blown fuse: the inner controller is never called again, so
+            // its state is frozen and nothing here depends on absolute
+            // time anymore.
+            w.dormant(|w| self.inner.visit_state(w));
+        } else {
+            w.horizon(self.until);
+            self.inner.visit_state(w);
+        }
     }
 }
 

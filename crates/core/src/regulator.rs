@@ -279,23 +279,14 @@ impl PortGate for TcRegulator {
             .write64(Reg::StallLo, Reg::StallHi, self.stall_cycles);
     }
 
-    fn leap_support(&self, _now: Cycle) -> fgqos_sim::LeapSupport {
-        // Admission depends only on register/monitor state (all in the
-        // snapshot stream), never on absolute time — except a window log,
-        // which materializes one record per window and cannot be
-        // reproduced algebraically.
-        if self.monitor.log().is_some() {
-            fgqos_sim::LeapSupport::deny()
-        } else {
-            fgqos_sim::LeapSupport::clear()
-        }
-    }
-
     fn label(&self) -> &'static str {
         "tc-regulator"
     }
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+        // Admission depends only on register/monitor state, never on
+        // absolute time, so the walk declares nothing for the leap engine
+        // (a window log declares no leaping through the monitor).
         w.section("tc-regulator");
         // Loading through the shared handle also restores the driver's
         // view; a fork remaps gate, monitor and driver to one block, so

@@ -177,6 +177,7 @@ impl PortGate for SharedBudgetGate {
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("shared-budget");
+        w.no_leap();
         // All member gates of one group fork to the same state, so the
         // aggregate-budget topology survives the fork. Every member walks
         // the group state; loading it once per member writes the same

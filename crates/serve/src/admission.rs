@@ -20,6 +20,7 @@
 //! | burst allowance              | [`AdmissionConfig::depth_bytes`]     |
 //! | AXI beats                    | request frame bytes, in [`BEAT_BYTES`] beats |
 
+use crate::recover;
 use fgqos_core::bucket::{BucketConfig, LeakyBucketRegulator};
 use fgqos_core::regulator::OvershootPolicy;
 use fgqos_sim::axi::{Dir, MasterId, Request, BEAT_BYTES, MAX_BURST_BEATS};
@@ -86,7 +87,7 @@ impl AdmissionControl {
     /// admission. Denied requests debit nothing.
     pub fn admit(&self, client: &str, bytes: u64) -> bool {
         let now = self.now();
-        let mut clients = self.clients.lock().expect("admission poisoned");
+        let mut clients = recover(self.clients.lock());
         let st = clients
             .entry(client.to_string())
             .or_insert_with(|| ClientState {
@@ -126,7 +127,7 @@ impl AdmissionControl {
     /// Per-client `(name, accepted, denied)` counters, sorted by name
     /// for deterministic metrics export.
     pub fn snapshot(&self) -> Vec<(String, u64, u64)> {
-        let clients = self.clients.lock().expect("admission poisoned");
+        let clients = recover(self.clients.lock());
         let mut rows: Vec<(String, u64, u64)> = clients
             .iter()
             .map(|(name, st)| (name.clone(), st.accepted, st.denied))

@@ -24,6 +24,7 @@
 //! collision degrades to a miss instead of serving a wrong result.
 
 use crate::protocol::{BatchPoint, BatchSpec, JobSpec};
+use crate::recover;
 use fgqos_sim::json::Value;
 use std::collections::HashMap;
 use std::io;
@@ -145,7 +146,7 @@ impl ResultCache {
     /// Looks up a finished report, counting the hit or miss. Persistent
     /// caches consult disk on a memory miss (and promote the entry).
     pub fn get(&self, hash: u64, key: &str) -> Option<Arc<Value>> {
-        let mut entries = self.entries.lock().expect("cache poisoned");
+        let mut entries = recover(self.entries.lock());
         match entries.get(&hash) {
             Some(e) if e.key == key => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -182,7 +183,7 @@ impl ResultCache {
     /// Stores a finished report under its content address
     /// (write-through to disk for persistent caches).
     pub fn insert(&self, hash: u64, key: String, report: Arc<Value>) {
-        let mut entries = self.entries.lock().expect("cache poisoned");
+        let mut entries = recover(self.entries.lock());
         if let Some(dir) = self.disk.as_deref() {
             Self::disk_put(dir, hash, &key, &report);
         }
@@ -191,7 +192,7 @@ impl ResultCache {
 
     /// Number of cached reports.
     pub fn len(&self) -> usize {
-        self.entries.lock().expect("cache poisoned").len()
+        recover(self.entries.lock()).len()
     }
 
     /// `true` when nothing is cached.

@@ -28,6 +28,7 @@
 use crate::client::{Client, ClientError, SubmitOptions};
 use crate::pool::{Lane, LaneError, Payload, ServeCore};
 use crate::protocol::{from_hex, MetricsFormat};
+use crate::recover;
 use fgqos_sim::json::Value;
 use fgqos_sim::metrics::MetricsRegistry;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -97,9 +98,7 @@ impl Fleet {
     }
 
     fn live_workers(&self) -> Vec<Arc<WorkerEntry>> {
-        self.workers
-            .lock()
-            .expect("fleet poisoned")
+        recover(self.workers.lock())
             .iter()
             .filter(|w| w.alive.load(Ordering::Relaxed))
             .cloned()
@@ -151,7 +150,7 @@ impl Fleet {
 
     /// The per-worker `coordinator.*` gauges.
     pub(crate) fn export(&self, reg: &mut MetricsRegistry) {
-        let workers = self.workers.lock().expect("fleet poisoned");
+        let workers = recover(self.workers.lock());
         let alive = |w: &WorkerEntry| w.alive.load(Ordering::Relaxed);
         reg.gauge("coordinator.workers", workers.len() as f64);
         let live = workers.iter().filter(|w| alive(w)).count();
@@ -277,7 +276,7 @@ impl ServeCore {
             .unwrap_or(1)
             .max(1);
         let entry = {
-            let mut workers = fleet.workers.lock().expect("fleet poisoned");
+            let mut workers = recover(fleet.workers.lock());
             // A restarted worker re-registers the same address: drop the
             // dead entry rather than double-counting it.
             workers.retain(|w| w.addr != addr || w.alive.load(Ordering::Relaxed));

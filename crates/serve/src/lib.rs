@@ -46,7 +46,16 @@ pub mod protocol;
 pub mod server;
 
 use fgqos_bench::report::Report;
-use std::sync::Arc;
+use std::sync::{Arc, LockResult, PoisonError};
+
+/// Unwraps a `Mutex::lock` or `Condvar::wait*` result, recovering the
+/// guard when a panicking thread poisoned the lock. Executors never run
+/// under these locks; the critical sections only update job tables,
+/// queues and counters, each entry valid on its own, so one panicked
+/// thread must not fail every later request.
+pub(crate) fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Renders a caught executor panic as a job error.
 pub(crate) fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {

@@ -30,6 +30,7 @@
 //! tests.
 
 use crate::protocol::ControlSet;
+use crate::recover;
 use fgqos_sim::json::Value;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -184,14 +185,14 @@ impl LiveSession {
     /// (the scenario's best-effort masters). Writes queued before this
     /// point are validated late, at the first boundary.
     pub fn begin(&self, targets: Vec<String>) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = recover(self.inner.lock());
         inner.targets = Some(targets);
     }
 
     /// Drains every queued control write (arrival order) and reports
     /// whether the run should abort at this boundary.
     pub fn drain_controls(&self) -> BoundaryCmd {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = recover(self.inner.lock());
         BoundaryCmd {
             writes: inner.pending.drain(..).collect(),
             abort: inner.abort,
@@ -200,14 +201,14 @@ impl LiveSession {
 
     /// Records one accepted control write in the journal.
     pub fn record(&self, entry: JournalEntry) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = recover(self.inner.lock());
         inner.journal.push(entry);
     }
 
     /// Fans a telemetry frame out to every subscriber, dropping the
     /// oldest queued frame of any subscriber at its queue cap.
     pub fn publish(&self, frame: Value) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = recover(self.inner.lock());
         inner.frames += 1;
         let mut dropped = 0;
         for sub in inner.subscribers.values_mut() {
@@ -233,7 +234,7 @@ impl LiveSession {
         replay_scenario: Option<String>,
         error: Option<String>,
     ) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = recover(self.inner.lock());
         inner.finished = true;
         inner.report = report;
         inner.replay_scenario = replay_scenario;
@@ -246,7 +247,7 @@ impl LiveSession {
     /// finishing the wait — if the session is told to abort.
     pub fn pause(&self, dur: Duration) {
         let deadline = Instant::now() + dur;
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = recover(self.inner.lock());
         loop {
             if inner.abort {
                 return;
@@ -255,7 +256,7 @@ impl LiveSession {
             if now >= deadline {
                 return;
             }
-            let (next, _) = self.wake.wait_timeout(inner, deadline - now).unwrap();
+            let (next, _) = recover(self.wake.wait_timeout(inner, deadline - now));
             inner = next;
         }
     }
@@ -264,7 +265,7 @@ impl LiveSession {
 
     /// Registers a subscriber; returns its id for [`LiveSession::next_frame`].
     pub fn subscribe(&self) -> u64 {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = recover(self.inner.lock());
         let sub = inner.next_sub;
         inner.next_sub += 1;
         inner.subscribers.insert(
@@ -280,7 +281,7 @@ impl LiveSession {
     /// Deregisters a subscriber (a disconnected client stops consuming
     /// queue memory).
     pub fn unsubscribe(&self, sub: u64) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = recover(self.inner.lock());
         inner.subscribers.remove(&sub);
     }
 
@@ -290,7 +291,7 @@ impl LiveSession {
     /// finished run still delivers everything that was published.
     pub fn next_frame(&self, sub: u64, timeout: Duration) -> NextFrame {
         let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = recover(self.inner.lock());
         loop {
             if let Some(q) = inner.subscribers.get_mut(&sub) {
                 if let Some(frame) = q.frames.pop_front() {
@@ -308,7 +309,7 @@ impl LiveSession {
             if now >= deadline {
                 return NextFrame::TimedOut;
             }
-            let (next, _) = self.wake.wait_timeout(inner, deadline - now).unwrap();
+            let (next, _) = recover(self.wake.wait_timeout(inner, deadline - now));
             inner = next;
         }
     }
@@ -338,7 +339,7 @@ impl LiveSession {
     /// queue. Rejected once the run finished, or when the target is not
     /// a best-effort master of the running scenario.
     pub fn control(&self, write: ControlWrite) -> Result<u64, String> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = recover(self.inner.lock());
         if inner.finished {
             return Err(format!("live run {} already finished", self.id));
         }
@@ -360,7 +361,7 @@ impl LiveSession {
     /// and — once finished — the synthesized replay scenario plus the
     /// final report.
     pub fn journal_doc(&self) -> Value {
-        let inner = self.inner.lock().unwrap();
+        let inner = recover(self.inner.lock());
         let mut v = Value::obj();
         v.set("run", Value::from(self.id));
         v.set(
@@ -386,34 +387,34 @@ impl LiveSession {
 
     /// Whether the run has finished (successfully or not).
     pub fn finished(&self) -> bool {
-        self.inner.lock().unwrap().finished
+        recover(self.inner.lock()).finished
     }
 
     /// Blocks until the run finishes, up to `timeout`; returns whether
     /// it did.
     pub fn wait_finished(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = recover(self.inner.lock());
         while !inner.finished {
             let now = Instant::now();
             if now >= deadline {
                 return false;
             }
-            let (next, _) = self.wake.wait_timeout(inner, deadline - now).unwrap();
+            let (next, _) = recover(self.wake.wait_timeout(inner, deadline - now));
             inner = next;
         }
         true
     }
 
     fn request_abort(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = recover(self.inner.lock());
         inner.abort = true;
         drop(inner);
         self.wake.notify_all();
     }
 
     fn counters(&self) -> (u64, u64, u64, bool) {
-        let inner = self.inner.lock().unwrap();
+        let inner = recover(self.inner.lock());
         (
             inner.frames,
             inner.controls_queued,
@@ -459,14 +460,14 @@ impl LiveRegistry {
         }
         let id = self.next.fetch_add(1, Ordering::SeqCst) + 1;
         let session = Arc::new(LiveSession::new(id));
-        self.sessions.lock().unwrap().insert(id, session.clone());
+        recover(self.sessions.lock()).insert(id, session.clone());
         Ok(session)
     }
 
     /// Looks a session up by run id (finished sessions stay queryable
     /// for `journal`).
     pub fn get(&self, run: u64) -> Option<Arc<LiveSession>> {
-        self.sessions.lock().unwrap().get(&run).cloned()
+        recover(self.sessions.lock()).get(&run).cloned()
     }
 
     /// Starts the drain: refuses new sessions, tells running ones to
@@ -475,7 +476,7 @@ impl LiveRegistry {
     pub fn drain(&self, timeout: Duration) {
         self.closed.store(true, Ordering::SeqCst);
         let sessions: Vec<Arc<LiveSession>> =
-            self.sessions.lock().unwrap().values().cloned().collect();
+            recover(self.sessions.lock()).values().cloned().collect();
         for s in &sessions {
             s.request_abort();
         }
@@ -486,7 +487,7 @@ impl LiveRegistry {
 
     /// Aggregated counters across every session, for `metrics`.
     pub fn metrics(&self) -> LiveMetrics {
-        let sessions = self.sessions.lock().unwrap();
+        let sessions = recover(self.sessions.lock());
         let mut m = LiveMetrics {
             sessions: sessions.len() as u64,
             ..LiveMetrics::default()
@@ -619,6 +620,28 @@ mod tests {
         exec.join().unwrap();
         assert!(s.finished());
         assert!(reg.create().is_err(), "drained registry refuses new runs");
+    }
+
+    #[test]
+    fn a_poisoned_session_lock_still_answers() {
+        let reg = LiveRegistry::new();
+        let s = reg.create().unwrap();
+        let holder = Arc::clone(&s);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.inner.lock().unwrap();
+            panic!("a connection panics while holding the session lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(s.inner.is_poisoned());
+        let sub = s.subscribe();
+        s.publish(Value::obj());
+        assert!(matches!(
+            s.next_frame(sub, Duration::ZERO),
+            NextFrame::Frame(_)
+        ));
+        let doc = s.journal_doc();
+        assert_eq!(doc.get("state").unwrap().as_str(), Some("running"));
     }
 
     #[test]

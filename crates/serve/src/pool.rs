@@ -33,7 +33,7 @@ use crate::cache::{batch_point_key, job_key, ResultCache};
 use crate::coordinator::{Fleet, RemoteLane};
 use crate::live::LiveRegistry;
 use crate::protocol::{BatchPoint, BatchSpec, JobSpec};
-use crate::{panic_message, BatchExecutor, Executor};
+use crate::{panic_message, recover, BatchExecutor, Executor};
 use fgqos_bench::report::Report;
 use fgqos_sim::json::Value;
 use fgqos_sim::metrics::MetricsRegistry;
@@ -298,7 +298,7 @@ impl ServeCore {
     }
 
     fn lock(&self) -> MutexGuard<'_, PoolState> {
-        self.state.lock().expect("pool poisoned")
+        recover(self.state.lock())
     }
 
     /// Counts one received frame (any op).
@@ -523,7 +523,7 @@ impl ServeCore {
                     if st.draining && st.queue.is_empty() {
                         break None;
                     }
-                    st = self.wakeup.wait(st).expect("pool poisoned");
+                    st = recover(self.wakeup.wait(st));
                 }
             };
             let Some(job) = job else {
@@ -596,7 +596,7 @@ impl ServeCore {
             st.draining = true;
             self.wakeup.notify_all();
             while !st.queue.is_empty() || st.busy_lanes > 0 || st.live_lanes > 0 {
-                st = self.wakeup.wait(st).expect("pool poisoned");
+                st = recover(self.wakeup.wait(st));
             }
             DrainSummary {
                 submitted: st.submitted,
@@ -1047,6 +1047,21 @@ mod tests {
         for w in workers {
             w.join().unwrap();
         }
+    }
+
+    #[test]
+    fn a_poisoned_core_lock_still_answers() {
+        let core = Arc::new(ServeCore::new(1, AdmissionConfig::default()));
+        let holder = Arc::clone(&core);
+        let panicked = std::thread::spawn(move || {
+            let _guard = holder.state.lock().unwrap();
+            panic!("a job panics while holding the core lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(core.state.is_poisoned());
+        let (id, _) = core.submit(spec("p"), None).unwrap();
+        assert_eq!(core.status(id).unwrap(), (JobState::Queued, Some(0)));
     }
 
     #[test]

@@ -362,6 +362,7 @@ impl<S: TrafficSource + Clone + 'static> TrafficSource for CachedSource<S> {
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("cached-source");
+        w.no_leap();
         self.inner.visit_state(w);
         self.cache.visit_state(w);
         w.plain(&mut self.cursor);

@@ -552,6 +552,9 @@ impl DramController {
             w.plain(&mut s.complete_at.get());
         }
         w.cycle(&mut self.next_refresh);
+        if let Some(h) = w.boundary().and_then(|now| self.storm_horizon(now)) {
+            w.horizon(h);
+        }
         w.plain(&mut self.hit_streak);
         w.plain(&mut self.draining_writes);
         let st = &mut self.stats;
@@ -569,7 +572,8 @@ impl DramController {
         st.queue_wait.visit_state(w);
     }
 
-    /// Leap constraints of the refresh schedule (see [`crate::leap`]).
+    /// The one-shot leap horizon of the refresh schedule at `now` (see
+    /// [`crate::leap`]), declared by the state walk.
     ///
     /// Regular refresh needs no horizon: `next_refresh` is a cycle field
     /// in the snapshot stream, so a verified recurrence already forces
@@ -583,17 +587,16 @@ impl DramController {
     /// `end − interval`, after which successors revert to `t_refi`
     /// spacing. Past the last storm the schedule is
     /// translation-invariant again.
-    pub(crate) fn leap_support(&self, now: Cycle) -> crate::leap::LeapSupport {
-        use crate::leap::LeapSupport;
+    fn storm_horizon(&self, now: u64) -> Option<u64> {
         for s in &self.cfg.storms {
-            if now.get() < s.start {
-                return LeapSupport::until(Cycle::new(s.start.saturating_sub(self.cfg.t_refi)));
+            if now < s.start {
+                return Some(s.start.saturating_sub(self.cfg.t_refi));
             }
-            if now.get() < s.end {
-                return LeapSupport::until(Cycle::new(s.end.saturating_sub(s.interval)));
+            if now < s.end {
+                return Some(s.end.saturating_sub(s.interval));
             }
         }
-        LeapSupport::clear()
+        None
     }
 }
 

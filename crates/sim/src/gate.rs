@@ -12,7 +12,6 @@
 //! schemes directly comparable.
 
 use crate::axi::{Request, Response};
-use crate::leap::LeapSupport;
 use crate::metrics::MetricsRegistry;
 use crate::time::Cycle;
 use fgqos_snap::StateWalker;
@@ -88,16 +87,6 @@ pub trait PortGate: CloneGate {
     /// would have retried a request this gate kept denying.
     fn on_denied_skip(&mut self, _cycles: u64) {}
 
-    /// Declares whether (and under what constraints) the clock may leap
-    /// over a detected steady-state period while this gate regulates the
-    /// port. The default denies: a gate opts in only when its admission
-    /// behavior depends on nothing but its snapshotted state and the
-    /// constraints it states here (e.g. a TDMA gate reads `now % frame`
-    /// and must stay denied).
-    fn leap_support(&self, _now: Cycle) -> LeapSupport {
-        LeapSupport::deny()
-    }
-
     /// Short human-readable label for reports.
     fn label(&self) -> &'static str {
         "gate"
@@ -118,6 +107,12 @@ pub trait PortGate: CloneGate {
     /// forkable gate is `Clone` plus this walk: a fork clones the machine
     /// and walks it once, rebinding every `Arc` handle (register file,
     /// group budget) declared with [`shared`](StateWalker::shared).
+    ///
+    /// The list is complete about absolute time too: a gate whose
+    /// admission reads the clock (a slot table, an OS tick) declares a
+    /// [`modulus`](StateWalker::modulus) or
+    /// [`horizon`](StateWalker::horizon) bounding it, or
+    /// [`no_leap`](StateWalker::no_leap).
     ///
     /// The default opens a section named by the label and calls
     /// [`unsupported`](StateWalker::unsupported), which refuses both a
@@ -151,10 +146,6 @@ impl PortGate for Box<dyn PortGate> {
 
     fn on_denied_skip(&mut self, cycles: u64) {
         self.as_mut().on_denied_skip(cycles);
-    }
-
-    fn leap_support(&self, now: Cycle) -> LeapSupport {
-        self.as_ref().leap_support(now)
     }
 
     fn label(&self) -> &'static str {
@@ -191,10 +182,6 @@ impl PortGate for OpenGate {
 
     fn next_activity(&self, _now: Cycle) -> Option<Cycle> {
         None
-    }
-
-    fn leap_support(&self, _now: Cycle) -> LeapSupport {
-        LeapSupport::clear()
     }
 
     fn label(&self) -> &'static str {

@@ -11,10 +11,13 @@
 //! # How a leap is proven legal
 //!
 //! 1. At an eligible boundary the full snapshot stream is captured
-//!    through [`StateWalker::typed_recording`] and keyed by its
-//!    [`TypedSnapshot::rebased_key`] — a fingerprint invariant under
-//!    time translation (cycle stamps rebased to the boundary, counter
-//!    values excluded) plus the per-component pending-wake structure.
+//!    through [`StateWalker::typed_recording`], taken at the boundary
+//!    cycle, and keyed by its [`TypedSnapshot::rebased_key`] — a
+//!    fingerprint invariant under time translation (cycle stamps
+//!    rebased to the boundary, counter values excluded) plus the
+//!    per-component pending-wake structure. The same walk records each
+//!    component's leap declarations; a record marked
+//!    [`no_leap`](TypedSnapshot::no_leap) disarms the engine.
 //! 2. A key hit against an earlier boundary proposes a period `P`;
 //!    [`TypedSnapshot::lockstep_deltas`] then verifies the two records
 //!    differ *only* as a time translation — byte-identical plain state,
@@ -22,17 +25,19 @@
 //!    the per-period delta of every counter.
 //! 3. Deterministic evolution is a function of `(state, absolute
 //!    time)`. The state part repeats by (2); the absolute-time part is
-//!    bounded by the [`LeapSupport`] constraints each component
-//!    declares: one-shot calendar events (phase writes, fault
-//!    boundaries, refresh storms) bound the landing via `until`,
-//!    modular behaviors (burst shaping) force `P` to a multiple of
-//!    their modulus, and finite sources bound `k` so no source
-//!    exhausts mid-leap. Anything the engine cannot reason about
-//!    (traces, window series, custom components) denies leaping
-//!    outright — the default.
+//!    declared in the same `visit_state` walk (see the leap
+//!    declarations of [`StateWalker`]): one-shot calendar events (phase
+//!    writes, fault boundaries, refresh storms) bound the landing via
+//!    their [`horizon`](TypedSnapshot::horizon), modular behaviors
+//!    (burst shaping) force `P` to a multiple of the record's
+//!    [`modulus`](TypedSnapshot::modulus), and capped counters (finite
+//!    sources) bound `k` so no source exhausts mid-leap. Anything the
+//!    engine cannot reason about (traces, window series, custom
+//!    components) declares `no_leap`, which an `unsupported` walk — the
+//!    default — implies.
 //! 4. `k` is clamped so the landing stays at or before the run
-//!    deadline and at or before every `until` horizon (the event at
-//!    `until` itself then runs on a simulated cycle), then the merged
+//!    deadline and at or before the horizon (the event at the horizon
+//!    itself then runs on a simulated cycle), then the merged
 //!    stream from [`TypedSnapshot::leap`] is loaded back — the exact
 //!    bytes a cycle-by-cycle run would reach at `c + k·P`.
 //!
@@ -66,116 +71,12 @@ const MAX_STRIDE: u64 = 1 << 22;
 /// Recurrence table capacity (boundary records kept, FIFO-evicted).
 const TABLE_CAP: usize = 32;
 
-/// A component's answer to "may the clock leap over you?".
-///
-/// Constraints combine with [`merge`](LeapSupport::merge): denial is
-/// absorbing, budgets and horizons take the tightest value, moduli take
-/// the least common multiple. [`LeapSupport::deny`] is the default on
-/// every seam — components opt *in* by describing exactly how their
-/// behavior depends on absolute time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeapSupport {
-    /// Leaping is never legal over this component (traces, window
-    /// series, or state the engine cannot reason about).
-    pub deny: bool,
-    /// Remaining requests this component can produce before its
-    /// behavior changes (`is_done` flips); `None` = unbounded. The leap
-    /// lands with at least one left, so done-flips stay on simulated
-    /// cycles.
-    pub budget: Option<u64>,
-    /// Absolute cycle of the component's next one-shot behavior change
-    /// (phase write, fault boundary, storm edge); the leap lands at or
-    /// before it.
-    pub until: Option<Cycle>,
-    /// The component's behavior depends on `now % modulus` (burst
-    /// shaping); the period must be a multiple of it. `1` = no
-    /// constraint.
-    pub modulus: u64,
-}
-
-impl LeapSupport {
-    /// Refuses leaping outright — the safe default.
-    pub fn deny() -> Self {
-        LeapSupport {
-            deny: true,
-            budget: None,
-            until: None,
-            modulus: 1,
-        }
-    }
-
-    /// No constraint: the component's future depends only on its
-    /// snapshotted state, never on absolute time.
-    pub fn clear() -> Self {
-        LeapSupport {
-            deny: false,
-            budget: None,
-            until: None,
-            modulus: 1,
-        }
-    }
-
-    /// At most `remaining` further requests before behavior changes.
-    pub fn budget(remaining: u64) -> Self {
-        LeapSupport {
-            budget: Some(remaining),
-            ..Self::clear()
-        }
-    }
-
-    /// One-shot behavior change at absolute cycle `cycle`.
-    pub fn until(cycle: Cycle) -> Self {
-        LeapSupport {
-            until: Some(cycle),
-            ..Self::clear()
-        }
-    }
-
-    /// Behavior depends on `now % modulus` (must be non-zero).
-    pub fn modulus(modulus: u64) -> Self {
-        LeapSupport {
-            modulus: modulus.max(1),
-            ..Self::clear()
-        }
-    }
-
-    /// Combines two constraint sets (see the type-level docs).
-    pub fn merge(self, other: LeapSupport) -> Self {
-        LeapSupport {
-            deny: self.deny || other.deny,
-            budget: match (self.budget, other.budget) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
-            until: match (self.until, other.until) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
-            modulus: lcm(self.modulus.max(1), other.modulus.max(1)),
-        }
-    }
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
-}
-
-fn lcm(a: u64, b: u64) -> u64 {
-    if a == b {
-        return a;
-    }
-    (a / gcd(a, b)).saturating_mul(b)
-}
-
 /// Point-in-time snapshot of the leap engine's telemetry (see
 /// [`Soc::leap_telemetry`](crate::system::Soc::leap_telemetry)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeapTelemetry {
     /// Whether the engine is still armed (off under the naive core,
-    /// `FGQOS_NO_LEAP=1`, or after a component denied support).
+    /// `FGQOS_NO_LEAP=1`, or after a component declared no leaping).
     pub enabled: bool,
     /// Periodic pairs proven by lockstep verification.
     pub periods_detected: u64,
@@ -185,15 +86,12 @@ pub struct LeapTelemetry {
     pub leaps: u64,
 }
 
-/// One remembered boundary: its translation-invariant key, the typed
-/// record, and each master's remaining-request headroom at capture
-/// (`u64::MAX` = unbounded), used to bound `k` so no source exhausts
-/// inside a leaped span.
+/// One remembered boundary: its translation-invariant key and the typed
+/// record (whose capped counters bound `k`, see [`leap_count`]).
 struct BoundaryRecord {
     key: u64,
     cycle: u64,
     record: TypedSnapshot,
-    headrooms: Vec<u64>,
 }
 
 /// Per-`Soc` leap engine state and telemetry. Not part of the snapshot
@@ -201,7 +99,7 @@ struct BoundaryRecord {
 /// a clone (a fork) starts detection fresh with zeroed telemetry.
 pub(crate) struct LeapState {
     /// Off when the naive core runs, `FGQOS_NO_LEAP=1` is set, or a
-    /// component denied support (denials are structural, so one denial
+    /// component declared no leaping (structural, so one such record
     /// disables the engine for the rest of the run).
     pub(crate) enabled: bool,
     table: Vec<BoundaryRecord>,
@@ -266,29 +164,6 @@ impl std::fmt::Debug for LeapState {
 }
 
 impl Soc {
-    /// Collects the merged [`LeapSupport`] of every component plus each
-    /// master's request headroom, or `None` if any component denies.
-    fn collect_leap_support(&self, now: Cycle) -> Option<(LeapSupport, Vec<u64>)> {
-        let mut merged = LeapSupport::clear();
-        let mut headrooms = Vec::with_capacity(self.masters.len());
-        for m in &self.masters {
-            let s = m.leap_support(now);
-            if s.deny {
-                return None;
-            }
-            headrooms.push(s.budget.unwrap_or(u64::MAX));
-            merged = merged.merge(LeapSupport { budget: None, ..s });
-        }
-        merged = merged.merge(self.dram.leap_support(now));
-        for c in &self.controllers {
-            merged = merged.merge(c.leap_support(now));
-        }
-        if merged.deny {
-            return None;
-        }
-        Some((merged, headrooms))
-    }
-
     /// Pending-wake structure at `now`: each component's
     /// `next_activity − now` horizon (`u64::MAX` = never). Folded into
     /// the recurrence key so two different phases of the same window
@@ -320,17 +195,17 @@ impl Soc {
         {
             return false;
         }
-        let Some((support, headrooms)) = self.collect_leap_support(now) else {
-            // Denials are structural (traces, window series, unsupported
-            // components): stop probing for the rest of the run.
+        let mut w = StateWalker::typed_recording(now.get());
+        self.visit_state(&mut w);
+        let record = w.take_typed();
+        if record.no_leap {
+            // Structural (traces, window series, unsupported components):
+            // stop probing for the rest of the run.
             self.leap.enabled = false;
             self.leap.table.clear();
             self.leap.brent = None;
             return false;
-        };
-        let mut w = StateWalker::typed_recording();
-        self.visit_state(&mut w);
-        let record = w.take_typed();
+        }
         let key = record.rebased_key(now.get(), &self.wake_offsets(now));
         self.leap.last_boundary = now.get();
 
@@ -344,7 +219,7 @@ impl Soc {
                 continue;
             }
             let period = now.get() - entry.cycle;
-            if !period.is_multiple_of(support.modulus) {
+            if !period.is_multiple_of(record.modulus) {
                 continue;
             }
             let Some(deltas) = record.lockstep_deltas(&entry.record, period) else {
@@ -355,9 +230,9 @@ impl Soc {
                 now.get(),
                 period,
                 deadline,
-                &support,
-                &headrooms,
-                &entry.headrooms,
+                record.horizon,
+                &record.headrooms(),
+                &entry.record.headrooms(),
             ) else {
                 continue;
             };
@@ -395,7 +270,6 @@ impl Soc {
                     key,
                     cycle: now.get(),
                     record: record.clone(),
-                    headrooms: headrooms.clone(),
                 });
                 self.leap.brent_count = 0;
             }
@@ -404,7 +278,6 @@ impl Soc {
                     key,
                     cycle: now.get(),
                     record: record.clone(),
-                    headrooms: headrooms.clone(),
                 });
                 self.leap.brent_power *= 2;
                 self.leap.brent_count = 0;
@@ -418,7 +291,6 @@ impl Soc {
             key,
             cycle: now.get(),
             record,
-            headrooms,
         });
         false
     }
@@ -426,11 +298,13 @@ impl Soc {
 
 /// Largest legal `k ≥ 1` for a leap from `now` by `period`-cycle steps,
 /// or `None` when no constraint bounds the leap or the bound is < 1.
+/// `headrooms` and `earlier_headrooms` are the two records'
+/// [`TypedSnapshot::headrooms`], paired in walk order.
 fn leap_count(
     now: u64,
     period: u64,
     deadline: Cycle,
-    support: &LeapSupport,
+    horizon: Option<u64>,
     headrooms: &[u64],
     earlier_headrooms: &[u64],
 ) -> Option<u64> {
@@ -439,8 +313,8 @@ fn leap_count(
     if deadline.get() != NEVER {
         bound((deadline.get() - now) / period);
     }
-    if let Some(until) = support.until {
-        bound(until.get().saturating_sub(now) / period);
+    if let Some(horizon) = horizon {
+        bound(horizon.saturating_sub(now) / period);
     }
     if headrooms.len() != earlier_headrooms.len() {
         return None;
@@ -465,43 +339,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn support_merge_combines_constraints() {
-        let a = LeapSupport::budget(10).merge(LeapSupport::until(Cycle::new(500)));
-        assert_eq!(a.budget, Some(10));
-        assert_eq!(a.until, Some(Cycle::new(500)));
-        let b = a.merge(LeapSupport::budget(3).merge(LeapSupport::until(Cycle::new(900))));
-        assert_eq!(b.budget, Some(3));
-        assert_eq!(b.until, Some(Cycle::new(500)));
-        assert!(!b.deny);
-        assert!(b.merge(LeapSupport::deny()).deny);
-        let m = LeapSupport::modulus(6).merge(LeapSupport::modulus(4));
-        assert_eq!(m.modulus, 12);
-        assert_eq!(LeapSupport::clear().merge(LeapSupport::clear()).modulus, 1);
-    }
-
-    #[test]
     fn leap_count_respects_every_bound() {
-        let clear = LeapSupport::clear();
         // Deadline alone: land at or before it.
         assert_eq!(
-            leap_count(1_000, 100, Cycle::new(2_050), &clear, &[], &[]),
+            leap_count(1_000, 100, Cycle::new(2_050), None, &[], &[]),
             Some(10)
         );
-        // Until horizon tightens it.
-        let sup = LeapSupport::until(Cycle::new(1_350));
+        // A horizon tightens it.
         assert_eq!(
-            leap_count(1_000, 100, Cycle::new(2_050), &sup, &[], &[]),
+            leap_count(1_000, 100, Cycle::new(2_050), Some(1_350), &[], &[]),
             Some(3)
         );
-        // A landing exactly on the until horizon is allowed.
-        let sup = LeapSupport::until(Cycle::new(1_300));
+        // A landing exactly on the horizon is allowed.
         assert_eq!(
-            leap_count(1_000, 100, Cycle::new(2_050), &sup, &[], &[]),
+            leap_count(1_000, 100, Cycle::new(2_050), Some(1_300), &[], &[]),
             Some(3)
         );
         // Headroom: 7 left, 2 spent per period -> land with >= 1 left.
         assert_eq!(
-            leap_count(1_000, 100, Cycle::new(u64::MAX - 1), &clear, &[7], &[9]),
+            leap_count(1_000, 100, Cycle::new(u64::MAX - 1), None, &[7], &[9]),
             Some(3)
         );
         // Unbounded everything: no legal k.
@@ -510,7 +366,7 @@ mod tests {
                 1_000,
                 100,
                 Cycle::new(NEVER),
-                &clear,
+                None,
                 &[u64::MAX],
                 &[u64::MAX]
             ),
@@ -518,12 +374,12 @@ mod tests {
         );
         // Bound below one period: no leap.
         assert_eq!(
-            leap_count(1_000, 100, Cycle::new(1_099), &clear, &[], &[]),
+            leap_count(1_000, 100, Cycle::new(1_099), None, &[], &[]),
             None
         );
         // Headroom grew (source restarted?): reject the pair.
         assert_eq!(
-            leap_count(1_000, 100, Cycle::new(2_000), &clear, &[9], &[7]),
+            leap_count(1_000, 100, Cycle::new(2_000), None, &[9], &[7]),
             None
         );
     }

@@ -110,7 +110,7 @@ pub use cpu::{Cache, CacheConfig, CacheOutcome, CacheStats, CachedSource};
 pub use dram::{DramConfig, DramController, DramStats, RefreshStorm};
 pub use gate::{GateDecision, OpenGate, PortGate};
 pub use interconnect::{Arbitration, XbarConfig};
-pub use leap::{LeapSupport, LeapTelemetry};
+pub use leap::LeapTelemetry;
 pub use master::{
     Master, MasterKind, MasterStats, PendingRequest, SequentialSource, TrafficSource,
 };
@@ -136,7 +136,7 @@ pub mod prelude {
     pub use crate::dram::{DramConfig, RefreshStorm};
     pub use crate::gate::{GateDecision, OpenGate, PortGate};
     pub use crate::interconnect::{Arbitration, XbarConfig};
-    pub use crate::leap::{LeapSupport, LeapTelemetry};
+    pub use crate::leap::LeapTelemetry;
     pub use crate::master::{
         MasterKind, MasterStats, PendingRequest, SequentialSource, TrafficSource,
     };

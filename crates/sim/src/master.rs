@@ -10,7 +10,6 @@ use crate::arena::TxnArena;
 use crate::axi::{Dir, MasterId, Request, Response, BEAT_BYTES, MAX_BURST_BEATS};
 use crate::gate::{GateDecision, PortGate};
 use crate::interconnect::Crossbar;
-use crate::leap::LeapSupport;
 use crate::stats::{BandwidthMeter, LatencyStats, WindowRecorder};
 use crate::time::Cycle;
 use fgqos_snap::StateWalker;
@@ -82,20 +81,18 @@ pub trait TrafficSource: CloneSource {
         Some(now)
     }
 
-    /// Declares whether (and under what constraints) the clock may leap
-    /// over a detected steady-state period while this source is
-    /// attached. The default denies: only sources that can state
-    /// exactly how their behavior depends on absolute time opt in.
-    fn leap_support(&self, _now: Cycle) -> LeapSupport {
-        LeapSupport::deny()
-    }
-
     /// Walks this source's architectural state — every field that
     /// influences the remaining request stream — in one list that
     /// hashes, records, loads and forks (see [`StateWalker`] for the
     /// field kinds). A forkable source is `Clone` plus this walk: a fork
     /// clones the machine and walks it once, rebinding every `Arc`
     /// handle declared with [`shared`](StateWalker::shared).
+    ///
+    /// The list is complete about absolute time too: a finite stream's
+    /// issue count is [`counter_capped`](StateWalker::counter_capped),
+    /// burst shaping declares a [`modulus`](StateWalker::modulus), a
+    /// segment switch a [`horizon`](StateWalker::horizon), and anything
+    /// else time-dependent [`no_leap`](StateWalker::no_leap).
     ///
     /// The default opens a `source` section and calls
     /// [`unsupported`](StateWalker::unsupported), which refuses both a
@@ -122,10 +119,6 @@ impl TrafficSource for Box<dyn TrafficSource> {
 
     fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         self.as_ref().next_activity(now)
-    }
-
-    fn leap_support(&self, now: Cycle) -> LeapSupport {
-        self.as_ref().leap_support(now)
     }
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
@@ -296,18 +289,6 @@ impl TrafficSource for SequentialSource {
         }
     }
 
-    fn leap_support(&self, _now: Cycle) -> LeapSupport {
-        // A bounded stream caps the leap so exhaustion lands on a
-        // simulated cycle. Without a footprint `next_addr` grows
-        // monotonically — a plain snapshot field that never recurs, so
-        // the recurrence check itself keeps such runs conservative.
-        if self.total_txns == u64::MAX {
-            LeapSupport::clear()
-        } else {
-            LeapSupport::budget(self.total_txns.saturating_sub(self.issued))
-        }
-    }
-
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("seq-source");
         w.plain(&mut self.base);
@@ -315,7 +296,11 @@ impl TrafficSource for SequentialSource {
         w.plain(&mut self.beats);
         w.flag(&mut self.dir, Dir::Write, Dir::Read);
         w.plain(&mut self.total_txns);
-        w.counter(&mut self.issued);
+        // A bounded stream caps the leap so exhaustion lands on a
+        // simulated cycle. Without a footprint `next_addr` grows
+        // monotonically — a plain field that never recurs, so the
+        // recurrence check itself keeps such runs conservative.
+        w.counter_capped(&mut self.issued, self.total_txns);
         w.plain(&mut self.gap);
         w.plain(&mut self.think_time);
         w.plain(&mut self.footprint);
@@ -597,18 +582,6 @@ impl Master {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
-    }
-
-    /// Merged leap constraints of this master's source and gate. A
-    /// window-series recorder denies outright: it materializes one entry
-    /// per window, which an algebraic leap cannot reproduce.
-    pub(crate) fn leap_support(&self, now: Cycle) -> LeapSupport {
-        if self.stats.window.is_some() {
-            return LeapSupport::deny();
-        }
-        self.source
-            .leap_support(now)
-            .merge(self.gate.leap_support(now))
     }
 
     /// Replicates the per-cycle stall accounting of every naive cycle in

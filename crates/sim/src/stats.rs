@@ -404,9 +404,12 @@ impl WindowRecorder {
     }
 
     /// Walks the recorder's state (see [`StateWalker`]); the stream
-    /// carries everything, including the window length.
+    /// carries everything, including the window length. A recorder
+    /// declares no leaping: it materializes one entry per window, which
+    /// an algebraic leap cannot reproduce.
     pub fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("window-recorder");
+        w.no_leap();
         w.plain(&mut self.window_cycles);
         if self.window_cycles == 0 {
             w.bad("window-recorder window_cycles must be non-zero");

@@ -23,7 +23,7 @@ use crate::calendar::{EventCalendar, NEVER};
 use crate::dram::{DramConfig, DramController, DramStats};
 use crate::gate::{OpenGate, PortGate};
 use crate::interconnect::{Crossbar, XbarConfig};
-use crate::leap::{LeapState, LeapSupport, LeapTelemetry};
+use crate::leap::{LeapState, LeapTelemetry};
 use crate::master::{Master, MasterKind, MasterStats, TrafficSource};
 use crate::metrics::MetricsRegistry;
 use crate::time::{Bandwidth, Cycle, Freq};
@@ -67,15 +67,6 @@ pub trait Controller: Any + CloneController {
         Some(now)
     }
 
-    /// Declares whether (and under what constraints) the clock may leap
-    /// over a detected steady-state period while this controller runs.
-    /// The default denies: a controller opts in only when its behavior
-    /// depends on nothing but its snapshotted state plus the one-shot
-    /// horizons it reports here (see [`LeapSupport`]).
-    fn leap_support(&self, _now: Cycle) -> LeapSupport {
-        LeapSupport::deny()
-    }
-
     /// Short label for reports.
     fn label(&self) -> &'static str {
         "controller"
@@ -86,6 +77,12 @@ pub trait Controller: Any + CloneController {
     /// field kinds). A forkable controller is `Clone` plus this walk: a
     /// fork clones the machine and walks it once, rebinding every driver
     /// handle declared with [`shared`](StateWalker::shared).
+    ///
+    /// The list is complete about absolute time too: a scheduled write
+    /// declares its fire cycle as a [`horizon`](StateWalker::horizon),
+    /// state that can no longer act walks
+    /// [`dormant`](StateWalker::dormant), and anything else
+    /// time-dependent declares [`no_leap`](StateWalker::no_leap).
     ///
     /// The default opens a section named by the label and calls
     /// [`unsupported`](StateWalker::unsupported), which refuses both a

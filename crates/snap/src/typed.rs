@@ -29,6 +29,9 @@
 //! wrapping-`u32`, saturating-`u32`), so the merged stream is
 //! bit-identical to the cycle-by-cycle run even across generation
 //! wraparound or register-mirror saturation.
+//!
+//! The record also carries how far a leap may go: the absolute-time
+//! dependence the walk declared, folded.
 
 /// Semantic class of one typed field span in a snapshot stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,14 +61,37 @@ pub struct FieldSpan {
     pub len: usize,
 }
 
-/// A recorded snapshot byte stream plus its semantic field map (see the
-/// [module docs](self)).
+/// A recorded snapshot byte stream plus its semantic field map and the
+/// leap constraints its walk declared (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TypedSnapshot {
     /// The full recorded snapshot stream (loadable by a `StateWalker::loader`).
     pub bytes: Vec<u8>,
     /// Typed spans in stream order; bytes outside them are plain.
     pub fields: Vec<FieldSpan>,
+    /// Some component declared [`no_leap`](crate::StateWalker::no_leap).
+    pub no_leap: bool,
+    /// Earliest declared [`horizon`](crate::StateWalker::horizon).
+    pub horizon: Option<u64>,
+    /// Least common multiple of the declared
+    /// [`modulus`](crate::StateWalker::modulus) values (`1` = none).
+    pub modulus: u64,
+    /// [`counter_capped`](crate::StateWalker::counter_capped) counters in
+    /// walk order: index into [`fields`](Self::fields), cap.
+    pub caps: Vec<(usize, u64)>,
+}
+
+impl Default for TypedSnapshot {
+    fn default() -> Self {
+        TypedSnapshot {
+            bytes: Vec::new(),
+            fields: Vec::new(),
+            no_leap: false,
+            horizon: None,
+            modulus: 1,
+            caps: Vec::new(),
+        }
+    }
 }
 
 /// Per-period change of every typed field of a verified periodic pair,
@@ -116,6 +142,19 @@ impl TypedSnapshot {
             }
             FieldKind::CounterU128 => u128_at(&self.bytes, f.offset),
         }
+    }
+
+    /// Requests left before each capped counter reaches its cap, in
+    /// walk order; `u64::MAX` for a counter capped at `u64::MAX`
+    /// (unbounded).
+    pub fn headrooms(&self) -> Vec<u64> {
+        self.caps
+            .iter()
+            .map(|&(i, cap)| match cap {
+                u64::MAX => u64::MAX,
+                cap => cap.saturating_sub(self.value(i) as u64),
+            })
+            .collect()
     }
 
     /// Time-translation-invariant fingerprint of this record.
@@ -241,7 +280,7 @@ mod tests {
     /// A toy component at absolute cycle `now`: one config word, one
     /// advancing stamp, one frozen stamp, counters of every flavour.
     fn record(now: u64, bytes: u64, gens: u32, mirror: u32, sum: u128) -> TypedSnapshot {
-        let mut w = StateWalker::typed_recording();
+        let mut w = StateWalker::typed_recording(now);
         w.section("toy");
         w.plain(&mut 0x00C0_FFEEu64); // config: plain
         w.cycle(&mut (now + 3)); // advancing stamp (next wake)

@@ -34,6 +34,15 @@
 //! [`unsupported`](StateWalker::unsupported) refuses both a load and a
 //! fork: a component that cannot load cannot fork.
 //!
+//! The same walk declares a component's dependence on absolute time,
+//! for the leap engine: [`horizon`](StateWalker::horizon),
+//! [`modulus`](StateWalker::modulus), [`no_leap`](StateWalker::no_leap)
+//! (which `unsupported` implies) and the cap of a
+//! [`counter_capped`](StateWalker::counter_capped) add no bytes; a typed
+//! recording, taken at a [`boundary`](StateWalker::boundary) cycle,
+//! folds them into its [`TypedSnapshot`], and every other mode ignores
+//! them.
+//!
 //! Encodings are fixed little-endian (`usize` widens to `u64`, `bool` is
 //! one byte, `f64` is its bit pattern, strings are length-prefixed), so
 //! the stream is a pure function of the value sequence.
@@ -84,12 +93,9 @@ enum Mode<'a> {
         bytes: u64,
         record: Option<Vec<u8>>,
     },
-    /// Keeps the bytes and their typed span map, without a digest (the
-    /// leap engine keys records itself).
-    Typed {
-        buf: Vec<u8>,
-        fields: Vec<FieldSpan>,
-    },
+    /// Keeps the bytes, their typed span map and the leap declarations
+    /// of a record taken at cycle `at`, without a digest.
+    Typed { rec: TypedSnapshot, at: u64 },
     Load {
         r: SnapReader<'a>,
         err: Option<SnapDecodeError>,
@@ -106,6 +112,8 @@ pub struct StateWalker<'a> {
     /// The first component that called [`unsupported`](Self::unsupported)
     /// outside load mode.
     refused: Option<String>,
+    /// Inside a [`dormant`](Self::dormant) walk.
+    dormant: bool,
 }
 
 impl fmt::Debug for StateWalker<'_> {
@@ -144,14 +152,19 @@ impl StateWalker<'static> {
         })
     }
 
-    /// A recording walker that also maps which spans are cycle stamps
-    /// and counters, for the leap algebra of [`TypedSnapshot`]. It keeps
+    /// A recording walker, taken at boundary cycle `at`, that also maps
+    /// which spans are cycle stamps and counters and folds the leap
+    /// declarations, for the leap algebra of [`TypedSnapshot`]. It keeps
     /// no running digest; [`finish`](StateWalker::finish) hashes the
     /// recorded bytes on demand.
-    pub fn typed_recording() -> Self {
+    pub fn typed_recording(at: u64) -> Self {
         StateWalker::new(Mode::Typed {
-            buf: Vec::with_capacity(RECORD_HINT),
-            fields: Vec::with_capacity(SPAN_HINT),
+            rec: TypedSnapshot {
+                bytes: Vec::with_capacity(RECORD_HINT),
+                fields: Vec::with_capacity(SPAN_HINT),
+                ..TypedSnapshot::default()
+            },
+            at,
         })
     }
 }
@@ -161,6 +174,7 @@ impl<'a> StateWalker<'a> {
         StateWalker {
             mode,
             refused: None,
+            dormant: false,
         }
     }
 
@@ -193,7 +207,7 @@ impl<'a> StateWalker<'a> {
     pub fn finish(&self) -> u64 {
         match &self.mode {
             Mode::Hash { hash, .. } => *hash,
-            Mode::Typed { buf, .. } => fnv64(buf),
+            Mode::Typed { rec, .. } => fnv64(&rec.bytes),
             Mode::Load { r, .. } => fnv64(r.consumed()),
             Mode::Fork { .. } => fnv64(&[]),
         }
@@ -203,7 +217,7 @@ impl<'a> StateWalker<'a> {
     pub fn bytes_written(&self) -> u64 {
         match &self.mode {
             Mode::Hash { bytes, .. } => *bytes,
-            Mode::Typed { buf, .. } => buf.len() as u64,
+            Mode::Typed { rec, .. } => rec.bytes.len() as u64,
             Mode::Load { r, .. } => r.position() as u64,
             Mode::Fork { .. } => 0,
         }
@@ -214,21 +228,18 @@ impl<'a> StateWalker<'a> {
         match self.mode {
             Mode::Hash {
                 record: Some(buf), ..
-            }
-            | Mode::Typed { buf, .. } => buf,
+            } => buf,
+            Mode::Typed { rec, .. } => rec.bytes,
             _ => Vec::new(),
         }
     }
 
-    /// The recorded stream plus its typed field map (empty unless built
-    /// with [`typed_recording`](StateWalker::typed_recording)).
+    /// The typed record (empty unless built with
+    /// [`typed_recording`](StateWalker::typed_recording)).
     pub fn take_typed(self) -> TypedSnapshot {
         match self.mode {
-            Mode::Typed { buf, fields } => TypedSnapshot { bytes: buf, fields },
-            _ => TypedSnapshot {
-                bytes: Vec::new(),
-                fields: Vec::new(),
-            },
+            Mode::Typed { rec, .. } => rec,
+            _ => TypedSnapshot::default(),
         }
     }
 
@@ -290,14 +301,79 @@ impl<'a> StateWalker<'a> {
     /// Declares that `component` cannot be restored: a load fails with
     /// [`SnapDecodeError::Unsupported`], a fork with
     /// [`SnapshotError::Unforkable`] (see [`forkable`](Self::forkable)),
-    /// and a write walk notes it. The default for components that never
-    /// opted into loading.
+    /// and a write walk notes it; a typed record is marked no-leap, even
+    /// in a [`dormant`](Self::dormant) walk, as a leap lands by loading.
+    /// The default for components that never opted into loading.
     pub fn unsupported(&mut self, component: &str) {
         if self.loading() {
             self.fail(SnapDecodeError::unsupported(component));
         } else if self.refused.is_none() {
             self.refused = Some(component.to_string());
         }
+        if let Mode::Typed { rec, .. } = &mut self.mode {
+            rec.no_leap = true;
+        }
+    }
+
+    /// The cycle a typed recording is taken at (the `now` leap
+    /// declarations are relative to); `None` in every other mode.
+    pub fn boundary(&self) -> Option<u64> {
+        match self.mode {
+            Mode::Typed { at, .. } => Some(at),
+            _ => None,
+        }
+    }
+
+    /// The record leap declarations fold into, outside a dormant walk.
+    fn leap_record(&mut self) -> Option<&mut TypedSnapshot> {
+        match &mut self.mode {
+            Mode::Typed { rec, .. } if !self.dormant => Some(rec),
+            _ => None,
+        }
+    }
+
+    /// Declares that the clock may never leap over this component (a
+    /// time dependence no other declaration bounds).
+    pub fn no_leap(&mut self) {
+        if let Some(rec) = self.leap_record() {
+            rec.no_leap = true;
+        }
+    }
+
+    /// Declares a one-shot behavior change at absolute cycle `at` (phase
+    /// write, fault, storm edge): a leap lands at or before it.
+    pub fn horizon(&mut self, at: u64) {
+        if let Some(rec) = self.leap_record() {
+            rec.horizon = Some(rec.horizon.map_or(at, |h| h.min(at)));
+        }
+    }
+
+    /// Declares that behavior reads `now % modulus` (burst shaping): a
+    /// leap period must be a multiple of it.
+    pub fn modulus(&mut self, modulus: u64) {
+        if let Some(rec) = self.leap_record() {
+            rec.modulus = lcm(rec.modulus, modulus.max(1));
+        }
+    }
+
+    /// A `u64` [`counter`](Self::counter) whose reaching `cap` changes
+    /// behavior (`u64::MAX` = never): a leap lands below the cap, so a
+    /// finite stream exhausts on a simulated cycle.
+    pub fn counter_capped(&mut self, v: &mut u64, cap: u64) {
+        if let Some(rec) = self.leap_record() {
+            let index = rec.fields.len();
+            rec.caps.push((index, cap));
+        }
+        self.counter(v);
+    }
+
+    /// Walks state that can no longer act (a blown controller, an
+    /// inactive traffic segment) with the leap declarations inside `f`
+    /// suppressed, except an `unsupported` one's.
+    pub fn dormant(&mut self, f: impl FnOnce(&mut Self)) {
+        let outer = std::mem::replace(&mut self.dormant, true);
+        f(self);
+        self.dormant = outer;
     }
 
     fn ok_to_read(&self) -> bool {
@@ -335,7 +411,7 @@ impl<'a> StateWalker<'a> {
                     buf.extend_from_slice(bytes);
                 }
             }
-            Mode::Typed { buf, .. } => buf.extend_from_slice(bytes),
+            Mode::Typed { rec, .. } => rec.bytes.extend_from_slice(bytes),
             Mode::Fork { .. } => {}
             Mode::Load { .. } => unreachable!("put is write-only"),
         }
@@ -343,10 +419,10 @@ impl<'a> StateWalker<'a> {
 
     #[inline]
     fn mark(&mut self, kind: FieldKind, len: usize) {
-        if let Mode::Typed { buf, fields } = &mut self.mode {
-            fields.push(FieldSpan {
+        if let Mode::Typed { rec, .. } = &mut self.mode {
+            rec.fields.push(FieldSpan {
                 kind,
-                offset: buf.len(),
+                offset: rec.bytes.len(),
                 len,
             });
         }
@@ -601,6 +677,20 @@ impl<'a> StateWalker<'a> {
     }
 }
 
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+fn lcm(a: u64, b: u64) -> u64 {
+    if a == b {
+        return a;
+    }
+    (a / gcd(a, b)).saturating_mul(b)
+}
+
 /// A scalar with a fixed little-endian stream encoding.
 pub trait Word: Copy + PartialEq + fmt::Debug {
     /// Writes the value, or reads it back in load mode.
@@ -826,7 +916,7 @@ mod tests {
     fn typed_mode_maps_spans_without_changing_bytes() {
         let mut s = Sample::full();
         let plain = record(&mut s);
-        let mut w = StateWalker::typed_recording();
+        let mut w = StateWalker::typed_recording(0);
         s.visit_state(&mut w);
         let typed = w.take_typed();
         assert_eq!(typed.bytes, plain);
@@ -913,6 +1003,65 @@ mod tests {
             r.finish_load(),
             Err(SnapDecodeError::BadValue { .. })
         ));
+    }
+
+    /// A component declaring every leap constraint: two capped counters
+    /// (one dormant), a horizon relative to the boundary, two moduli.
+    fn declare(w: &mut StateWalker<'_>) {
+        w.section("leapy");
+        w.plain(&mut 1u8);
+        w.counter_capped(&mut 3u64, 10);
+        if let Some(now) = w.boundary() {
+            w.horizon(now + 500);
+        }
+        w.horizon(u64::MAX);
+        w.modulus(6);
+        w.modulus(4);
+        w.dormant(|w| {
+            w.counter_capped(&mut 5u64, 7);
+            w.horizon(1);
+            w.modulus(5);
+            w.no_leap();
+        });
+        w.counter_capped(&mut 9u64, u64::MAX);
+    }
+
+    #[test]
+    fn leap_declarations_fold_and_write_no_bytes() {
+        let mut w = StateWalker::typed_recording(1_000);
+        declare(&mut w);
+        let rec = w.take_typed();
+        let mut plain = StateWalker::recording();
+        plain.section("leapy");
+        plain.plain(&mut 1u8);
+        for mut v in [3u64, 5, 9] {
+            plain.plain(&mut v);
+        }
+        assert_eq!(rec.bytes, plain.take_bytes(), "declarations add no bytes");
+        assert_eq!(rec.fields.len(), 3, "capped counters stay counters");
+        assert_eq!(rec.caps, [(0, 10), (2, u64::MAX)], "dormant cap dropped");
+        assert_eq!(rec.headrooms(), [7, u64::MAX]);
+        assert_eq!(rec.horizon, Some(1_500), "earliest live horizon");
+        assert_eq!(rec.modulus, 12, "least common multiple");
+        assert!(!rec.no_leap, "a dormant no_leap is suppressed");
+
+        // Other modes ignore the declarations entirely.
+        let mut w = StateWalker::recording();
+        declare(&mut w);
+        assert_eq!(w.boundary(), None);
+        assert_eq!(w.take_typed(), TypedSnapshot::default());
+    }
+
+    #[test]
+    fn unsupported_implies_no_leap_even_when_dormant() {
+        let mut w = StateWalker::typed_recording(0);
+        w.dormant(|w| w.unsupported("irq"));
+        let rec = w.take_typed();
+        assert!(rec.no_leap);
+        let mut w = StateWalker::typed_recording(0);
+        w.no_leap();
+        assert!(w.take_typed().no_leap);
+        assert!(!StateWalker::typed_recording(0).take_typed().no_leap);
     }
 
     /// Two holders of one shared handle plus a plain field.

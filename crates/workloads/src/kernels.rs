@@ -260,6 +260,7 @@ impl TrafficSource for KernelSource {
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("kernel-source");
+        w.no_leap();
         w.fixed(self.phases.len(), "kernel phase count");
         w.plain(&mut self.iterations);
         w.plain(&mut self.seed);

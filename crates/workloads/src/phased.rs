@@ -121,20 +121,6 @@ impl TrafficSource for PhasedSource {
         self.segments[self.effective(now)].next_activity(now)
     }
 
-    fn leap_support(&self, now: Cycle) -> fgqos_sim::LeapSupport {
-        // The effective segment governs traffic until the next boundary;
-        // the boundary itself is a one-shot absolute-time event, so it
-        // caps any leap. Earlier (abandoned) and later (not yet started)
-        // segments are frozen: their cycle-typed fields sit still between
-        // periodic boundaries, which lockstep detection accepts as-is.
-        let idx = self.effective(now);
-        let seg = self.segments[idx].leap_support(now);
-        match self.starts.get(idx + 1) {
-            Some(boundary) => seg.merge(fgqos_sim::LeapSupport::until(*boundary)),
-            None => seg,
-        }
-    }
-
     fn is_done(&self) -> bool {
         // Done only when nothing from the active segment on can ever
         // issue again (a pre-built future segment with total 0 — a
@@ -153,9 +139,23 @@ impl TrafficSource for PhasedSource {
             ));
             self.active = 0;
         }
-        for (start, seg) in self.starts.iter().zip(&mut self.segments) {
+        // The segment effective at the boundary governs traffic until the
+        // next start; that start is a one-shot absolute-time event, so it
+        // caps any leap. Earlier (abandoned) and later (not yet started)
+        // segments are frozen — their cycle-typed fields sit still between
+        // periodic boundaries, which lockstep detection accepts as-is — so
+        // they walk dormant.
+        let live = w.boundary().map(|now| self.effective(Cycle::new(now)));
+        if let Some(next) = live.and_then(|i| self.starts.get(i + 1)) {
+            w.horizon(next.get());
+        }
+        for (i, (start, seg)) in self.starts.iter().zip(&mut self.segments).enumerate() {
             w.fixed(start.get(), "phased segment start");
-            seg.visit_state(w);
+            if live.is_some_and(|l| l != i) {
+                w.dormant(|w| seg.visit_state(w));
+            } else {
+                seg.visit_state(w);
+            }
         }
     }
 }

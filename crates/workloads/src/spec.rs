@@ -8,7 +8,6 @@
 
 use fgqos_sim::axi::Response;
 use fgqos_sim::axi::{Dir, BEAT_BYTES, MAX_BURST_BEATS};
-use fgqos_sim::leap::LeapSupport;
 use fgqos_sim::master::{PendingRequest, TrafficSource};
 use fgqos_sim::time::Cycle;
 use fgqos_sim::StateWalker;
@@ -286,24 +285,6 @@ impl TrafficSource for SpecSource {
         self.issued >= self.spec.total
     }
 
-    fn leap_support(&self, _now: Cycle) -> LeapSupport {
-        // A bounded phase caps the leap so exhaustion lands on a
-        // simulated cycle; burst shaping reads `now % period`, so the
-        // leap period must be a multiple of it. Random addressing and
-        // direction blending need no constraint: they advance the RNG
-        // words, which are plain snapshot state, so a verified
-        // recurrence already proves the stream repeats.
-        let mut s = if self.spec.total == u64::MAX {
-            LeapSupport::clear()
-        } else {
-            LeapSupport::budget(self.spec.total.saturating_sub(self.issued))
-        };
-        if let Some(b) = self.spec.burst {
-            s = s.merge(LeapSupport::modulus(b.on_cycles + b.off_cycles));
-        }
-        s
-    }
-
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         // The spec itself travels in the stream and loads wholesale, which
         // is what rebuilds the in-flight phase of a
@@ -348,6 +329,9 @@ impl TrafficSource for SpecSource {
         if let Some(b) = w.option_with(&mut s.burst, || placeholder) {
             w.plain(&mut b.on_cycles);
             w.plain(&mut b.off_cycles);
+            // Burst shaping reads `now % period`: the leap period must
+            // be a multiple of it.
+            w.modulus(b.on_cycles + b.off_cycles);
         }
         if w.loading() {
             if let Err(e) = s.validate() {
@@ -361,8 +345,13 @@ impl TrafficSource for SpecSource {
         if w.loading() {
             self.rng = SmallRng::from_state(words);
         }
+        // Random addressing and direction blending need no leap
+        // declaration: they advance the RNG words, which are plain state,
+        // so a verified recurrence already proves the stream repeats. A
+        // bounded phase caps the leap so exhaustion lands on a simulated
+        // cycle.
         w.plain(&mut self.cursor);
-        w.counter(&mut self.issued);
+        w.counter_capped(&mut self.issued, self.spec.total);
         w.cycle(&mut self.next_ready);
     }
 }

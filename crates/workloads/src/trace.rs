@@ -307,6 +307,7 @@ impl TrafficSource for TraceSource {
 
     fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("trace-source");
+        w.no_leap();
         // The trace itself is configuration: the skeleton must replay
         // the same records, so verify rather than overwrite.
         w.fixed(self.records.len(), "trace record count");

@@ -717,6 +717,7 @@ fn check(path: &str) -> Result<(), String> {
         spec.masters.len(),
         if spec.masters.len() == 1 { "" } else { "s" },
     );
+    let (mut soc, fabric) = spec.build();
     if spec.expects.is_empty() {
         return Ok(());
     }
@@ -724,7 +725,6 @@ fn check(path: &str) -> Result<(), String> {
     // `until_done` directives (or the usual default) drive it, and a
     // failed expectation fails the check.
     let cycles = spec.cycles.unwrap_or(DEFAULT_CYCLES);
-    let (mut soc, fabric) = spec.build();
     match &spec.until_done {
         Some(name) => {
             let id = soc

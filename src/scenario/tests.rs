@@ -159,8 +159,10 @@ fn reclaim_section_builds_policy() {
 #[test]
 fn size_suffixes() {
     let size = |token: &str| {
-        ScenarioSpec::parse(&format!("[master a]\nkind cpu\ntotal {token}\n"))
-            .map(|s| spec_of(&s.masters[0]).total)
+        ScenarioSpec::parse(&format!(
+            "[master a]\nkind cpu\nrole critical\ntotal {token}\n"
+        ))
+        .map(|s| spec_of(&s.masters[0]).total)
     };
     assert_eq!(size("128").unwrap(), 128);
     assert_eq!(size("0x80").unwrap(), 128);
@@ -189,6 +191,22 @@ fn missing_kind_rejected() {
 fn empty_scenario_rejected() {
     let e = ScenarioSpec::parse("clock_mhz 500\n").unwrap_err();
     assert!(e.message.contains("no masters"));
+}
+
+#[test]
+fn scenario_without_fabric_ports_rejected() {
+    let text = "clock_mhz 500\n[master a]\nkind accel\n[master b]\nkind cpu\nrole unmanaged\n";
+    let e = ScenarioSpec::parse(text).unwrap_err();
+    assert_eq!(e.line, 2, "reported at the first master");
+    assert!(
+        e.message.contains("critical or best-effort"),
+        "{}",
+        e.message
+    );
+    let one_port = format!("{text}[master c]\nkind cpu\nrole critical\n");
+    ScenarioSpec::parse(&one_port)
+        .expect("one regulated port suffices")
+        .build();
 }
 
 #[test]
@@ -771,7 +789,10 @@ fn traffic_keys_parse_back_to_the_spec() {
         .with_write_ratio(0.25),
     ];
     for t in specs {
-        let text = format!("[master a]\nkind accel\n{}", traffic_keys(&t));
+        let text = format!(
+            "[master a]\nkind accel\nrole critical\n{}",
+            traffic_keys(&t)
+        );
         let s = ScenarioSpec::parse(&text).expect("rendered keys parse");
         assert_eq!(format!("{:?}", spec_of(&s.masters[0])), format!("{t:?}"));
     }

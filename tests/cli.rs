@@ -142,6 +142,28 @@ fn check_prints_file_line_diagnostics() {
 }
 
 #[test]
+fn check_rejects_a_scenario_without_fabric_ports() {
+    let path = std::env::temp_dir().join("fgqos-cli-check-portless.fgq");
+    std::fs::write(
+        &path,
+        "clock_mhz 1000\n\n[master dma]\nkind accel\nrole unmanaged\n",
+    )
+    .expect("write temp scenario");
+    let out = fgqos()
+        .args(["check", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "a portless scenario is exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let want = format!("{}:3: ", path.display());
+    assert!(
+        stderr.contains(&want) && stderr.contains("critical or best-effort"),
+        "diagnostic must be file:line: message, got: {stderr}"
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn rejects_bad_flags() {
     let out = fgqos()
         .args(["x.fgq", "--bogus"])

@@ -10,6 +10,7 @@
 //! exact agreement; the deterministic tests additionally require that
 //! leaps actually *fired*, so the properties are never vacuous.
 
+use fgqos::baselines::prelude::*;
 use fgqos::core::prelude::*;
 use fgqos::prelude::*;
 use fgqos::sim::axi::{Dir, MasterId};
@@ -279,29 +280,180 @@ fn snapshot_from_leaped_run_matches_cold_run() {
     );
 }
 
-/// Components that cannot prove time-translation safety (here: a
-/// request trace) structurally deny leaping — the engine disarms and
-/// the run degrades gracefully to the plain calendar.
+/// A sequential 256-byte read stream over a 4 KiB buffer, one request
+/// every `gap` cycles (0 = greedy).
+fn buffer_stream(gap: u64) -> TrafficSpec {
+    TrafficSpec {
+        gap,
+        ..TrafficSpec::stream(0, 4_096, 256, Dir::Read)
+    }
+}
+
+fn tc_regulator(period: u32, budget: u32) -> (TcRegulator, RegulatorDriver) {
+    TcRegulator::create(RegulatorConfig {
+        period_cycles: period,
+        budget_bytes: budget,
+        enabled: true,
+        ..RegulatorConfig::default()
+    })
+}
+
+/// One master behind `gate`. Gapped traffic drains between requests, so
+/// the engine probes quiesced boundaries from the first window on.
+fn one_port(source: impl TrafficSource + 'static, gate: impl PortGate + 'static) -> Soc {
+    SocBuilder::new(SocConfig::default())
+        .gated_master("m0", source, MasterKind::Accelerator, gate)
+        .build()
+}
+
+/// A monitor-only critical port plus one TC-regulated best-effort port,
+/// under the controller `policy` builds from their two drivers.
+fn under_policy<C: Controller>(policy: impl FnOnce(RegulatorDriver, RegulatorDriver) -> C) -> Soc {
+    let (crit, crit_driver) = TcRegulator::monitor_only(1_024);
+    let (be, be_driver) = tc_regulator(1_024, 1_024);
+    SocBuilder::new(SocConfig::default())
+        .gated_master(
+            "crit",
+            SpecSource::new(buffer_stream(400), 1),
+            MasterKind::Cpu,
+            crit,
+        )
+        .gated_master(
+            "be",
+            SpecSource::new(buffer_stream(400), 2),
+            MasterKind::Accelerator,
+            be,
+        )
+        .controller(policy(crit_driver, be_driver))
+        .build()
+}
+
+/// Builds one small machine.
+type Machine = fn() -> Soc;
+
+/// Every component that cannot prove time-translation safety declares no
+/// leaping in its state walk: the engine disarms and the run degrades
+/// gracefully to the plain calendar. One small machine per component.
 #[test]
 fn unsupported_components_disarm_the_engine() {
-    let spec = TrafficSpec {
-        gap: 10,
-        ..TrafficSpec::stream(0, 1 << 20, 256, Dir::Read)
+    fn gapped() -> SpecSource {
+        SpecSource::new(buffer_stream(400), 5)
     }
-    .with_total(50);
-    let records = TraceSource::from_spec(spec, 5, 50).records().to_vec();
-    let mut soc = SocBuilder::new(SocConfig::default())
-        .master(
-            "trace",
-            TraceSource::with_loops(records, 1_000),
-            MasterKind::Accelerator,
-        )
-        .build();
+    let rows: [(&str, Machine); 12] = [
+        ("trace source", || {
+            let spec = TrafficSpec {
+                gap: 10,
+                ..TrafficSpec::stream(0, 1 << 20, 256, Dir::Read)
+            }
+            .with_total(50);
+            let records = TraceSource::from_spec(spec, 5, 50).records().to_vec();
+            one_port(TraceSource::with_loops(records, 1_000), OpenGate)
+        }),
+        ("kernel source", || {
+            one_port(
+                KernelSource::new(vec![buffer_stream(400).with_total(64)], 1_000, 5),
+                OpenGate,
+            )
+        }),
+        ("cached source", || {
+            one_port(
+                CachedSource::new(gapped(), CacheConfig::default()),
+                OpenGate,
+            )
+        }),
+        ("memguard gate", || {
+            let cfg = MemGuardConfig {
+                tick_cycles: 10_000,
+                budget_bytes: 4_096,
+                irq_latency_cycles: 100,
+            };
+            one_port(gapped(), MemGuardGate::new(cfg))
+        }),
+        ("tdma gate", || {
+            one_port(
+                gapped(),
+                TdmaGate::new(TdmaSchedule::new(1_000, 2), vec![1], 50),
+            )
+        }),
+        ("qos-400 outstanding gate", || {
+            one_port(gapped(), OtRegulatorGate::new(OtRegulatorConfig::default()))
+        }),
+        ("leaky bucket", || {
+            one_port(gapped(), LeakyBucketRegulator::new(BucketConfig::default()))
+        }),
+        ("shared budget gate", || {
+            one_port(gapped(), SharedRegulator::new(1_024, 4_096).port_gate())
+        }),
+        ("static partition", || {
+            under_policy(|_, be| {
+                StaticPartition::new(vec![PortBudget {
+                    driver: be,
+                    period_cycles: 1_024,
+                    budget_bytes: 512,
+                }])
+            })
+        }),
+        ("reclaim policy", || {
+            under_policy(|crit, be| ReclaimPolicy::new(crit, vec![be], ReclaimConfig::default()))
+        }),
+        ("feedback controller", || {
+            under_policy(|crit, be| {
+                FeedbackController::new(crit, 4_096, vec![be], 1_024, 256, 4_096, 256, 10_000)
+            })
+        }),
+        ("tc regulator with a window log", || {
+            let (mut reg, _driver) = tc_regulator(1_024, 1_024);
+            reg.enable_window_log(64);
+            one_port(gapped(), reg)
+        }),
+    ];
+    for (name, build) in rows {
+        let mut soc = build();
+        soc.set_leap(true);
+        soc.run(2_000_000);
+        let t = soc.leap_telemetry();
+        assert!(!t.enabled, "{name} must declare no leaping: {t:?}");
+        assert_eq!(t.leaps, 0, "{name}");
+    }
+
+    // The control row: plain TC regulation over spec traffic declares
+    // nothing that forbids leaping, so the same harness leaps.
+    let (reg, _driver) = tc_regulator(1_950, 1_024);
+    let mut soc = one_port(SpecSource::new(buffer_stream(0), 5), reg);
     soc.set_leap(true);
     soc.run(2_000_000);
     let t = soc.leap_telemetry();
-    assert!(!t.enabled, "a trace source must deny leap support");
-    assert_eq!(t.leaps, 0);
+    assert!(t.enabled, "plain TC regulation must stay leapable: {t:?}");
+    assert!(t.leaps > 0, "plain TC regulation must leap: {t:?}");
+}
+
+/// A finite stream caps the leap through its issue counter: a leap
+/// lands with requests left, so the source exhausts on a simulated
+/// cycle. The stream here drains about 1M cycles into a run that leaps
+/// before and after that point.
+#[test]
+fn finite_stream_exhausts_on_a_simulated_cycle() {
+    const HORIZON: u64 = 2_000_000;
+    // 4 transactions per 1950-cycle window: 2_000 drain at ~975k cycles.
+    let build = || {
+        let (reg, _driver) = tc_regulator(1_950, 1_024);
+        one_port(SpecSource::new(buffer_stream(0).with_total(2_000), 5), reg)
+    };
+    let mut leaping = build();
+    leaping.set_leap(true);
+    leaping.run(HORIZON);
+    let t = leaping.leap_telemetry();
+    assert!(t.leaps > 0, "no leap fired: {t:?}");
+    let mut plain = build();
+    plain.set_leap(false);
+    plain.run(HORIZON);
+    assert_eq!(leaping.master_stats(MasterId::new(0)).issued_txns, 2_000);
+    assert_eq!(
+        stats_fingerprint(&leaping),
+        stats_fingerprint(&plain),
+        "leaped run diverged across the stream's exhaustion"
+    );
+    assert_eq!(leaping.fingerprint(), plain.fingerprint());
 }
 
 /// Window-series recording observes every window individually, so a

@@ -30,7 +30,7 @@ const LEAP_RUN: u64 = 2_000_000;
 /// field map (which spans are cycle stamps and which counters — what
 /// the leap engine relies on).
 fn stream_shape(soc: &mut Soc) -> (usize, usize, u64) {
-    let mut w = StateWalker::typed_recording();
+    let mut w = StateWalker::typed_recording(soc.now().get());
     soc.visit_state(&mut w);
     let typed = w.take_typed();
     let map: String = typed
