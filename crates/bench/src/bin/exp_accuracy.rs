@@ -14,16 +14,6 @@
 //! Printed columns: scheme, configured MiB/s, measured MiB/s, relative
 //! error %, worst bytes past the budget in any replenishment interval
 //! (measured uniformly from per-window completion records).
-//!
-//! With `--warm-start` the sweep runs on
-//! [`fgqos_bench::sweep::run_warm_groups`]: every grid point's freshly
-//! built SoC is captured as a cycle-0 [`SocSnapshot`] and the measured
-//! run executes on a fork of that boundary. Budgets take effect from
-//! cycle 0 in every scheme (the regulator latches at window close), so
-//! no two points share a simulated prefix — the groups are singletons —
-//! but the warm path proves snapshot → fork → run reproduces
-//! build → run byte-identically on the committed artifact, which is
-//! what lets a serve fleet answer these points from stored blobs.
 
 use fgqos_baselines::memguard::{MemGuardConfig, MemGuardGate};
 use fgqos_bench::report::Report;
@@ -32,10 +22,8 @@ use fgqos_core::bucket::{BucketConfig, LeakyBucketRegulator};
 use fgqos_core::regulator::{RegulatorConfig, TcRegulator};
 use fgqos_sim::axi::{Dir, MasterId};
 use fgqos_sim::master::MasterKind;
-use fgqos_sim::snapshot::SocSnapshot;
 use fgqos_sim::system::{Soc, SocBuilder, SocConfig};
 use fgqos_sim::time::{Bandwidth, Freq};
-use fgqos_sim::ForkCtx;
 use fgqos_workloads::spec::{SpecSource, TrafficSpec};
 
 const RUN_CYCLES: u64 = 10_000_000;
@@ -108,7 +96,7 @@ fn build_point(gate_kind: &str, set_point_mib: f64) -> (Soc, u64) {
 }
 
 /// Runs the measured segment and reduces to (measured MiB/s, worst
-/// overshoot bytes). Shared verbatim by the cold and warm paths.
+/// overshoot bytes).
 fn measure(mut soc: Soc, budget_for_interval: u64) -> (f64, u64) {
     soc.run(RUN_CYCLES);
     let measured = soc.master_bandwidth(MasterId::new(0)).mib_per_s();
@@ -119,28 +107,6 @@ fn measure(mut soc: Soc, budget_for_interval: u64) -> (f64, u64) {
         .expect("recording on")
         .max_window();
     (measured, worst_window.saturating_sub(budget_for_interval))
-}
-
-/// One grid point's cycle-0 boundary: the freshly built SoC captured as
-/// a forkable snapshot (a fresh build is quiesced by construction).
-struct Boundary {
-    snap: SocSnapshot,
-    budget_for_interval: u64,
-}
-
-impl Boundary {
-    fn capture(gate_kind: &str, set_point_mib: f64) -> Boundary {
-        let (soc, budget_for_interval) = build_point(gate_kind, set_point_mib);
-        Boundary {
-            snap: soc.snapshot().expect("fresh accuracy soc is forkable"),
-            budget_for_interval,
-        }
-    }
-
-    fn eval(&self) -> (f64, u64) {
-        let mut ctx = ForkCtx::new();
-        measure(self.snap.fork_with(&mut ctx), self.budget_for_interval)
-    }
 }
 
 fn result_row(scheme: &str, set: f64, measured: f64, overshoot: u64) -> Vec<String> {
@@ -154,8 +120,6 @@ fn result_row(scheme: &str, set: f64, measured: f64, overshoot: u64) -> Vec<Stri
 }
 
 fn main() {
-    let warm_start = std::env::args().any(|a| a == "--warm-start");
-
     let mut r = Report::new("exp_accuracy");
     r.banner(
         "EXP-F2",
@@ -172,27 +136,11 @@ fn main() {
                 .map(move |set| (scheme, set))
         })
         .collect();
-    let rows = if warm_start {
-        // Each point's budget applies from cycle 0, so its boundary is
-        // its own (singleton group): snapshot the fresh build, run the
-        // measurement on a fork. Output must match the cold path byte
-        // for byte (CI diffs the committed artifact).
-        sweep::run_warm_groups(
-            points,
-            |&(scheme, set)| (scheme, set.to_bits()),
-            |&(scheme, bits)| Boundary::capture(scheme, f64::from_bits(bits)),
-            |boundary, (scheme, set)| {
-                let (measured, overshoot) = boundary.eval();
-                result_row(scheme, set, measured, overshoot)
-            },
-        )
-    } else {
-        sweep::run_parallel(points, |(scheme, set)| {
-            let (soc, budget) = build_point(scheme, set);
-            let (measured, overshoot) = measure(soc, budget);
-            result_row(scheme, set, measured, overshoot)
-        })
-    };
+    let rows = sweep::run_parallel(points, |(scheme, set)| {
+        let (soc, budget) = build_point(scheme, set);
+        let (measured, overshoot) = measure(soc, budget);
+        result_row(scheme, set, measured, overshoot)
+    });
     for row in rows {
         r.row(row);
     }

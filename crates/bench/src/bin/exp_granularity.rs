@@ -22,11 +22,11 @@
 //! post-launch by construction), starvation episodes from the progress
 //! windows at and after the launch window.
 //!
-//! By default each point replays the warm-up from cycle 0. With
-//! `--warm-start` the boundary is captured **once** as a
-//! [`SocSnapshot`] and forked per point — byte-identical output by the
-//! fork-vs-cold property (`tests/snapshot.rs`), at a fraction of the
-//! wall-clock (recorded in `BENCH_sim.json`).
+//! The warm-up runs **once**: its boundary is captured as a
+//! [`SocSnapshot`] and every point runs on a fork of it, serially. A
+//! fork is the machine a cold replay of the warm-up reaches, byte for
+//! byte (the fork-vs-cold property, `tests/snapshot.rs`), at a fraction
+//! of the wall-clock.
 //!
 //! Printed columns: period (cycles), per-window budget (bytes), critical
 //! slowdown, critical p50/p99 latency, longest starvation episode (µs,
@@ -36,7 +36,7 @@
 use fgqos_bench::corun::{CoRun, Scheme};
 use fgqos_bench::report::Report;
 use fgqos_bench::scenario::ScenarioSpec;
-use fgqos_bench::{sweep, table};
+use fgqos_bench::table;
 use fgqos_core::driver::RegulatorDriver;
 use fgqos_core::fabric::QosFabric;
 use fgqos_sim::axi::MasterId;
@@ -89,9 +89,10 @@ fn per_interferer() -> Bandwidth {
     Bandwidth::from_mib_per_s(1024.0)
 }
 
-/// Builds the co-run system under the base config and runs the shared
-/// warm-up phase to its quiesced boundary just before launch.
-fn warmed_prefix() -> (Soc, MasterId, QosFabric) {
+/// Builds the co-run system under the base config, runs the shared
+/// warm-up phase to its quiesced boundary just before launch and
+/// captures that boundary.
+fn warmed_boundary() -> (SocSnapshot, MasterId, QosFabric) {
     let freq = Freq::default();
     let base_budget = per_interferer().to_window_budget(BASE_PERIOD, freq);
     let text = scenario().fgq(Scheme::Tc {
@@ -106,13 +107,15 @@ fn warmed_prefix() -> (Soc, MasterId, QosFabric) {
     soc.run(WARMUP_CYCLES - QUIESCE_MARGIN);
     soc.quiesce_point(QUIESCE_MARGIN)
         .expect("base-regulated warm-up reaches a quiesced boundary before launch");
-    (soc, critical, fabric)
+    let snap = soc
+        .snapshot()
+        .expect("boundary is quiesced and every component forks");
+    (snap, critical, fabric)
 }
 
 /// Programs the point config at the boundary, runs the measured tail
-/// and reduces it to a report row. Identical for cold and warm runs:
-/// the `soc` is either the warmed-up original or a fork of its
-/// snapshot, and `drivers` are the matching (possibly rebound) handles.
+/// and reduces it to a report row. `soc` is a fork of the boundary
+/// snapshot and `drivers` are the fabric handles rebound to it.
 fn measure(
     soc: &mut Soc,
     critical: MasterId,
@@ -158,45 +161,7 @@ fn measure(
     ]
 }
 
-/// The warm-start prefix state: the boundary snapshot plus the QoS
-/// fabric each fork rebinds through its own [`ForkCtx`].
-struct WarmBoundary {
-    snap: SocSnapshot,
-    critical: MasterId,
-    fabric: QosFabric,
-}
-
-impl WarmBoundary {
-    fn capture() -> Self {
-        let (soc, critical, fabric) = warmed_prefix();
-        let snap = soc
-            .snapshot()
-            .expect("boundary is quiesced and every component forks");
-        WarmBoundary {
-            snap,
-            critical,
-            fabric,
-        }
-    }
-
-    fn eval(&self, period: u64, iso: u64, iso_rate_per_window: u64) -> Vec<String> {
-        let mut ctx = ForkCtx::new();
-        let mut soc = self.snap.fork_with(&mut ctx);
-        let fabric = self.fabric.fork_rebound(&mut ctx);
-        measure(
-            &mut soc,
-            self.critical,
-            &fabric.best_effort_drivers(),
-            period,
-            iso,
-            iso_rate_per_window,
-        )
-    }
-}
-
 fn main() {
-    let warm_start = std::env::args().any(|a| a == "--warm-start");
-
     let mut r = Report::new("exp_granularity");
     r.banner(
         "EXP-F3",
@@ -230,33 +195,22 @@ fn main() {
         "intf_mibs",
     ]);
 
-    let periods: Vec<u64> = vec![
+    let periods = [
         500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000, 2_000_000,
     ];
-    let rows = if warm_start {
-        // One shared prefix for the whole grid: capture the boundary
-        // once, fork per point.
-        sweep::run_warm_groups(
-            periods,
-            |_| (),
-            |()| WarmBoundary::capture(),
-            |boundary, period| boundary.eval(period, iso, iso_rate_per_window),
-        )
-    } else {
-        sweep::run_parallel(periods, |period| {
-            let (mut soc, critical, fabric) = warmed_prefix();
-            measure(
-                &mut soc,
-                critical,
-                &fabric.best_effort_drivers(),
-                period,
-                iso,
-                iso_rate_per_window,
-            )
-        })
-    };
-    for row in rows {
-        r.row(row);
+    let (snap, critical, fabric) = warmed_boundary();
+    for period in periods {
+        let mut ctx = ForkCtx::new();
+        let mut soc = snap.fork_with(&mut ctx);
+        let fabric = fabric.fork_rebound(&mut ctx);
+        r.row(measure(
+            &mut soc,
+            critical,
+            &fabric.best_effort_drivers(),
+            period,
+            iso,
+            iso_rate_per_window,
+        ));
     }
     r.emit();
 }

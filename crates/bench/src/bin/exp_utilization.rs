@@ -24,28 +24,20 @@
 //! Printed columns: scheme, critical slowdown achieved, best-effort
 //! aggregate GiB/s, fraction of the unregulated best-effort throughput
 //! retained, bound verdict.
-//!
-//! With `--warm-start` the grid runs on
-//! [`fgqos_bench::sweep::run_warm_groups`]: each point's fresh build is
-//! captured as a cycle-0 [`SocSnapshot`] and measured on a fork (see
-//! [`Boundary`] for why the groups are singletons). The output must be
-//! byte-identical to the cold path; CI diffs the committed artifact.
 
 use fgqos_bench::corun::{CoRun, Scheme};
 use fgqos_bench::report::Report;
 use fgqos_bench::scenario::ScenarioSpec;
 use fgqos_bench::{sweep, table};
 use fgqos_sim::axi::MasterId;
-use fgqos_sim::snapshot::SocSnapshot;
 use fgqos_sim::system::Soc;
-use fgqos_sim::ForkCtx;
 use fgqos_workloads::spec::BurstShape;
 
 const BOUND: f64 = 1.10;
 const MAX_CYCLES: u64 = u64::MAX / 2;
 
 /// One grid point of the scheme sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 enum Point {
     Unregulated,
     PremPhase { phase: u64 },
@@ -114,8 +106,8 @@ fn build_point(scenario: &CoRun, point: Point) -> (Soc, MasterId) {
     (soc, critical)
 }
 
-/// Runs one built (or forked) point to critical completion and reduces
-/// to (slowdown, best-effort rate). Shared by the cold and warm paths.
+/// Runs one built point to critical completion and reduces to
+/// (slowdown, best-effort rate).
 fn run_point(mut soc: Soc, critical: MasterId, iso: u64, n: usize) -> (f64, f64) {
     let cycles = soc
         .run_until_done(critical, MAX_CYCLES)
@@ -125,31 +117,6 @@ fn run_point(mut soc: Soc, critical: MasterId, iso: u64, n: usize) -> (f64, f64)
         cycles as f64 / iso as f64,
         best_effort_rate(&soc, cycles, n),
     )
-}
-
-/// One grid point's cycle-0 boundary: the freshly built scheme captured
-/// as a forkable snapshot. Budgets, TDMA phases and the reclaim policy
-/// all act from cycle 0, so points share no simulated prefix (groups
-/// are singletons); the warm path instead proves fork-vs-build
-/// equivalence on every scheme family the experiment touches.
-struct Boundary {
-    snap: SocSnapshot,
-    critical: MasterId,
-}
-
-impl Boundary {
-    fn capture(scenario: &CoRun, point: Point) -> Boundary {
-        let (soc, critical) = build_point(scenario, point);
-        Boundary {
-            snap: soc.snapshot().expect("fresh utilization soc is forkable"),
-            critical,
-        }
-    }
-
-    fn eval(&self, iso: u64, n: usize) -> (f64, f64) {
-        let mut ctx = ForkCtx::new();
-        run_point(self.snap.fork_with(&mut ctx), self.critical, iso, n)
-    }
 }
 
 fn push_scheme(r: &mut Report, name: &str, slowdown: f64, rate: f64, unreg_rate: f64) {
@@ -163,8 +130,6 @@ fn push_scheme(r: &mut Report, name: &str, slowdown: f64, rate: f64, unreg_rate:
 }
 
 fn main() {
-    let warm_start = std::env::args().any(|a| a == "--warm-start");
-
     let mut r = Report::new("exp_utilization");
     r.banner(
         "EXP-F4",
@@ -205,22 +170,10 @@ fn main() {
         points.extend(tc_grid.iter().map(|&budget| Point::Tc { budget, reclaim }));
     }
 
-    let results = if warm_start {
-        // Singleton groups (see [`Boundary`]): snapshot every fresh
-        // build at cycle 0, run the measurement on a fork. Output must
-        // match the cold path byte for byte (CI diffs the artifact).
-        sweep::run_warm_groups(
-            points,
-            |&point| point,
-            |&point| Boundary::capture(&scenario, point),
-            |boundary, _point| boundary.eval(iso, n),
-        )
-    } else {
-        sweep::run_parallel(points, |point| {
-            let (soc, critical) = build_point(&scenario, point);
-            run_point(soc, critical, iso, n)
-        })
-    };
+    let results = sweep::run_parallel(points, |point| {
+        let (soc, critical) = build_point(&scenario, point);
+        run_point(soc, critical, iso, n)
+    });
 
     let (unreg_slowdown, unreg_rate) = results[0];
     let (prem_slowdown, prem_rate) = results[1];

@@ -4,8 +4,8 @@
 //! Runs the `soc_cycles/8` (greedy 8-master) and `regulated_cycles/fast`
 //! (4 regulated masters) scenarios inline — best-of-N wall-clock, no
 //! Criterion — plus the `warm_start` case: fork the shared boundary
-//! snapshot and run the divergent tail, the inner loop of every
-//! `--warm-start` sweep (the snapshot is captured once, outside the
+//! snapshot and run the divergent tail, the inner loop of the
+//! `exp_granularity` sweep (the snapshot is captured once, outside the
 //! timed region), and the snapshot-blob serialize/deserialize MB/s
 //! cases gating the persistent warm-boundary store's encode and
 //! fingerprint-verified load paths. Fails if any case falls below

@@ -22,9 +22,11 @@
 //! shared harness utilities ([`corun`], [`sweep`], [`table`]) used by
 //! those binaries and by the Criterion benches. The co-run experiments
 //! render their systems as `.fgq` text ([`corun::CoRun::fgq`]) and build
-//! them through [`scenario::ScenarioSpec`]. Every binary evaluates its
-//! grid through [`sweep::run_parallel`], so wall-clock scales with the
-//! machine while row order stays deterministic.
+//! them through [`scenario::ScenarioSpec`]. The binaries evaluate their
+//! grids through [`sweep::run_parallel`], so wall-clock scales with the
+//! machine while row order stays deterministic. `exp_granularity` is the
+//! exception: its points share one long warm-up, which it runs once and
+//! forks per point, serially. No binary takes command-line flags.
 
 pub mod corun;
 pub mod report;

@@ -220,7 +220,25 @@ fn parse_size(token: &str, line: usize) -> Result<u64, ParseScenarioError> {
         body.parse()
     }
     .map_err(|e| err(line, format!("bad number {token:?}: {e}")))?;
-    Ok(v * mult)
+    v.checked_mul(mult)
+        .ok_or_else(|| err(line, format!("{token:?} overflows 64 bits")))
+}
+
+/// Parses a cycle count, capped at `u64::MAX / 2` so `now + cycles`
+/// wake-ups cannot overflow within a run.
+fn parse_cycles(token: &str, line: usize, what: &str) -> Result<u64, ParseScenarioError> {
+    cap_cycles(parse_size(token, line)?, line, what)
+}
+
+fn cap_cycles(c: u64, line: usize, what: &str) -> Result<u64, ParseScenarioError> {
+    if c > u64::MAX / 2 {
+        Err(err(
+            line,
+            format!("{what} must be at most {}", u64::MAX / 2),
+        ))
+    } else {
+        Ok(c)
+    }
 }
 
 fn parse_u32(token: &str, line: usize, what: &str) -> Result<u32, ParseScenarioError> {
@@ -659,34 +677,23 @@ fn parse_expect(value: &str, line: usize) -> Result<ExpectSpec, ParseScenarioErr
     })
 }
 
-/// Parses the value of a `gate` key. Cycle arguments are capped at
-/// `u64::MAX / 2` so the gates' `now + cycles` wake-ups cannot overflow
-/// within a run.
+/// Parses the value of a `gate` key; cycle arguments are capped as in
+/// [`parse_cycles`].
 fn parse_gate(value: &str, line: usize) -> Result<GateSpec, ParseScenarioError> {
     let mut parts = value.split_whitespace();
     let kind = parts.next().unwrap_or("");
     let args = parts
         .map(|t| parse_size(t, line))
         .collect::<Result<Vec<u64>, _>>()?;
-    let cycles = |c: u64, what: &str| {
-        if c > u64::MAX / 2 {
-            Err(err(
-                line,
-                format!("{what} must be at most {}", u64::MAX / 2),
-            ))
-        } else {
-            Ok(c)
-        }
-    };
     match (kind, args.as_slice()) {
         ("memguard", &[tick, budget, irq]) => {
             if tick == 0 {
                 return Err(err(line, "memguard tick must be non-zero"));
             }
             Ok(GateSpec::MemGuard {
-                tick: cycles(tick, "memguard tick")?,
+                tick: cap_cycles(tick, line, "memguard tick")?,
                 budget,
-                irq: cycles(irq, "memguard irq")?,
+                irq: cap_cycles(irq, line, "memguard irq")?,
             })
         }
         ("tdma", &[slot, guard]) => {
@@ -697,7 +704,7 @@ fn parse_gate(value: &str, line: usize) -> Result<GateSpec, ParseScenarioError> 
                 return Err(err(line, "tdma guard must be shorter than the slot"));
             }
             Ok(GateSpec::Tdma {
-                slot: cycles(slot, "tdma slot")?,
+                slot: cap_cycles(slot, line, "tdma slot")?,
                 guard,
             })
         }
@@ -1024,7 +1031,7 @@ impl ScenarioSpec {
             // section key.
             match key {
                 "cycles" => {
-                    cycles = Some(parse_size(value, line_no)?);
+                    cycles = Some(parse_cycles(value, line_no, "cycles")?);
                     continue;
                 }
                 "until_done" => {
@@ -1086,8 +1093,8 @@ impl ScenarioSpec {
                                 .split_once(char::is_whitespace)
                                 .ok_or_else(|| err(line_no, "burst needs `<on> <off>`"))?;
                             d.burst = Some(BurstShape {
-                                on_cycles: parse_size(on, line_no)?,
-                                off_cycles: parse_size(off, line_no)?,
+                                on_cycles: parse_cycles(on, line_no, "burst on-phase")?,
+                                off_cycles: parse_cycles(off, line_no, "burst off-phase")?,
                             });
                         }
                         "workload" => {
@@ -1129,19 +1136,26 @@ impl ScenarioSpec {
                         "base" => d.base = Some(parse_size(value, line_no)?),
                         "footprint" => d.footprint = parse_size(value, line_no)?,
                         "txn" => d.txn = parse_size(value, line_no)?,
-                        "think" => d.think = parse_size(value, line_no)?,
-                        "gap" => d.gap = parse_size(value, line_no)?,
+                        "think" => d.think = parse_cycles(value, line_no, "think")?,
+                        "gap" => d.gap = parse_cycles(value, line_no, "gap")?,
                         "total" => d.total = parse_size(value, line_no)?,
                         "write_ratio" => {
                             d.write_ratio = value
                                 .parse()
                                 .map_err(|e| err(line_no, format!("bad ratio: {e}")))?
                         }
-                        "period" => d.period = parse_u32(value, line_no, "period")?,
+                        "period" => {
+                            d.period = parse_u32(value, line_no, "period")?;
+                            if d.period == 0 {
+                                return Err(err(line_no, "period must be non-zero"));
+                            }
+                        }
                         "budget" => d.budget = parse_u32(value, line_no, "budget")?,
                         "outstanding" => d.outstanding = parse_size(value, line_no)? as usize,
                         "seed" => d.seed = parse_size(value, line_no)?,
-                        "start" => d.start = Some((parse_size(value, line_no)?, line_no)),
+                        "start" => {
+                            d.start = Some((parse_cycles(value, line_no, "start")?, line_no))
+                        }
                         "gate" => d.gate = Some((parse_gate(value, line_no)?, line_no)),
                         other => {
                             return Err(err(
@@ -1181,7 +1195,7 @@ impl ScenarioSpec {
                 Section::Reclaim(cfg) => match key {
                     "reserved" => cfg.critical_reserved = parse_size(value, line_no)?,
                     "base" => cfg.be_base = parse_size(value, line_no)?,
-                    "control" => cfg.control_period = parse_size(value, line_no)?,
+                    "control" => cfg.control_period = parse_cycles(value, line_no, "control")?,
                     "gain" => cfg.gain = parse_size(value, line_no)?,
                     "busy" => cfg.busy_threshold = Some(parse_size(value, line_no)?),
                     other => {
@@ -1197,7 +1211,7 @@ impl ScenarioSpec {
                 Section::Phase(idx) => {
                     let p = &mut phase_drafts[*idx];
                     match key {
-                        "at" => p.at = Some(parse_size(value, line_no)?),
+                        "at" => p.at = Some(parse_cycles(value, line_no, "at")?),
                         "budget" | "period" | "enable" => {
                             let (target, arg) =
                                 value.split_once(char::is_whitespace).ok_or_else(|| {
@@ -1235,7 +1249,7 @@ impl ScenarioSpec {
                 Section::Fault(idx) => {
                     let f = &mut fault_drafts[*idx];
                     match key {
-                        "at" => f.at = Some(parse_size(value, line_no)?),
+                        "at" => f.at = Some(parse_cycles(value, line_no, "at")?),
                         "rogue" => f.events.push(EventDraft {
                             line: line_no,
                             event: FaultEvent::Rogue {
@@ -1260,7 +1274,7 @@ impl ScenarioSpec {
                                         ))
                                     }
                                 };
-                            let on = parse_size(on, line_no)?;
+                            let on = parse_cycles(on, line_no, "bursty on-phase")?;
                             if on == 0 {
                                 return Err(err(line_no, "bursty on-phase must be non-zero"));
                             }
@@ -1269,7 +1283,7 @@ impl ScenarioSpec {
                                 event: FaultEvent::Bursty {
                                     master: m.to_string(),
                                     on,
-                                    off: parse_size(off, line_no)?,
+                                    off: parse_cycles(off, line_no, "bursty off-phase")?,
                                 },
                             });
                         }
@@ -1302,8 +1316,10 @@ impl ScenarioSpec {
                                 value.split_once(char::is_whitespace).ok_or_else(|| {
                                     err(line_no, "refresh_storm needs `<interval> <duration>`")
                                 })?;
-                            let interval = parse_size(interval, line_no)?;
-                            let duration = parse_size(duration.trim(), line_no)?;
+                            let interval =
+                                parse_cycles(interval, line_no, "refresh_storm interval")?;
+                            let duration =
+                                parse_cycles(duration.trim(), line_no, "refresh_storm duration")?;
                             if interval == 0 {
                                 return Err(err(
                                     line_no,
@@ -1722,11 +1738,11 @@ impl ScenarioSpec {
             };
             builder = match m.role {
                 Role::Critical => {
-                    let gate = fabric.critical_port(&m.name, m.period.max(1));
+                    let gate = fabric.critical_port(&m.name, m.period);
                     builder.master_full(&m.name, source, m.kind, gate, outstanding)
                 }
                 Role::BestEffort => {
-                    let gate = fabric.best_effort_port(&m.name, m.period.max(1), m.budget);
+                    let gate = fabric.best_effort_port(&m.name, m.period, m.budget);
                     builder.master_full(&m.name, source, m.kind, gate, outstanding)
                 }
                 Role::Unmanaged => match m.gate {

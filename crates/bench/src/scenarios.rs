@@ -113,8 +113,8 @@ pub const WARM_START_TAIL_CYCLES: u64 = 1_000_000;
 /// Quiesced boundary snapshot of the regulated 4-master SoC after a
 /// warmed-up prefix run. The `warm_start` perf case measures the sweep
 /// inner loop — fork this snapshot, run the divergent tail — so the
-/// prefix cost stays outside the timed region, exactly as it does in a
-/// `--warm-start` experiment sweep.
+/// prefix cost stays outside the timed region, exactly as it does in
+/// the `exp_granularity` sweep.
 pub fn warm_start_snapshot() -> SocSnapshot {
     let mut soc = regulated_soc(4);
     soc.run(WARM_START_PREFIX_CYCLES);

@@ -16,8 +16,7 @@
 //! `FGQOS_SWEEP_THREADS` environment variable (`1` forces a serial run
 //! in the calling thread).
 
-use std::collections::{HashMap, VecDeque};
-use std::hash::Hash;
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// Number of workers used for a sweep of `points` points: the smaller of
@@ -80,81 +79,6 @@ where
         .collect()
 }
 
-/// Warm-start planner: groups grid points by a shared-prefix key, runs
-/// each group's prefix **once**, and evaluates every point of the group
-/// against that prefix state.
-///
-/// This is how sweeps exploit [`SocSnapshot`]: `prefix` typically
-/// builds the scenario, runs the shared warm-up phase to a quiesced
-/// boundary and captures it (snapshot plus whatever driver handles the
-/// caller holds); `eval` forks the snapshot per point, applies the
-/// point's knob and runs the divergent tail. The prefix state `S` is
-/// deliberately **not** required to be `Send` — a `Soc` and its
-/// snapshots are `Rc`-based, so a group's prefix and all of its forks
-/// stay on the worker thread that built them. Whole groups are
-/// distributed over the [`run_parallel`] worker pool; results return
-/// in input order, so the output stays byte-identical to a cold serial
-/// run of the same schedule.
-///
-/// [`SocSnapshot`]: fgqos_sim::snapshot::SocSnapshot
-///
-/// ```
-/// // Two groups (odd/even): each prefix is built once and shared.
-/// let out = fgqos_bench::sweep::run_warm_groups(
-///     vec![1u64, 2, 3, 4],
-///     |p| p % 2,
-///     |key| key * 100,          // expensive shared prefix
-///     |prefix, p| prefix + p,   // cheap per-point tail
-/// );
-/// assert_eq!(out, vec![101, 2 + 0, 103, 4 + 0]);
-/// ```
-pub fn run_warm_groups<P, K, S, R, FK, FP, FE>(
-    points: Vec<P>,
-    key: FK,
-    prefix: FP,
-    eval: FE,
-) -> Vec<R>
-where
-    P: Send,
-    K: Eq + Hash + Clone + Send,
-    R: Send,
-    FK: Fn(&P) -> K + Sync,
-    FP: Fn(&K) -> S + Sync,
-    FE: Fn(&S, P) -> R + Sync,
-{
-    // Group points by key, preserving the input order of groups (first
-    // appearance) and of points within each group.
-    let n = points.len();
-    let mut index: HashMap<K, usize> = HashMap::new();
-    let mut grouped: Vec<(K, Vec<(usize, P)>)> = Vec::new();
-    for (i, p) in points.into_iter().enumerate() {
-        let k = key(&p);
-        match index.get(&k) {
-            Some(&g) => grouped[g].1.push((i, p)),
-            None => {
-                index.insert(k.clone(), grouped.len());
-                grouped.push((k, vec![(i, p)]));
-            }
-        }
-    }
-    let per_group: Vec<Vec<(usize, R)>> = run_parallel(grouped, |(k, items)| {
-        let state = prefix(&k);
-        items
-            .into_iter()
-            .map(|(i, p)| (i, eval(&state, p)))
-            .collect()
-    });
-    // Scatter back into input order.
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (i, r) in per_group.into_iter().flatten() {
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every grouped point produces a result"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,51 +126,5 @@ mod tests {
         assert_eq!(worker_count(0), 1);
         assert_eq!(worker_count(1), 1);
         assert!(worker_count(1_000) >= 1);
-    }
-
-    #[test]
-    fn warm_groups_run_each_prefix_once() {
-        let prefixes = AtomicUsize::new(0);
-        let out = run_warm_groups(
-            (0..30u64).collect(),
-            |p| p % 3,
-            |k| {
-                prefixes.fetch_add(1, Ordering::SeqCst);
-                k * 1_000
-            },
-            |prefix, p| prefix + p,
-        );
-        assert_eq!(prefixes.load(Ordering::SeqCst), 3, "one prefix per group");
-        assert_eq!(
-            out,
-            (0..30u64).map(|p| (p % 3) * 1_000 + p).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn warm_groups_preserve_input_order_across_groups() {
-        let points = vec![5u64, 2, 9, 2, 5, 7];
-        let out = run_warm_groups(points.clone(), |&p| p, |&k| k * 10, |pre, p| pre + p);
-        assert_eq!(out, points.iter().map(|p| p * 10 + p).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn warm_groups_prefix_state_need_not_be_send() {
-        // Rc is !Send: the planner must keep each group's state on one
-        // worker thread.
-        use std::rc::Rc;
-        let out = run_warm_groups(
-            vec![1u64, 2, 3],
-            |_| 0u8,
-            |_| Rc::new(100u64),
-            |pre, p| **pre + p,
-        );
-        assert_eq!(out, vec![101, 102, 103]);
-    }
-
-    #[test]
-    fn warm_groups_empty_grid() {
-        let out: Vec<u64> = run_warm_groups(Vec::<u64>::new(), |&p| p, |&k| k, |_, p| p);
-        assert!(out.is_empty());
     }
 }

@@ -140,6 +140,18 @@ impl TrafficSpec {
         if self.footprint < self.txn_bytes {
             return Err("footprint must hold at least one transaction".into());
         }
+        if self.base.checked_add(self.footprint).is_none() {
+            return Err("base + footprint overflows the 64-bit address space".into());
+        }
+        if let AddressPattern::Strided { stride } = self.pattern {
+            if self
+                .footprint
+                .checked_add(stride.max(self.txn_bytes))
+                .is_none()
+            {
+                return Err("footprint + stride overflows 64 bits".into());
+            }
+        }
         if !(0.0..=1.0).contains(&self.write_ratio) {
             return Err("write_ratio must be within 0..=1".into());
         }

@@ -239,9 +239,31 @@ fn reclaim_requires_roles() {
 
 #[test]
 fn invalid_traffic_rejected_at_parse() {
-    let text = "[master a]\nkind cpu\ntxn 100\n"; // not beat multiple
-    let e = ScenarioSpec::parse(text).unwrap_err();
-    assert!(e.message.contains("multiple"));
+    const MAX: &str = "18446744073709551615";
+    // (master keys, reported line, message fragment); the master opens
+    // on line 1, its keys start on line 4.
+    let cases = [
+        ("txn 100".to_string(), 1, "multiple"), // not a beat multiple
+        ("footprint 20000000000G".into(), 4, "overflows 64 bits"),
+        ("footprint 17179869184G".into(), 4, "overflows 64 bits"),
+        ("base 0xffffffffffffff00\nfootprint 1M".into(), 1, "base + footprint"),
+        (format!("think {MAX}"), 4, "think must be at most"),
+        (format!("gap {MAX}"), 4, "gap must be at most"),
+        (format!("burst 10 {MAX}"), 4, "burst off-phase must be at most"),
+        (format!("pattern strided:{MAX}"), 1, "footprint + stride"),
+        (
+            format!("\n[master dma]\nkind accel\nrole best-effort\n[fault f]\nat 1\nbursty dma {MAX} {MAX}"),
+            10,
+            "bursty on-phase must be at most",
+        ),
+        ("period 0".into(), 4, "period must be non-zero"),
+    ];
+    for (keys, line, fragment) in cases {
+        let text = format!("[master a]\nkind cpu\nrole critical\n{keys}\n");
+        let e = ScenarioSpec::parse(&text).unwrap_err();
+        assert_eq!(e.line, line, "{keys}: {}", e.message);
+        assert!(e.message.contains(fragment), "{keys}: {}", e.message);
+    }
 }
 
 // ---- v2: phases ----
