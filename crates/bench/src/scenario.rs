@@ -80,11 +80,13 @@ use fgqos_baselines::memguard::{MemGuardConfig, MemGuardGate};
 use fgqos_baselines::tdma::{TdmaGate, TdmaSchedule};
 use fgqos_core::fabric::{QosFabric, QosFabricBuilder};
 use fgqos_core::policy::ReclaimConfig;
-use fgqos_core::program::{FusedController, ProgramOp, ScenarioProgram, TimedOp};
+pub use fgqos_core::program::ProgramOp;
+use fgqos_core::program::{FusedController, ScenarioProgram, TimedOp};
 use fgqos_sim::axi::Dir;
 use fgqos_sim::dram::{DramConfig, RefreshStorm};
 use fgqos_sim::gate::OpenGate;
 use fgqos_sim::interconnect::{Arbitration, XbarConfig};
+use fgqos_sim::json::Value;
 use fgqos_sim::master::MasterKind;
 use fgqos_sim::system::{Soc, SocBuilder, SocConfig};
 use fgqos_sim::time::{Cycle, Freq};
@@ -241,9 +243,14 @@ fn cap_cycles(c: u64, line: usize, what: &str) -> Result<u64, ParseScenarioError
     }
 }
 
-fn parse_u32(token: &str, line: usize, what: &str) -> Result<u32, ParseScenarioError> {
-    let v = parse_size(token, line)?;
-    u32::try_from(v).map_err(|_| err(line, format!("{what} {v} exceeds the 32-bit register")))
+/// Parses a register write's value token (`4K`, `0x…`, `on`/`off`) and
+/// screens it with [`ProgramOp::parse`].
+fn parse_write(key: &str, token: &str, line: usize) -> Result<ProgramOp, ParseScenarioError> {
+    let value = match key {
+        "enable" => Value::from(parse_on_off(token, line, key)?),
+        _ => Value::from(parse_size(token, line)?),
+    };
+    ProgramOp::parse(key, Some(&value)).map_err(|e| err(line, e))
 }
 
 fn parse_on_off(token: &str, line: usize, what: &str) -> Result<bool, ParseScenarioError> {
@@ -338,24 +345,13 @@ pub struct ReclaimSpec {
     pub config: ReclaimConfig,
 }
 
-/// One regulator write of a `[phase]` section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PhaseOp {
-    /// Program the per-window byte budget.
-    Budget(u32),
-    /// Program the window length in cycles.
-    Period(u32),
-    /// Enable or disable the regulator.
-    Enable(bool),
-}
-
-/// A [`PhaseOp`] bound to a best-effort master (wildcards expanded).
+/// A [`ProgramOp`] bound to a best-effort master (wildcards expanded).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseAction {
     /// Target master name.
     pub master: String,
     /// The register write.
-    pub op: PhaseOp,
+    pub op: ProgramOp,
 }
 
 /// A named `[phase]` section: regulator writes applied at a cycle.
@@ -859,7 +855,7 @@ impl MasterDraft {
 struct ActionDraft {
     line: usize,
     target: String,
-    op: PhaseOp,
+    op: ProgramOp,
 }
 
 #[derive(Debug)]
@@ -1144,13 +1140,11 @@ impl ScenarioSpec {
                                 .parse()
                                 .map_err(|e| err(line_no, format!("bad ratio: {e}")))?
                         }
-                        "period" => {
-                            d.period = parse_u32(value, line_no, "period")?;
-                            if d.period == 0 {
-                                return Err(err(line_no, "period must be non-zero"));
-                            }
-                        }
-                        "budget" => d.budget = parse_u32(value, line_no, "budget")?,
+                        "period" | "budget" => match parse_write(key, value, line_no)? {
+                            ProgramOp::Period(p) => d.period = p,
+                            ProgramOp::Budget(b) => d.budget = b,
+                            ProgramOp::Enable(_) => unreachable!("key is period or budget"),
+                        },
                         "outstanding" => d.outstanding = parse_size(value, line_no)? as usize,
                         "seed" => d.seed = parse_size(value, line_no)?,
                         "start" => {
@@ -1217,22 +1211,10 @@ impl ScenarioSpec {
                                 value.split_once(char::is_whitespace).ok_or_else(|| {
                                     err(line_no, format!("{key} needs `<master> <value>`"))
                                 })?;
-                            let arg = arg.trim();
-                            let op = match key {
-                                "budget" => PhaseOp::Budget(parse_u32(arg, line_no, "budget")?),
-                                "period" => {
-                                    let v = parse_u32(arg, line_no, "period")?;
-                                    if v == 0 {
-                                        return Err(err(line_no, "period must be non-zero"));
-                                    }
-                                    PhaseOp::Period(v)
-                                }
-                                _ => PhaseOp::Enable(parse_on_off(arg, line_no, "enable")?),
-                            };
                             p.actions.push(ActionDraft {
                                 line: line_no,
                                 target: target.to_string(),
-                                op,
+                                op: parse_write(key, arg.trim(), line_no)?,
                             });
                         }
                         other => {
@@ -1614,70 +1596,65 @@ impl ScenarioSpec {
         storms
     }
 
-    /// The `[phase]` and regulator-`[fault]` writes as a
-    /// [`ScenarioProgram`] schedule over `fabric`'s drivers: phase ops in
-    /// declaration order with `extra` appended as the last-declared
-    /// phase, then fault ops. The program's stable sort by cycle keeps
-    /// that order among writes sharing a cycle.
-    pub fn program_ops(&self, fabric: &QosFabric, extra: Option<&PhaseSpec>) -> Vec<TimedOp> {
-        let mut ops: Vec<TimedOp> = Vec::new();
-        for p in self.phases.iter().chain(extra) {
-            for a in &p.actions {
-                let driver = fabric
-                    .driver(&a.master)
-                    .expect("phase targets validated at parse")
-                    .clone();
-                ops.push(TimedOp {
-                    at: p.at,
-                    driver,
-                    op: match a.op {
-                        PhaseOp::Budget(b) => ProgramOp::Budget(b),
-                        PhaseOp::Period(c) => ProgramOp::Period(c),
-                        PhaseOp::Enable(e) => ProgramOp::Enabled(e),
-                    },
-                });
-            }
-        }
-        for f in &self.faults {
-            for e in &f.events {
-                if let FaultEvent::Regulator { master, enabled } = e {
-                    let driver = fabric
-                        .driver(master)
-                        .expect("regulator fault targets validated at parse")
-                        .clone();
-                    ops.push(TimedOp {
-                        at: f.at,
-                        driver,
-                        op: ProgramOp::Enabled(*enabled),
-                    });
+    /// Every scheduled register write as `(at, master, op)`: the
+    /// `[phase]` actions in declaration order with `extra` appended as
+    /// the last-declared phase, then the regulator-`[fault]` writes.
+    pub fn register_writes<'a>(
+        &'a self,
+        extra: Option<&'a PhaseSpec>,
+    ) -> impl Iterator<Item = (u64, &'a str, ProgramOp)> + 'a {
+        let phases = self.phases.iter().chain(extra).flat_map(|p| {
+            p.actions
+                .iter()
+                .map(move |a| (p.at, a.master.as_str(), a.op))
+        });
+        let faults = self.faults.iter().flat_map(|f| {
+            f.events.iter().filter_map(move |e| match e {
+                FaultEvent::Regulator { master, enabled } => {
+                    Some((f.at, master.as_str(), ProgramOp::Enable(*enabled)))
                 }
-            }
-        }
-        ops
+                _ => None,
+            })
+        });
+        phases.chain(faults)
     }
 
-    /// The phase `period * P`, `budget * B`, `enable * on` at cycle `at`
-    /// would parse to: each line expanded over the best-effort masters in
+    /// [`ScenarioSpec::register_writes`] as a [`ScenarioProgram`]
+    /// schedule over `fabric`'s drivers. The program's stable sort by
+    /// cycle keeps the declaration order among writes sharing a cycle.
+    pub fn program_ops(&self, fabric: &QosFabric, extra: Option<&PhaseSpec>) -> Vec<TimedOp> {
+        self.register_writes(extra)
+            .map(|(at, master, op)| TimedOp {
+                at,
+                driver: fabric
+                    .driver(master)
+                    .expect("write targets validated at parse")
+                    .clone(),
+                op,
+            })
+            .collect()
+    }
+
+    /// The phase that writes `knobs` and then `enable on` at cycle `at`
+    /// to every best-effort master, as `<key> * <value>` lines would
+    /// parse: each line expanded over the best-effort masters in
     /// declaration order.
-    pub fn knob_phase(&self, at: u64, period: u32, budget: u32) -> PhaseSpec {
+    pub fn knob_phase(&self, at: u64, knobs: [ProgramOp; 2]) -> PhaseSpec {
         let be: Vec<&MasterSpec> = self
             .masters
             .iter()
             .filter(|m| m.role == Role::BestEffort)
             .collect();
-        let actions = [
-            PhaseOp::Period(period),
-            PhaseOp::Budget(budget),
-            PhaseOp::Enable(true),
-        ]
-        .into_iter()
-        .flat_map(|op| {
-            be.iter().map(move |m| PhaseAction {
-                master: m.name.clone(),
-                op,
+        let actions = knobs
+            .into_iter()
+            .chain([ProgramOp::Enable(true)])
+            .flat_map(|op| {
+                be.iter().map(move |m| PhaseAction {
+                    master: m.name.clone(),
+                    op,
+                })
             })
-        })
-        .collect();
+            .collect();
         PhaseSpec {
             name: "knobs".to_string(),
             at,

@@ -17,22 +17,89 @@
 //! fast-forward.
 
 use crate::driver::RegulatorDriver;
+use fgqos_sim::json::Value;
 use fgqos_sim::system::Controller;
 use fgqos_sim::time::Cycle;
 use fgqos_sim::StateWalker;
 
-/// One register write a [`ScenarioProgram`] can apply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One register write to a port's regulator: the budget, the window
+/// period or the enable bit.
+///
+/// This is the one type for that write on every path it enters by: a
+/// `.fgq` `[phase]` line, the serve wire's `control` op (re-exported
+/// there as `ControlSet`), `fgqos ctl` and batch points. Each path keeps
+/// its own token syntax and screens the write with [`ProgramOp::parse`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProgramOp {
     /// Program the regulator's per-window byte budget.
     Budget(u32),
-    /// Program the regulator's window length in cycles (must be > 0).
+    /// Program the regulator's window length in cycles (at least 1).
     Period(u32),
     /// Enable or disable the regulator entirely.
-    Enabled(bool),
+    Enable(bool),
 }
 
 impl ProgramOp {
+    /// The write's key: `budget`, `period` or `enable` (the `.fgq`
+    /// phase key and the wire/journal `set` tag).
+    pub fn key(self) -> &'static str {
+        match self {
+            ProgramOp::Budget(_) => "budget",
+            ProgramOp::Period(_) => "period",
+            ProgramOp::Enable(_) => "enable",
+        }
+    }
+
+    /// The wire/journal `value` field: an integer or a boolean.
+    pub fn value(self) -> Value {
+        match self {
+            ProgramOp::Budget(v) | ProgramOp::Period(v) => Value::from(u64::from(v)),
+            ProgramOp::Enable(e) => Value::from(e),
+        }
+    }
+
+    /// The `.fgq` value text: the integer, or `on`/`off`.
+    pub fn fgq_value(self) -> String {
+        match self {
+            ProgramOp::Budget(v) | ProgramOp::Period(v) => v.to_string(),
+            ProgramOp::Enable(e) => if e { "on" } else { "off" }.to_string(),
+        }
+    }
+
+    /// Screens a `key`/`value` pair into a write: budget and period are
+    /// integers of the 32-bit register width, a period is at least 1
+    /// cycle, enable is a boolean or `"on"`/`"off"`. The error string
+    /// names what was wrong and is ready to embed in a diagnostic.
+    pub fn parse(key: &str, value: Option<&Value>) -> Result<Self, String> {
+        let value = value.ok_or_else(|| format!("{key} needs a 'value'"))?;
+        let register = |value: &Value| match value {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => {
+                if *n > f64::from(u32::MAX) {
+                    Err(format!("{key} {n} exceeds the register width (u32)"))
+                } else {
+                    Ok(*n as u32)
+                }
+            }
+            _ => Err(format!("{key} value must be an integer")),
+        };
+        match key {
+            "budget" => register(value).map(ProgramOp::Budget),
+            "period" => match register(value)? {
+                0 => Err("period must be non-zero (at least 1 cycle)".into()),
+                p => Ok(ProgramOp::Period(p)),
+            },
+            "enable" => match value {
+                Value::Bool(e) => Ok(ProgramOp::Enable(*e)),
+                Value::Str(s) if s == "on" => Ok(ProgramOp::Enable(true)),
+                Value::Str(s) if s == "off" => Ok(ProgramOp::Enable(false)),
+                _ => Err("enable value must be true/false or \"on\"/\"off\"".into()),
+            },
+            other => Err(format!(
+                "unknown control set {other:?} (budget, period or enable)"
+            )),
+        }
+    }
+
     /// Applies the register write to `driver`.
     ///
     /// This is the single code path every regulator re-programming goes
@@ -43,17 +110,13 @@ impl ProgramOp {
     ///
     /// # Panics
     ///
-    /// Panics on [`ProgramOp::Period`]\(0\) — the regulator rejects
-    /// zero-length windows ([`ScenarioProgram::new`] screens its
-    /// schedule up front; ad-hoc callers get the same check here).
+    /// Panics on [`ProgramOp::Period`]\(0\), which [`ProgramOp::parse`]
+    /// refuses: the driver rejects zero-length windows.
     pub fn apply(&self, driver: &RegulatorDriver) {
         match *self {
             ProgramOp::Budget(b) => driver.set_budget_bytes(b),
-            ProgramOp::Period(p) => {
-                assert!(p > 0, "cannot program a zero window period");
-                driver.set_period_cycles(p);
-            }
-            ProgramOp::Enabled(e) => driver.set_enabled(e),
+            ProgramOp::Period(p) => driver.set_period_cycles(p),
+            ProgramOp::Enable(e) => driver.set_enabled(e),
         }
     }
 }
@@ -301,7 +364,7 @@ mod tests {
             ScenarioProgram::new(vec![TimedOp {
                 at: 100,
                 driver: drv.clone(),
-                op: ProgramOp::Enabled(false),
+                op: ProgramOp::Enable(false),
             }])
         };
         let mut a = mk(&d);

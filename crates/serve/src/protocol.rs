@@ -116,6 +116,15 @@ pub struct BatchPoint {
     pub budget: u64,
 }
 
+impl BatchPoint {
+    /// The point's `period` and `budget` as register writes: a period of
+    /// at least 1 cycle, and both within the 32-bit register width.
+    pub fn writes(&self) -> Result<[ControlSet; 2], String> {
+        let write = |key, v: u64| ControlSet::parse(key, Some(&Value::from(v)));
+        Ok([write("period", self.period)?, write("budget", self.budget)?])
+    }
+}
+
 /// The operation family a batch belongs to. Tagging the batch identity
 /// keeps cache namespaces disjoint: a hunt candidate and a sweep point
 /// with identical `(scenario, cycles, warmup, period, budget)` must
@@ -188,72 +197,10 @@ pub struct LiveSpec {
     pub pace_ms: u64,
 }
 
-/// One live register write: which regulator knob to program.
-///
-/// The integer variants carry `u32` because that is the regulator's
-/// register width; the wire accepts any JSON integer and rejects
-/// out-of-range values at parse time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ControlSet {
-    /// Program the per-window byte budget.
-    Budget(u32),
-    /// Program the window length in cycles (must be > 0).
-    Period(u32),
-    /// Enable or disable the regulator.
-    Enable(bool),
-}
-
-impl ControlSet {
-    /// The wire/journal `set` tag.
-    pub fn key(self) -> &'static str {
-        match self {
-            ControlSet::Budget(_) => "budget",
-            ControlSet::Period(_) => "period",
-            ControlSet::Enable(_) => "enable",
-        }
-    }
-
-    /// The wire/journal `value` field (an integer or a boolean).
-    pub fn value(self) -> Value {
-        match self {
-            ControlSet::Budget(b) => Value::from(u64::from(b)),
-            ControlSet::Period(p) => Value::from(u64::from(p)),
-            ControlSet::Enable(e) => Value::from(e),
-        }
-    }
-
-    /// Parses the `set`/`value` field pair of a `control` request (or a
-    /// journal entry). The error string is protocol-ready.
-    pub fn parse(set: &str, value: Option<&Value>) -> Result<Self, String> {
-        let value = value.ok_or("control needs a 'value'")?;
-        match set {
-            "budget" => {
-                let b = value.as_u64().ok_or("budget value must be an integer")?;
-                u32::try_from(b)
-                    .map(ControlSet::Budget)
-                    .map_err(|_| format!("budget {b} exceeds the register width (u32)"))
-            }
-            "period" => {
-                let p = value.as_u64().ok_or("period value must be an integer")?;
-                if p == 0 {
-                    return Err("period must be at least 1 cycle".into());
-                }
-                u32::try_from(p)
-                    .map(ControlSet::Period)
-                    .map_err(|_| format!("period {p} exceeds the register width (u32)"))
-            }
-            "enable" => match value {
-                Value::Bool(e) => Ok(ControlSet::Enable(*e)),
-                Value::Str(s) if s == "on" => Ok(ControlSet::Enable(true)),
-                Value::Str(s) if s == "off" => Ok(ControlSet::Enable(false)),
-                _ => Err("enable value must be true/false or \"on\"/\"off\"".into()),
-            },
-            other => Err(format!(
-                "unknown control set {other:?} (budget, period or enable)"
-            )),
-        }
-    }
-}
+/// One live register write: the wire's name for the regulator write
+/// every path shares, screened by
+/// [`ProgramOp::parse`](fgqos_core::program::ProgramOp::parse).
+pub use fgqos_core::program::ProgramOp as ControlSet;
 
 /// Requested metrics export format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -509,11 +456,14 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 .and_then(Value::as_arr)
                 .ok_or("submit_batch needs an array 'points'")?
                 .iter()
-                .map(|p| {
-                    Ok(BatchPoint {
+                .enumerate()
+                .map(|(i, p)| {
+                    let point = BatchPoint {
                         period: req_u64(p, "period")?,
                         budget: req_u64(p, "budget")?,
-                    })
+                    };
+                    point.writes().map_err(|e| format!("point {i}: {e}"))?;
+                    Ok(point)
                 })
                 .collect::<Result<Vec<_>, String>>()?;
             if points.is_empty() {
@@ -739,6 +689,19 @@ mod tests {
                 .unwrap_err()
                 .contains("budget")
         );
+        // Points are register writes: period 0 and values past the
+        // 32-bit register are refused before any job is queued.
+        for (point, fragment) in [
+            (r#"{"period":0,"budget":2048}"#, "at least 1"),
+            (r#"{"period":5000000000,"budget":2048}"#, "register width"),
+            (r#"{"period":1000,"budget":5000000000}"#, "register width"),
+        ] {
+            let frame = format!(
+                r#"{{"op":"submit_batch","scenario":"s","points":[{{"period":1,"budget":1}},{point}]}}"#
+            );
+            let err = parse_request(&frame).unwrap_err();
+            assert!(err.contains("point 1") && err.contains(fragment), "{err}");
+        }
     }
 
     #[test]

@@ -507,22 +507,17 @@ fn parse_ctl(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
         match arg.as_str() {
             "--run" => run = Some(num_of(&mut argv, "--run")?),
             "--master" => master = Some(value_of(&mut argv, "--master")?),
-            "--budget" => put(ControlSet::Budget(num_of(&mut argv, "--budget")?), &mut set)?,
-            "--period" => {
-                let p: u32 = num_of(&mut argv, "--period")?;
-                if p == 0 {
-                    return Err("--period must be at least 1".to_string());
-                }
-                put(ControlSet::Period(p), &mut set)?;
-            }
-            "--enable" => {
-                let v = value_of(&mut argv, "--enable")?;
-                let on = match v.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--enable takes on|off, got {other:?}")),
+            flag @ ("--budget" | "--period" | "--enable") => {
+                // Token syntax: a decimal integer or `on`/`off`; the
+                // write itself is screened by the one validator.
+                let token = value_of(&mut argv, flag)?;
+                let value = match token.parse::<u64>() {
+                    Ok(n) => Value::from(n),
+                    Err(_) => Value::str(token),
                 };
-                put(ControlSet::Enable(on), &mut set)?;
+                let write = ControlSet::parse(&flag[2..], Some(&value))
+                    .map_err(|e| format!("bad {flag} value: {e}"))?;
+                put(write, &mut set)?;
             }
             "--addr" => addr = value_of(&mut argv, "--addr")?,
             "--help" | "-h" => return Ok(Cmd::Help),

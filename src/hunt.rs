@@ -13,7 +13,7 @@
 //! emitted winner `.fgq` replays the winning measurement bit for bit.
 
 use crate::runner::{assertion_outcome, batch_reports, scenario_report, RunOptions};
-use crate::scenario::{FaultEvent, PhaseOp, Role, ScenarioSpec, Workload};
+use crate::scenario::{FaultEvent, ProgramOp, Role, ScenarioSpec, Workload};
 use fgqos_bench::report::{Block, Report};
 use fgqos_core::analysis::{PortModel, SystemModel};
 use fgqos_hunt::space::render_winner;
@@ -394,12 +394,6 @@ pub fn bound_for(winner_text: &str, critical: &str) -> Result<Option<BoundCompar
         for e in &f.events {
             match e {
                 FaultEvent::RefreshStorm { .. } => storm = true,
-                FaultEvent::Regulator {
-                    master,
-                    enabled: false,
-                } => {
-                    disabled.insert(master);
-                }
                 FaultEvent::Rogue { master }
                 | FaultEvent::Bursty { master, .. }
                 | FaultEvent::Halt { master }
@@ -414,11 +408,9 @@ pub fn bound_for(winner_text: &str, critical: &str) -> Result<Option<BoundCompar
     if storm {
         return Ok(None);
     }
-    for p in &spec.phases {
-        for a in &p.actions {
-            if a.op == PhaseOp::Enable(false) {
-                disabled.insert(&a.master);
-            }
+    for (_, master, op) in spec.register_writes(None) {
+        if op == ProgramOp::Enable(false) {
+            disabled.insert(master);
         }
     }
 
@@ -452,19 +444,18 @@ pub fn bound_for(winner_text: &str, critical: &str) -> Result<Option<BoundCompar
         if regulated {
             let mut period = m.period as u64;
             let mut budget = m.budget as u64;
-            for p in &spec.phases {
-                for a in &p.actions {
-                    if a.master == m.name {
-                        match a.op {
-                            PhaseOp::Period(v) => period = period.min(v as u64),
-                            PhaseOp::Budget(v) => budget = budget.max(v as u64),
-                            PhaseOp::Enable(_) => {}
-                        }
-                    }
+            let writes = spec
+                .register_writes(None)
+                .filter(|&(_, master, _)| master == m.name);
+            for (_, _, op) in writes {
+                match op {
+                    ProgramOp::Period(v) => period = period.min(v as u64),
+                    ProgramOp::Budget(v) => budget = budget.max(v as u64),
+                    ProgramOp::Enable(_) => {}
                 }
             }
             ports.push(PortModel {
-                period_cycles: period.max(1),
+                period_cycles: period,
                 budget_bytes: budget,
                 max_outstanding: outstanding,
                 txn_bytes: txn,

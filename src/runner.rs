@@ -11,12 +11,12 @@ use crate::scenario::{
 };
 use fgqos_bench::report::{Block, Report};
 use fgqos_core::fabric::QosFabric;
-use fgqos_core::program::{ProgramOp, ScenarioProgram};
+use fgqos_core::program::ScenarioProgram;
 use fgqos_serve::cache::fnv64;
 use fgqos_serve::live::{BoundaryCmd, JournalEntry, LiveSession, LIVE_SCHEMA, LIVE_VERSION};
 #[cfg(test)]
-use fgqos_serve::protocol::BatchKind;
-use fgqos_serve::protocol::{BatchPoint, BatchSpec, ControlSet, JobSpec, LiveSpec};
+use fgqos_serve::protocol::{BatchKind, ControlSet};
+use fgqos_serve::protocol::{BatchPoint, BatchSpec, JobSpec, LiveSpec};
 use fgqos_serve::{BatchExecutor, Executor, LiveExecutor, SnapshotExecutor};
 use fgqos_sim::axi::{MasterId, BEAT_BYTES, MAX_BURST_BEATS};
 use fgqos_sim::json::Value;
@@ -331,7 +331,10 @@ const BATCH_QUIESCE_SLACK: u64 = 100_000;
 /// quiesced boundary opens — a scenario that keeps the pipeline
 /// saturated through the slack window — each point instead replays the
 /// identical schedule cold, so the result is the same pure function of
-/// `(spec, point)` either way; only the wall-clock differs.
+/// `(spec, point)` either way; only the wall-clock differs. A point
+/// that is not a valid register write ([`BatchPoint::writes`]: a period
+/// of 0, or a value past the 32-bit register) fails the whole batch
+/// before anything is simulated.
 pub fn batch_reports(spec: &BatchSpec) -> Result<Vec<Report>, RunError> {
     batch_reports_with_store(spec, None)
 }
@@ -351,6 +354,11 @@ pub fn batch_reports_with_store(
     spec: &BatchSpec,
     store: Option<&BlobStore>,
 ) -> Result<Vec<Report>, RunError> {
+    for (i, point) in spec.points.iter().enumerate() {
+        point
+            .writes()
+            .map_err(|e| RunError::Run(format!("point {i}: {e}")))?;
+    }
     let parsed = ScenarioSpec::parse(&spec.scenario).map_err(RunError::Parse)?;
     // Resolve `until_done` before simulating anything: an unknown
     // master fails the batch up front, not per point. The probe build
@@ -484,11 +492,7 @@ fn point_report(
     // boundary cycle, before its fault writes — exactly the order the
     // rendered hunt winner replays in.
     let boundary = soc.now().get();
-    let knobs = parsed.knob_phase(
-        boundary,
-        point.period.min(u32::MAX as u64) as u32,
-        point.budget.min(u32::MAX as u64) as u32,
-    );
+    let knobs = parsed.knob_phase(boundary, point.writes().map_err(RunError::Run)?);
     soc.controller_mut::<ScenarioProgram>()
         .expect("ScenarioSpec::build installs a scenario program")
         .reschedule(parsed.program_ops(fabric, Some(&knobs)));
@@ -645,14 +649,6 @@ pub struct LiveOutcome {
     pub aborted: bool,
 }
 
-fn control_op(set: ControlSet) -> ProgramOp {
-    match set {
-        ControlSet::Budget(b) => ProgramOp::Budget(b),
-        ControlSet::Period(p) => ProgramOp::Period(p),
-        ControlSet::Enable(e) => ProgramOp::Enabled(e),
-    }
-}
-
 /// Cumulative per-master counters, remembered across boundaries so each
 /// frame can carry window deltas.
 #[derive(Clone, Copy, Default)]
@@ -752,18 +748,12 @@ pub fn replay_scenario_text(text: &str, journal: &[JournalEntry]) -> String {
         out.push('\n');
     }
     for (i, e) in journal.iter().enumerate() {
-        let value = match e.set {
-            ControlSet::Budget(b) => b.to_string(),
-            ControlSet::Period(p) => p.to_string(),
-            ControlSet::Enable(true) => "on".to_string(),
-            ControlSet::Enable(false) => "off".to_string(),
-        };
         out.push_str(&format!(
             "\n[phase {LIVE_PHASE_PREFIX}{i}]\nat {}\n{} {} {}\n",
             e.at,
             e.set.key(),
             e.target,
-            value
+            e.set.fgq_value()
         ));
     }
     out
@@ -833,7 +823,7 @@ pub fn live_targets(spec: &ScenarioSpec) -> Vec<String> {
 /// frames as they happen.
 ///
 /// At each **interior** boundary the drained writes are applied through
-/// [`ProgramOp::apply`] — the single code path `[phase]` directives use —
+/// [`ProgramOp::apply`](fgqos_core::program::ProgramOp::apply) — the single code path `[phase]` directives use —
 /// and journaled, stamped with the boundary's sim cycle. The **final**
 /// boundary accepts no writes (a monolithic run never executes the
 /// deadline cycle, so a write there could not be replayed; see
@@ -881,7 +871,7 @@ pub fn live_run(
                     let Some(driver) = fabric.driver(&w.target) else {
                         continue;
                     };
-                    control_op(w.set).apply(driver);
+                    w.set.apply(driver);
                     let entry = JournalEntry {
                         at: b.end.get(),
                         window: b.index,
@@ -1102,6 +1092,42 @@ txn 512
             Err(RunError::Run(m)) => assert!(m.contains("ghost")),
             other => panic!("expected Run error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn batch_refuses_invalid_points_before_simulating() {
+        let max = u64::from(u32::MAX);
+        for (period, budget, fragment) in [
+            (0, 2_048, "at least 1"),
+            (max + 1, 2_048, "register width"),
+            (1_000, max + 1, "register width"),
+        ] {
+            let mut spec = batch(vec![
+                BatchPoint {
+                    period: 1_000,
+                    budget: 2_048,
+                },
+                BatchPoint { period, budget },
+            ]);
+            // The point check comes first: before the `until_done`
+            // check, which itself precedes any simulation.
+            spec.until_done = Some("ghost".into());
+            match std::panic::catch_unwind(|| batch_reports(&spec)) {
+                Ok(Err(RunError::Run(m))) => {
+                    assert!(m.contains("point 1") && m.contains(fragment), "{m}")
+                }
+                Ok(other) => panic!("expected a Run error, got {other:?}"),
+                Err(_) => panic!("batch panicked on ({period}, {budget})"),
+            }
+        }
+        let ok = batch(vec![BatchPoint {
+            period: max,
+            budget: max,
+        }]);
+        assert!(
+            batch_reports(&ok).is_ok(),
+            "the register width is inclusive"
+        );
     }
 
     #[test]

@@ -313,15 +313,15 @@ fn parses_phase_sections() {
         vec![
             PhaseAction {
                 master: "dma0".into(),
-                op: PhaseOp::Budget(8_192)
+                op: ProgramOp::Budget(8_192)
             },
             PhaseAction {
                 master: "dma1".into(),
-                op: PhaseOp::Period(500)
+                op: ProgramOp::Period(500)
             },
             PhaseAction {
                 master: "dma1".into(),
-                op: PhaseOp::Enable(false)
+                op: ProgramOp::Enable(false)
             },
         ]
     );
