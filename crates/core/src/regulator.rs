@@ -253,8 +253,13 @@ impl PortGate for TcRegulator {
             self.stall_cycles += 1;
             self.regs
                 .write64(Reg::StallLo, Reg::StallHi, self.stall_cycles);
-            self.regs
-                .set_bits(Reg::Status, STATUS_THROTTLED | STATUS_EXHAUSTED);
+            // A denied port usually stays denied for the rest of the
+            // window: skip the locked read-modify-write once both bits
+            // are already set.
+            let bits = STATUS_THROTTLED | STATUS_EXHAUSTED;
+            if self.regs.read(Reg::Status) & bits != bits {
+                self.regs.set_bits(Reg::Status, bits);
+            }
             GateDecision::Deny
         }
     }

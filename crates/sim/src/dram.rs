@@ -189,11 +189,14 @@ struct BankState {
 
 /// A queued transaction: the arena handle plus copies of the fields the
 /// scheduler reads every selection round, so FR-FCFS scans dense local
-/// data instead of chasing arena columns per candidate.
+/// data instead of chasing arena columns per candidate. `bank` and `row`
+/// are `addr` mapped once at enqueue (derived, so the walk skips them).
 #[derive(Debug, Clone, Copy)]
 struct Queued {
     txn: TxnId,
     addr: u64,
+    bank: usize,
+    row: u64,
     beats: u16,
     dir: Dir,
     arrived: Cycle,
@@ -318,9 +321,13 @@ impl DramController {
     /// Panics if the queue is full; callers must check [`Self::has_space`].
     pub fn enqueue(&mut self, txn: TxnId, arena: &TxnArena, now: Cycle) {
         assert!(self.has_space(), "DRAM queue overflow");
+        let addr = arena.addr(txn);
+        let (bank, row) = self.cfg.map(addr);
         self.queue.push_back(Queued {
             txn,
-            addr: arena.addr(txn),
+            addr,
+            bank,
+            row,
             beats: arena.beats(txn),
             dir: arena.dir(txn),
             arrived: now,
@@ -351,11 +358,8 @@ impl DramController {
             if oldest.is_none() {
                 oldest = Some(i);
             }
-            if hit.is_none() {
-                let (bank, row) = self.cfg.map(q.addr);
-                if self.banks[bank].open_row == Some(row) {
-                    hit = Some(i);
-                }
+            if hit.is_none() && self.banks[q.bank].open_row == Some(q.row) {
+                hit = Some(i);
             }
             if oldest.is_some() && hit.is_some() {
                 break;
@@ -481,8 +485,8 @@ impl DramController {
         self.stats
             .queue_wait
             .record(now.saturating_since(q.arrived));
-        let (bank_idx, row) = self.cfg.map(q.addr);
-        let bank = &mut self.banks[bank_idx];
+        let row = q.row;
+        let bank = &mut self.banks[q.bank];
         let bank_ready = bank.ready_at.max(now);
         let (access, hit) = match bank.open_row {
             Some(open) if open == row => (self.cfg.t_cl, true),

@@ -41,6 +41,26 @@
 //!    stream from [`TypedSnapshot::leap`] is loaded back — the exact
 //!    bytes a cycle-by-cycle run would reach at `c + k·P`.
 //!
+//! # When the engine probes
+//!
+//! A probe is one typed walk of the whole machine plus its key, a few
+//! microseconds of host time, so the engine takes as few as it can:
+//!
+//! * a boundary closer than the stride to the last probe or landing is
+//!   skipped; the stride starts at 64 cycles and doubles (up to 4M)
+//!   while boundaries match nothing;
+//! * a landing that leaves less than one period before the run call's
+//!   deadline is the call's last probe: every later boundary would
+//!   verify a pair and find no room for `k ≥ 1`. The stop lasts for
+//!   that call only; the next `run`, `run_windowed` segment or call
+//!   after an early stop probes again;
+//! * the walk scans only the occupied range of each latency histogram,
+//!   and the key folds plain bytes a word at a time (a multiply-rotate
+//!   mix, not FNV: the key only selects candidates, and
+//!   [`TypedSnapshot::lockstep_deltas`] is the proof).
+//!
+//! [`LeapTelemetry::probes`] counts the walks taken.
+//!
 //! Leaping is on by default; `FGQOS_NO_LEAP=1` disables the engine, and
 //! so does `FGQOS_NAIVE=1` (the naive core never leaps). Bit-identity
 //! against the plain calendar core is pinned by proptests in
@@ -51,21 +71,24 @@ use crate::system::Soc;
 use crate::time::Cycle;
 use fgqos_snap::{StateWalker, TypedSnapshot};
 
-/// Minimum cycles between fingerprinted boundaries: throttles hashing
-/// so short quiesce/wake oscillations cost nothing.
+/// Minimum cycles between probes: throttles walks so short
+/// quiesce/wake oscillations cost nothing. The stride returns here
+/// after a landing and after a detected but unleapable period; a
+/// landing that leaves less than a period before the deadline stops
+/// probing for the rest of the run call instead (see the
+/// [module docs](self)).
 const MIN_STRIDE: u64 = 64;
 
-/// Backoff ceiling for the fingerprint stride. A fingerprint walks the
-/// whole snapshot stream (FNV is a serial per-byte fold — tens of
-/// microseconds per boundary, the cost of simulating thousands of
-/// cycles), so on workloads that never settle into a period every
-/// fingerprint is a pure tax on the fast run loop. The stride doubles
-/// from [`MIN_STRIDE`] after each boundary that matches nothing and
-/// resets as soon as a recurrence is detected, bounding the tax at
-/// O(log horizon) walks per aperiodic run. The cost is detection
-/// latency for machines that only settle into a period late: by then
-/// samples are sparse, and a match must wait for two samples to land
-/// on the same phase.
+/// Backoff ceiling for the probe stride. A probe walks the whole
+/// snapshot stream and folds it into a key (several microseconds per
+/// boundary, the cost of simulating thousands of cycles), so on
+/// workloads that never settle into a period every probe is a pure tax
+/// on the fast run loop. The stride doubles from [`MIN_STRIDE`] after
+/// each boundary that matches nothing and resets as soon as a
+/// recurrence is detected, bounding the tax at O(log horizon) walks per
+/// aperiodic run. The cost is detection latency for machines that only
+/// settle into a period late: by then samples are sparse, and a match
+/// must wait for two samples to land on the same phase.
 const MAX_STRIDE: u64 = 1 << 22;
 
 /// Recurrence table capacity (boundary records kept, FIFO-evicted).
@@ -80,6 +103,8 @@ pub struct LeapTelemetry {
     pub enabled: bool,
     /// Periodic pairs proven by lockstep verification.
     pub periods_detected: u64,
+    /// Typed walks taken to probe for a period (the engine's host cost).
+    pub probes: u64,
     /// Total cycles skipped algebraically instead of simulated.
     pub cycles_skipped: u64,
     /// Leaps applied.
@@ -120,8 +145,14 @@ pub(crate) struct LeapState {
     /// engine is finding (or riding) a period, doubling toward
     /// [`MAX_STRIDE`] while boundaries keep matching nothing.
     stride: u64,
+    /// Set by a landing that left less than one period before the run
+    /// call's deadline: no further leap can fit in this call, so the
+    /// engine takes no more probes. Every run call clears it.
+    pub(crate) settled: bool,
     /// Periodic pairs proven by lockstep verification.
     pub(crate) periods_detected: u64,
+    /// Typed walks taken.
+    pub(crate) probes: u64,
     /// Total cycles skipped algebraically.
     pub(crate) cycles_skipped: u64,
     /// Leaps applied (`k ≥ 1`).
@@ -144,7 +175,9 @@ impl LeapState {
             brent_count: 0,
             last_boundary: 0,
             stride: MIN_STRIDE,
+            settled: false,
             periods_detected: 0,
+            probes: 0,
             cycles_skipped: 0,
             leaps: 0,
         }
@@ -157,6 +190,7 @@ impl std::fmt::Debug for LeapState {
             .field("enabled", &self.enabled)
             .field("table", &self.table.len())
             .field("periods_detected", &self.periods_detected)
+            .field("probes", &self.probes)
             .field("cycles_skipped", &self.cycles_skipped)
             .field("leaps", &self.leaps)
             .finish()
@@ -190,11 +224,13 @@ impl Soc {
     pub(crate) fn maybe_leap(&mut self, deadline: Cycle) -> bool {
         let now = self.cycle;
         if !self.leap.enabled
+            || self.leap.settled
             || now.get() < self.leap.last_boundary + self.leap.stride
             || deadline <= now
         {
             return false;
         }
+        self.leap.probes += 1;
         let mut w = StateWalker::typed_recording(now.get());
         self.visit_state(&mut w);
         let record = w.take_typed();
@@ -249,6 +285,9 @@ impl Soc {
             self.leap.leaps += 1;
             self.leap.last_boundary = self.cycle.get();
             self.leap.stride = MIN_STRIDE;
+            // Less than one period left: every later boundary of this
+            // call would verify a pair and find no room to leap.
+            self.leap.settled = deadline.get() - self.cycle.get() < period;
             return true;
         }
 
@@ -337,6 +376,125 @@ fn leap_count(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::axi::Request;
+    use crate::dram::DramConfig;
+    use crate::gate::{GateDecision, PortGate};
+    use crate::master::{MasterKind, SequentialSource};
+    use crate::system::{SocBuilder, SocConfig};
+
+    /// A TC-style byte budget refilled every `period` cycles: the
+    /// regulation a leap skips over.
+    #[derive(Debug, Clone)]
+    struct WindowBudget {
+        period: u64,
+        budget: u64,
+        used: u64,
+        start: u64,
+        stalls: u64,
+    }
+
+    impl PortGate for WindowBudget {
+        fn on_cycle(&mut self, now: Cycle) {
+            if now.get() >= self.start + self.period {
+                self.start += (now.get() - self.start) / self.period * self.period;
+                self.used = 0;
+            }
+        }
+
+        fn try_accept(&mut self, request: &Request, _now: Cycle) -> GateDecision {
+            if self.used + request.bytes() <= self.budget {
+                self.used += request.bytes();
+                GateDecision::Accept
+            } else {
+                self.stalls += 1;
+                GateDecision::Deny
+            }
+        }
+
+        fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+            Some(Cycle::new(self.start + self.period).max(now))
+        }
+
+        fn on_denied_skip(&mut self, cycles: u64) {
+            self.stalls += cycles;
+        }
+
+        fn label(&self) -> &'static str {
+            "window-budget"
+        }
+
+        fn visit_state(&mut self, w: &mut StateWalker<'_>) {
+            w.section("window-budget");
+            w.plain(&mut self.period);
+            w.plain(&mut self.budget);
+            w.plain(&mut self.used);
+            w.cycle(&mut self.start);
+            w.counter(&mut self.stalls);
+        }
+    }
+
+    /// Regulator window of [`periodic_soc`].
+    const WINDOW: u64 = 1_000;
+
+    /// One unbounded sequential reader, 512 B per 1000-cycle window over
+    /// a 4 KiB footprint: the machine repeats every 8 windows, and
+    /// quiesces once in every window.
+    fn periodic_soc() -> Soc {
+        let cfg = SocConfig {
+            dram: DramConfig {
+                t_refi: 0,
+                ..DramConfig::default()
+            },
+            ..SocConfig::default()
+        };
+        let gate = WindowBudget {
+            period: WINDOW,
+            budget: 512,
+            used: 0,
+            start: 0,
+            stalls: 0,
+        };
+        let source = SequentialSource::reads(1 << 28, 256, u64::MAX).with_footprint(4096);
+        let mut soc = SocBuilder::new(cfg)
+            .gated_master("r0", source, MasterKind::Accelerator, gate)
+            .build();
+        soc.set_leap(true);
+        soc
+    }
+
+    #[test]
+    fn no_probe_after_the_landing_that_ends_the_call() {
+        let deadline = 405_000;
+        let mut a = periodic_soc();
+        a.run(deadline);
+        let t = a.leap_telemetry();
+        assert_eq!(t.leaps, 1, "one leap fits: {t:?}");
+        assert!(a.leap.settled, "the landing left under a period");
+        // A probe after the landing would have moved the throttle anchor
+        // off the landing cycle.
+        let landed = a.leap.last_boundary;
+        let left = deadline - landed;
+        assert!(
+            (2 * WINDOW..8 * WINDOW).contains(&left),
+            "the last partial period spans quiesced boundaries: {left}"
+        );
+        // The same machine stopped exactly at the landing took the same
+        // probes and kept the same table: nothing ran after it in `a`.
+        let mut b = periodic_soc();
+        b.run(landed);
+        assert_eq!(b.now().get(), landed);
+        assert_eq!(b.leap_telemetry(), t);
+        assert_eq!(b.leap.table.len(), a.leap.table.len());
+        assert_eq!(b.leap.last_boundary, landed);
+
+        // An early stop does not silence the call after it.
+        assert_eq!(a.quiesce_point(1_000_000), Some(a.now()));
+        // The next call probes and leaps again.
+        a.run(400_000);
+        let next = a.leap_telemetry();
+        assert!(next.probes > t.probes, "{next:?}");
+        assert!(next.leaps > t.leaps, "{next:?}");
+    }
 
     #[test]
     fn leap_count_respects_every_bound() {

@@ -7,6 +7,7 @@
 
 use crate::time::{Bandwidth, Cycle, Freq};
 use fgqos_snap::{CowVec, StateWalker};
+use std::ops::Range;
 
 /// Accumulates transferred bytes over an interval and converts the count
 /// into a [`Bandwidth`].
@@ -255,18 +256,36 @@ impl LatencyStats {
         self.max = self.max.max(other.max);
     }
 
+    /// The bucket range holding every sample: `bucket_index(min)..=
+    /// bucket_index(max)`, empty when there are none.
+    fn live_buckets(&self) -> Range<usize> {
+        if self.count == 0 || self.min > self.max {
+            return 0..0;
+        }
+        Self::bucket_index(self.min)..Self::bucket_index(self.max) + 1
+    }
+
     /// Walks the distribution's state (see [`StateWalker`]): summary
-    /// fields, then the non-empty buckets as index/count pairs. The pairs
-    /// carry no length prefix; a loader reads them until their counts sum
-    /// to the recorded total, with strictly increasing indices — any
-    /// deviation is a diagnostic error.
+    /// fields, then the non-empty buckets as index/count pairs, scanning
+    /// only the buckets between min and max. The pairs carry no length
+    /// prefix; a loader reads them until their counts sum to the
+    /// recorded total, with strictly increasing indices inside the
+    /// min/max range — any deviation, or a min above the max of a
+    /// non-empty distribution, is a diagnostic error.
     pub fn visit_state(&mut self, w: &mut StateWalker<'_>) {
         w.section("latency");
         w.counter(&mut self.count);
         w.counter(&mut self.sum);
         w.plain(&mut self.min);
         w.plain(&mut self.max);
-        w.histogram(&mut self.buckets, self.count);
+        if self.count > 0 && self.min > self.max {
+            w.bad(format!(
+                "latency min {} above max {} with {} sample(s)",
+                self.min, self.max, self.count
+            ));
+        }
+        let live = self.live_buckets();
+        w.histogram(&mut self.buckets, self.count, live);
     }
 }
 
@@ -432,6 +451,83 @@ impl WindowRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Reference walk: the summary fields, then every bucket of the
+    /// whole array scanned for non-empty ones.
+    fn full_scan(s: &mut LatencyStats, w: &mut StateWalker<'_>) {
+        w.section("latency");
+        w.counter(&mut s.count);
+        w.counter(&mut s.sum);
+        w.plain(&mut s.min);
+        w.plain(&mut s.max);
+        for (i, &c) in s.buckets.iter().enumerate().filter(|(_, &c)| c > 0) {
+            w.plain(&mut { i });
+            w.counter(&mut { c });
+        }
+    }
+
+    /// The ranged walk of `values` writes the full scan's bytes, digest
+    /// and typed span map.
+    fn ranged_walk_matches_full_scan(values: &[u64]) -> Result<(), TestCaseError> {
+        let mut s = LatencyStats::new();
+        for &v in values {
+            s.record(v);
+        }
+        let (mut ranged, mut full) = (StateWalker::recording(), StateWalker::recording());
+        s.visit_state(&mut ranged);
+        full_scan(&mut s, &mut full);
+        prop_assert_eq!(ranged.finish(), full.finish());
+        prop_assert_eq!(ranged.take_bytes(), full.take_bytes());
+        let (mut ranged, mut full) = (StateWalker::hasher(), StateWalker::hasher());
+        s.visit_state(&mut ranged);
+        full_scan(&mut s, &mut full);
+        prop_assert_eq!(ranged.finish(), full.finish());
+        prop_assert_eq!(ranged.bytes_written(), full.bytes_written());
+        let (mut ranged, mut full) = (
+            StateWalker::typed_recording(1_000),
+            StateWalker::typed_recording(1_000),
+        );
+        s.visit_state(&mut ranged);
+        full_scan(&mut s, &mut full);
+        prop_assert_eq!(ranged.take_typed(), full.take_typed());
+        Ok(())
+    }
+
+    #[test]
+    fn ranged_walk_edge_cases() {
+        for values in [
+            &[][..],
+            &[0],
+            &[37],
+            &[u64::MAX],
+            &[u64::MAX, u64::MAX - 1, 1 << 63],
+            &[0, u64::MAX],
+            &[15, 16, 17],
+        ] {
+            ranged_walk_matches_full_scan(values).unwrap();
+        }
+    }
+
+    /// Samples from exact small values up to the clamped top group.
+    fn samples() -> impl Strategy<Value = Vec<u64>> {
+        prop::collection::vec(
+            (0..4u8, 0..=u64::MAX).prop_map(|(kind, v)| match kind {
+                0 => v % 64,
+                1 => v % 100_000,
+                2 => v,
+                _ => u64::MAX - v % 4,
+            }),
+            0..40,
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn ranged_walk_writes_the_full_scan_bytes(values in samples()) {
+            ranged_walk_matches_full_scan(&values)?;
+        }
+    }
 
     #[test]
     fn meter_basic() {

@@ -387,6 +387,7 @@ impl Soc {
         LeapTelemetry {
             enabled: self.leap.enabled,
             periods_detected: self.leap.periods_detected,
+            probes: self.leap.probes,
             cycles_skipped: self.leap.cycles_skipped,
             leaps: self.leap.leaps,
         }
@@ -582,6 +583,9 @@ impl Soc {
     /// `stop` is satisfied after an executed cycle; `None` at the
     /// deadline.
     fn run_fast(&mut self, deadline: Cycle, stop: StopWhen) -> Option<Cycle> {
+        // A landing that settled an earlier call bounds nothing here:
+        // this call's deadline may leave room for more leaps.
+        self.leap.settled = false;
         let mut cal = self.build_calendar();
         let mut due = Vec::new();
         while self.cycle < deadline {
@@ -806,6 +810,7 @@ impl Soc {
             self.xbar.config().arbitration.label(),
         );
         reg.counter("soc.leap.periods_detected", self.leap.periods_detected);
+        reg.counter("soc.leap.probes", self.leap.probes);
         reg.counter("soc.leap.cycles_skipped", self.leap.cycles_skipped);
         reg.counter("soc.leap.leaps", self.leap.leaps);
         let d = self.dram.stats();

@@ -111,7 +111,13 @@ fn u128_at(bytes: &[u8], off: usize) -> u128 {
     u128::from_le_bytes(bytes[off..off + 16].try_into().expect("span in bounds"))
 }
 
-/// Incremental FNV-1a 64 fold (shared definition with [`crate::fnv64`]).
+/// Word-at-a-time recurrence-key fold: each step xors one `u64` into the
+/// state, multiplies by an odd constant and rotates. Both steps are
+/// bijections, so a change to any single word changes the key. The key
+/// only selects candidate pairs for
+/// [`TypedSnapshot::lockstep_deltas`], which is the proof, so a rare
+/// collision costs one failed check. It is not FNV and not a stable
+/// format: keys live only in one run's recurrence table.
 struct Fold(u64);
 
 impl Fold {
@@ -119,15 +125,27 @@ impl Fold {
         Fold(0xcbf2_9ce4_8422_2325)
     }
 
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(29);
     }
 
-    fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
+    /// Folds a plain span eight bytes per step, a ragged tail
+    /// zero-padded; the caller folds the span's length too, so the
+    /// padding cannot alias a longer span.
+    fn span(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(w));
+        }
     }
 }
 
@@ -168,16 +186,23 @@ impl TypedSnapshot {
     /// folded in verbatim: trailing stamps (window starts) all rebase
     /// to 0, so the pending-wake structure is what distinguishes two
     /// different phases of the same window.
+    ///
+    /// Plain bytes fold eight at a time through a multiply-rotate mix
+    /// (not FNV, and not stable across versions). Equal keys only make
+    /// two records candidates: the caller proves a pair with
+    /// [`lockstep_deltas`](Self::lockstep_deltas).
     pub fn rebased_key(&self, base: u64, wake_offsets: &[u64]) -> u64 {
         let mut h = Fold::new();
         let mut cursor = 0usize;
         for f in &self.fields {
-            h.bytes(&self.bytes[cursor..f.offset]);
-            h.bytes(&[f.kind as u8 + 1]);
+            let plain = &self.bytes[cursor..f.offset];
+            h.span(plain);
+            // The plain span's length and the kind tag share one word.
+            h.word((plain.len() as u64) << 8 | (f.kind as u64 + 1));
             if f.kind == FieldKind::Cycle {
                 let v = u64_at(&self.bytes, f.offset);
                 // `u64::MAX` is the "never" sentinel — base-independent.
-                h.u64(if v == u64::MAX {
+                h.word(if v == u64::MAX {
                     v
                 } else {
                     v.saturating_sub(base)
@@ -185,10 +210,12 @@ impl TypedSnapshot {
             }
             cursor = f.offset + f.len;
         }
-        h.bytes(&self.bytes[cursor..]);
-        h.u64(wake_offsets.len() as u64);
+        let tail = &self.bytes[cursor..];
+        h.span(tail);
+        h.word(tail.len() as u64);
+        h.word(wake_offsets.len() as u64);
         for &w in wake_offsets {
-            h.u64(w);
+            h.word(w);
         }
         h.0
     }

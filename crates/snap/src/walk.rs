@@ -56,6 +56,7 @@ use crate::wire::{SnapDecodeError, SnapReader};
 use crate::{CowVec, ForkCtx, SharedFork, SnapshotError};
 use std::any::Any;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// FNV-1a 64-bit offset basis.
@@ -607,10 +608,12 @@ impl<'a> StateWalker<'a> {
 
     /// A copy-on-write histogram whose bins sum to `total`, streamed
     /// sparsely: `(bin, count)` for every non-zero bin, counts typed as
-    /// counters. A loader rebuilds it, requiring ascending bins whose
-    /// counts sum to exactly `total`; a fork keeps sharing it and walks
-    /// nothing.
-    pub fn histogram(&mut self, v: &mut CowVec<u64>, total: u64) {
+    /// counters. Every non-zero bin lies in `live` (the caller knows the
+    /// occupied range, e.g. from its min and max), so a write scans only
+    /// `live`. A loader rebuilds it, requiring ascending bins inside
+    /// `live` whose counts sum to exactly `total`; a fork keeps sharing
+    /// it and walks nothing.
+    pub fn histogram(&mut self, v: &mut CowVec<u64>, total: u64, live: Range<usize>) {
         match self.mode {
             Mode::Fork { .. } => {}
             Mode::Load { .. } => {
@@ -626,14 +629,27 @@ impl<'a> StateWalker<'a> {
                             "histogram bin ({i}, {c}) inconsistent with total {total}"
                         ));
                     }
+                    if !live.contains(&i) {
+                        return self.bad(format!(
+                            "histogram bin ({i}, {c}) outside the live bins {live:?}"
+                        ));
+                    }
                     bins[i] = c;
                     acc += c;
                     next = i + 1;
                 }
             }
             _ => {
-                for (i, &c) in v.iter().enumerate().filter(|(_, &c)| c > 0) {
-                    self.plain(&mut { i });
+                debug_assert!(
+                    v[..live.start]
+                        .iter()
+                        .chain(&v[live.end..])
+                        .all(|&c| c == 0),
+                    "histogram bin outside the live bins {live:?}"
+                );
+                let start = live.start;
+                for (i, &c) in v[live].iter().enumerate().filter(|(_, &c)| c > 0) {
+                    self.plain(&mut { start + i });
                     self.counter(&mut { c });
                 }
             }

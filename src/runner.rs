@@ -118,6 +118,7 @@ fn leap_block(report: &mut Report, soc: &Soc) {
     let leap = soc.leap_telemetry();
     report.context("leap_enabled", leap.enabled);
     report.context("leap_periods_detected", leap.periods_detected);
+    report.context("leap_probes", leap.probes);
     report.context("leap_cycles_skipped", leap.cycles_skipped);
     report.context("leap_leaps", leap.leaps);
 }
@@ -721,6 +722,7 @@ fn live_frame(
     let mut lv = Value::obj();
     lv.set("enabled", Value::from(leap.enabled));
     lv.set("periods_detected", Value::from(leap.periods_detected));
+    lv.set("probes", Value::from(leap.probes));
     lv.set("cycles_skipped", Value::from(leap.cycles_skipped));
     lv.set("leaps", Value::from(leap.leaps));
     f.set("leap", lv);

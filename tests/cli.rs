@@ -246,6 +246,7 @@ fn json_report_carries_the_leap_block() {
     for key in [
         "leap_enabled",
         "leap_periods_detected",
+        "leap_probes",
         "leap_cycles_skipped",
         "leap_leaps",
     ] {

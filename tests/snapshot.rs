@@ -21,7 +21,7 @@ use fgqos::sim::master::TrafficSource;
 use fgqos::sim::snapshot::SocSnapshot;
 use fgqos::sim::stats::LatencyStats;
 use fgqos::sim::system::Soc;
-use fgqos::sim::{ForkCtx, SnapDecodeError, SnapshotBlob};
+use fgqos::sim::{fnv64, ForkCtx, SnapDecodeError, SnapshotBlob};
 use fgqos::workloads::prelude::*;
 use proptest::prelude::*;
 
@@ -749,4 +749,51 @@ fn blob_refuses_a_mismatched_skeleton() {
     let err = SocSnapshot::load_into(build_soc(&specs, false, false), &blob)
         .expect_err("mismatched skeleton must be rejected");
     assert!(!err.to_string().is_empty());
+}
+
+/// A blob whose latency histogram disagrees with its own min/max is
+/// refused with a decode error naming it, never a panic: the state walk
+/// scans only the buckets between min and max, so a bin outside them
+/// would be dropped (or the range inverted) on the next walk.
+#[test]
+fn histogram_outside_its_min_max_is_refused() {
+    let (_snap, encoded, specs) = encoded_test_blob();
+    let blob = SnapshotBlob::decode(&encoded).expect("decodes");
+    // Section tag, then count (u64), sum (u128), min (u64), max (u64).
+    let tag: Vec<u8> = [&7u64.to_le_bytes()[..], b"latency"].concat();
+    let word = |s: &[u8], at: usize| u64::from_le_bytes(s[at..at + 8].try_into().unwrap());
+    let (min_at, min, max) = (0..blob.state.len() - tag.len())
+        .filter(|&at| blob.state[at..].starts_with(&tag))
+        .map(|at| at + tag.len())
+        .map(|body| {
+            (
+                body + 24,
+                word(&blob.state, body + 24),
+                word(&blob.state, body + 32),
+            )
+        })
+        .find(|&(min_at, min, max)| word(&blob.state, min_at - 24) > 1 && max >= 2 * min + 32)
+        .expect("a latency histogram spanning several buckets");
+    let patched = |new_min: u64, new_max: u64| {
+        let mut blob = blob.clone();
+        blob.state[min_at..min_at + 8].copy_from_slice(&new_min.to_le_bytes());
+        blob.state[min_at + 8..min_at + 16].copy_from_slice(&new_max.to_le_bytes());
+        // A consistent fingerprint, so only the state walk can object.
+        blob.fingerprint = fnv64(&blob.state);
+        SocSnapshot::load_into(build_soc(&specs, false, false), &blob)
+    };
+    for (new_min, new_max, expect) in [
+        (max, min, "above max"),
+        (min, min, "outside the live bins"),
+        (max, max, "outside the live bins"),
+    ] {
+        match patched(new_min, new_max) {
+            Err(SnapDecodeError::BadValue { what, .. }) => {
+                assert!(what.contains(expect), "{what}")
+            }
+            other => panic!("min {new_min} max {new_max}: expected BadValue, got {other:?}"),
+        }
+    }
+    // The untouched values still load.
+    patched(min, max).expect("the original histogram loads");
 }
