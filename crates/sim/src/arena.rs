@@ -1,12 +1,13 @@
-//! Struct-of-arrays arena for in-flight AXI transactions.
+//! Slot arena for in-flight AXI transactions.
 //!
 //! Every transaction accepted into the interconnect lives in one
 //! [`TxnArena`] slot from acceptance to completion. Components on the
 //! memory path (crossbar port FIFOs, the DRAM request queue and service
 //! list) carry a 8-byte generational [`TxnId`] instead of a full
-//! [`Request`], so moving a transaction between queues copies one word
-//! and the scheduler scans dense columns instead of pointer-sized
-//! records.
+//! [`Request`], so moving a transaction between queues copies one word.
+//! A slot is one row: the [`Request`] as the master built it plus the
+//! slot's generation, so accepting and completing a transaction each
+//! copy one record.
 //!
 //! Slots are recycled through a free list; the per-slot generation
 //! counter turns use-after-release into a deterministic panic instead of
@@ -32,7 +33,7 @@ impl TxnId {
     }
 }
 
-/// Struct-of-arrays storage for in-flight transactions.
+/// Slot storage for in-flight transactions.
 ///
 /// ```
 /// use fgqos_sim::arena::TxnArena;
@@ -42,22 +43,22 @@ impl TxnId {
 /// let mut arena = TxnArena::new();
 /// let req = Request::new(MasterId::new(0), 7, 0x1000, 4, Dir::Read, Cycle::new(3));
 /// let id = arena.alloc(&req);
-/// assert_eq!(arena.master(id), MasterId::new(0));
+/// assert_eq!(arena.request(id).master, MasterId::new(0));
 /// assert_eq!(arena.take(id), req);
 /// assert_eq!(arena.live(), 0);
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct TxnArena {
-    master: Vec<MasterId>,
-    serial: Vec<u64>,
-    addr: Vec<u64>,
-    beats: Vec<u16>,
-    dir: Vec<Dir>,
-    issued_at: Vec<Cycle>,
-    accepted_at: Vec<Cycle>,
-    gen: Vec<u32>,
+    slots: Vec<Slot>,
     free: Vec<u32>,
     live: usize,
+}
+
+/// One arena row: the transaction and the slot's generation.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    req: Request,
+    gen: u32,
 }
 
 impl TxnArena {
@@ -74,87 +75,36 @@ impl TxnArena {
 
     /// Total slots ever allocated (the live-set high-water mark).
     pub fn capacity(&self) -> usize {
-        self.gen.len()
+        self.slots.len()
     }
 
     /// Copies `req` into a slot and returns its handle.
     pub fn alloc(&mut self, req: &Request) -> TxnId {
         self.live += 1;
         if let Some(idx) = self.free.pop() {
-            let i = idx as usize;
-            self.master[i] = req.master;
-            self.serial[i] = req.serial;
-            self.addr[i] = req.addr;
-            self.beats[i] = req.beats;
-            self.dir[i] = req.dir;
-            self.issued_at[i] = req.issued_at;
-            self.accepted_at[i] = req.accepted_at;
-            TxnId {
-                idx,
-                gen: self.gen[i],
-            }
+            let slot = &mut self.slots[idx as usize];
+            slot.req = *req;
+            TxnId { idx, gen: slot.gen }
         } else {
-            let idx = self.gen.len() as u32;
-            self.master.push(req.master);
-            self.serial.push(req.serial);
-            self.addr.push(req.addr);
-            self.beats.push(req.beats);
-            self.dir.push(req.dir);
-            self.issued_at.push(req.issued_at);
-            self.accepted_at.push(req.accepted_at);
-            self.gen.push(0);
+            let idx = self.slots.len() as u32;
+            self.slots.push(Slot { req: *req, gen: 0 });
             TxnId { idx, gen: 0 }
         }
     }
 
+    /// The slot `id` names, checked against its generation.
     #[inline]
-    fn check(&self, id: TxnId) -> usize {
-        let i = id.idx as usize;
-        assert_eq!(
-            self.gen.get(i).copied(),
-            Some(id.gen),
-            "stale or invalid TxnId"
-        );
-        i
+    fn slot(&self, id: TxnId) -> &Slot {
+        match self.slots.get(id.idx as usize) {
+            Some(slot) if slot.gen == id.gen => slot,
+            _ => panic!("stale or invalid TxnId {id:?}"),
+        }
     }
 
-    /// Issuing master of the transaction.
+    /// The full [`Request`] stored in the slot.
     #[inline]
-    pub fn master(&self, id: TxnId) -> MasterId {
-        self.master[self.check(id)]
-    }
-
-    /// First-beat byte address of the transaction.
-    #[inline]
-    pub fn addr(&self, id: TxnId) -> u64 {
-        self.addr[self.check(id)]
-    }
-
-    /// Burst length in beats.
-    #[inline]
-    pub fn beats(&self, id: TxnId) -> u16 {
-        self.beats[self.check(id)]
-    }
-
-    /// Transfer direction.
-    #[inline]
-    pub fn dir(&self, id: TxnId) -> Dir {
-        self.dir[self.check(id)]
-    }
-
-    /// Reconstructs the full [`Request`] stored in the slot.
     pub fn request(&self, id: TxnId) -> Request {
-        let i = self.check(id);
-        let mut req = Request::new(
-            self.master[i],
-            self.serial[i],
-            self.addr[i],
-            self.beats[i],
-            self.dir[i],
-            self.issued_at[i],
-        );
-        req.accepted_at = self.accepted_at[i];
-        req
+        self.slot(id).req
     }
 
     /// Walks the arena's slot-recycling state (see
@@ -165,33 +115,29 @@ impl TxnArena {
     /// future allocations receive, so they are architectural state: two
     /// arenas that differ here diverge on the very next `alloc`.
     ///
-    /// Only quiesced arenas load: live slots would need their SoA payload
-    /// columns, which the stream (rightly) does not carry. With zero live
-    /// slots the free list spans every slot, and the payload columns
-    /// hold only dead values that the next `alloc` overwrites —
-    /// placeholders suffice.
+    /// Only quiesced arenas load: live slots would need their requests,
+    /// which the stream (rightly) does not carry. With zero live slots
+    /// the free list spans every slot, and the slots hold only dead
+    /// requests that the next `alloc` overwrites — placeholders suffice.
     pub fn visit_state(&mut self, w: &mut fgqos_snap::StateWalker<'_>) {
         w.section("arena");
         w.drained(self.live, "arena");
-        let slots = w.len(self.gen.len());
+        let slots = w.len(self.slots.len());
         if w.loading() {
+            let placeholder = Slot {
+                req: Request::new(MasterId::new(0), 0, 0, 1, Dir::Read, Cycle::ZERO),
+                gen: 0,
+            };
             *self = TxnArena {
-                master: vec![MasterId::new(0); slots],
-                serial: vec![0; slots],
-                addr: vec![0; slots],
-                beats: vec![0; slots],
-                dir: vec![Dir::Read; slots],
-                issued_at: vec![Cycle::ZERO; slots],
-                accepted_at: vec![Cycle::ZERO; slots],
-                gen: vec![0; slots],
+                slots: vec![placeholder; slots],
                 free: vec![0; slots],
                 live: 0,
             };
         }
-        for g in &mut self.gen {
+        for slot in &mut self.slots {
             // Slot generations accumulate with wrapping arithmetic (see
             // `take`), so a leap advances them as wrapping counters.
-            w.counter(g);
+            w.counter(&mut slot.gen);
         }
         for f in &mut self.free {
             w.plain(f);
@@ -203,11 +149,11 @@ impl TxnArena {
         }
     }
 
-    /// Reconstructs the [`Request`] and releases the slot for reuse.
+    /// Returns the [`Request`] and releases the slot for reuse.
     pub fn take(&mut self, id: TxnId) -> Request {
         let req = self.request(id);
-        let i = id.idx as usize;
-        self.gen[i] = self.gen[i].wrapping_add(1);
+        let slot = &mut self.slots[id.idx as usize];
+        slot.gen = slot.gen.wrapping_add(1);
         self.free.push(id.idx);
         self.live -= 1;
         req
@@ -235,10 +181,6 @@ mod tests {
     fn roundtrip_preserves_all_fields() {
         let mut a = TxnArena::new();
         let id = a.alloc(&req(5));
-        assert_eq!(a.master(id), MasterId::new(2));
-        assert_eq!(a.addr(id), 5 * 512);
-        assert_eq!(a.beats(id), 32);
-        assert_eq!(a.dir(id), Dir::Write);
         assert_eq!(a.request(id), req(5));
         assert_eq!(a.take(id), req(5));
     }
@@ -275,6 +217,6 @@ mod tests {
         let id = a.alloc(&req(0));
         a.take(id);
         let _ = a.alloc(&req(1)); // same slot, new generation
-        let _ = a.master(id);
+        let _ = a.request(id);
     }
 }

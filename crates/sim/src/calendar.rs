@@ -3,11 +3,14 @@
 //! The fast run loop ([`crate::system::Soc`]) keeps a token per master,
 //! the DRAM controller, the crossbar backlog and each controller, woken
 //! at the earliest cycle ticking it could change state. With a handful
-//! of tokens, one scan of the flat `wake` array finds the next due cycle.
+//! of tokens (a few dozen on the largest machines), one pass over the
+//! flat `wake` array per executed cycle both finds the next due cycle
+//! and takes every token due there ([`EventCalendar::take_next`]).
 //!
-//! Past wakes: a cursor holds the latest cycle passed to `next_due` or
-//! `take_due`; scheduling below it is a logic error (debug-asserted), and
-//! a wake the cursor passed untaken is ignored (`next_due` sees `>= now`).
+//! Past wakes: a cursor holds the latest cycle `take_next` was called at
+//! or took; scheduling below it is a logic error (debug-asserted), and a
+//! wake the cursor passed untaken is ignored (only wakes `>= now` are
+//! due).
 
 /// Wake cycle meaning "never".
 pub const NEVER: u64 = u64::MAX;
@@ -21,18 +24,19 @@ pub const NEVER: u64 = u64::MAX;
 /// cal.set(0, 5);
 /// cal.set(1, 5);
 /// cal.set(2, 100_000); // far future
-/// assert_eq!(cal.next_due(0), Some(5));
 /// let mut due = Vec::new();
-/// cal.take_due(5, &mut due);
+/// assert_eq!(cal.take_next(0, NEVER, &mut due), Some(5));
 /// assert_eq!(due, [0, 1]);
 /// assert_eq!(cal.wake_of(0), NEVER); // taken tokens must be rescheduled
-/// assert_eq!(cal.next_due(6), Some(100_000));
+/// assert_eq!(cal.take_next(6, 100_000, &mut due), None); // not before the limit
+/// assert_eq!(cal.take_next(6, NEVER, &mut due), Some(100_000));
+/// assert_eq!(due, [2]);
 /// ```
 #[derive(Debug)]
 pub struct EventCalendar {
     /// Earliest wake per token; `NEVER` = unscheduled.
     wake: Vec<u64>,
-    /// Latest cycle passed to `next_due`/`take_due`.
+    /// Latest cycle `take_next` was called at or took.
     cursor: u64,
 }
 
@@ -66,25 +70,41 @@ impl EventCalendar {
         self.wake[token as usize] = NEVER;
     }
 
-    /// Earliest wake `>= now`, or `None` when nothing is scheduled there.
-    pub fn next_due(&mut self, now: u64) -> Option<u64> {
-        debug_assert!(now >= self.cursor, "time cannot move backwards");
-        self.cursor = now;
-        let next = self.wake.iter().map(|&w| if w >= now { w } else { NEVER });
-        next.min().filter(|&w| w != NEVER)
-    }
-
-    /// Takes the tokens due at exactly `now` into `out` (ascending), unscheduling them.
-    pub fn take_due(&mut self, now: u64, out: &mut Vec<u32>) {
+    /// Finds the earliest wake in `now..limit` and takes every token due
+    /// then into `out` (ascending), unscheduling them, in one pass over
+    /// the wake array (the taken tokens are then written once more), for
+    /// any token count. Returns that cycle, or `None` (taking nothing and
+    /// leaving `out` empty) when no wake falls in `now..limit`.
+    pub fn take_next(&mut self, now: u64, limit: u64, out: &mut Vec<u32>) -> Option<u64> {
         debug_assert!(now >= self.cursor, "time cannot move backwards");
         self.cursor = now;
         out.clear();
-        for (token, wake) in self.wake.iter_mut().enumerate() {
-            if *wake == now && now != NEVER {
-                *wake = NEVER;
+        if limit <= now {
+            return None;
+        }
+        // Distances from `now`: a passed wake wraps to a huge distance,
+        // so one comparison against the best distance so far (at first
+        // the last cycle before `limit`) filters passed, late and
+        // unscheduled wakes alike.
+        let mut best = limit - now - 1;
+        for (token, &wake) in self.wake.iter().enumerate() {
+            let d = wake.wrapping_sub(now);
+            if d <= best {
+                if d < best {
+                    best = d;
+                    out.clear();
+                }
                 out.push(token as u32);
             }
         }
+        if out.is_empty() {
+            return None;
+        }
+        for &token in out.iter() {
+            self.wake[token as usize] = NEVER;
+        }
+        self.cursor = now + best;
+        Some(self.cursor)
     }
 }
 
@@ -94,9 +114,19 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
+    /// Earliest wake `>= now` (the reference the fused pass must agree
+    /// with), moving the cursor to `now` as the run loop's clock does.
+    fn next_due(cal: &mut EventCalendar, now: u64) -> Option<u64> {
+        assert!(now >= cal.cursor, "time cannot move backwards");
+        cal.cursor = now;
+        let next = cal.wake.iter().map(|&w| if w >= now { w } else { NEVER });
+        next.min().filter(|&w| w != NEVER)
+    }
+
+    /// Takes the tokens due at exactly `now`.
     fn due_at(cal: &mut EventCalendar, now: u64) -> Vec<u32> {
         let mut out = Vec::new();
-        cal.take_due(now, &mut out);
+        cal.take_next(now, now + 1, &mut out);
         out
     }
 
@@ -106,13 +136,13 @@ mod tests {
         cal.set(0, 3);
         cal.set(1, 300);
         cal.set(2, 70_000);
-        assert_eq!(cal.next_due(0), Some(3));
+        assert_eq!(next_due(&mut cal, 0), Some(3));
         assert_eq!(due_at(&mut cal, 3), [0]);
-        assert_eq!(cal.next_due(4), Some(300));
+        assert_eq!(next_due(&mut cal, 4), Some(300));
         assert_eq!(due_at(&mut cal, 300), [1]);
-        assert_eq!(cal.next_due(301), Some(70_000));
+        assert_eq!(next_due(&mut cal, 301), Some(70_000));
         assert_eq!(due_at(&mut cal, 70_000), [2]);
-        assert_eq!(cal.next_due(70_001), None);
+        assert_eq!(next_due(&mut cal, 70_001), None);
     }
 
     #[test]
@@ -120,14 +150,14 @@ mod tests {
         let mut cal = EventCalendar::new(2, 0);
         cal.set(0, 10);
         cal.set(0, 5); // earlier
-        assert_eq!(cal.next_due(0), Some(5));
+        assert_eq!(next_due(&mut cal, 0), Some(5));
         assert_eq!(due_at(&mut cal, 5), [0]);
         // The superseded wake at 10 must not resurface.
-        assert_eq!(cal.next_due(6), None);
+        assert_eq!(next_due(&mut cal, 6), None);
 
         cal.set(1, 20);
         cal.set(1, 40); // later: the wake at 20 is superseded
-        assert_eq!(cal.next_due(6), Some(40));
+        assert_eq!(next_due(&mut cal, 6), Some(40));
         assert!(due_at(&mut cal, 20).is_empty());
         assert_eq!(due_at(&mut cal, 40), [1]);
     }
@@ -139,7 +169,7 @@ mod tests {
         cal.set_min(0, 12); // no-op
         assert_eq!(cal.wake_of(0), 8);
         cal.set_min(0, 4);
-        assert_eq!(cal.next_due(0), Some(4));
+        assert_eq!(next_due(&mut cal, 0), Some(4));
     }
 
     #[test]
@@ -148,7 +178,7 @@ mod tests {
         cal.set(0, 7);
         cal.set(0, 7);
         assert_eq!(due_at(&mut cal, 7), [0]);
-        assert_eq!(cal.next_due(8), None);
+        assert_eq!(next_due(&mut cal, 8), None);
     }
 
     #[test]
@@ -158,7 +188,7 @@ mod tests {
         cal.set(1, 500);
         cal.clear(0);
         cal.clear(1);
-        assert_eq!(cal.next_due(0), None);
+        assert_eq!(next_due(&mut cal, 0), None);
         assert!(due_at(&mut cal, 9).is_empty());
     }
 
@@ -177,9 +207,9 @@ mod tests {
         // Two wakes 256 cycles apart: congruent modulo any 256-slot ring.
         cal.set(0, 10);
         cal.set(1, 10 + 256);
-        assert_eq!(cal.next_due(0), Some(10));
+        assert_eq!(next_due(&mut cal, 0), Some(10));
         assert_eq!(due_at(&mut cal, 10), [0]);
-        assert_eq!(cal.next_due(11), Some(10 + 256));
+        assert_eq!(next_due(&mut cal, 11), Some(10 + 256));
         assert_eq!(due_at(&mut cal, 10 + 256), [1]);
     }
 
@@ -188,7 +218,7 @@ mod tests {
         let mut cal = EventCalendar::new(1, 0);
         cal.set(0, 1_000);
         // The cursor moves close to the far wake before it falls due.
-        assert_eq!(cal.next_due(900), Some(1_000));
+        assert_eq!(next_due(&mut cal, 900), Some(1_000));
         assert_eq!(due_at(&mut cal, 1_000), [0]);
     }
 
@@ -201,11 +231,11 @@ mod tests {
         cal.set(0, edge - 1);
         cal.set(1, edge);
         cal.set(2, edge); // two tokens sharing the boundary cycle
-        assert_eq!(cal.next_due(0), Some(edge - 1));
+        assert_eq!(next_due(&mut cal, 0), Some(edge - 1));
         assert_eq!(due_at(&mut cal, edge - 1), [0]);
-        assert_eq!(cal.next_due(edge), Some(edge));
+        assert_eq!(next_due(&mut cal, edge), Some(edge));
         assert_eq!(due_at(&mut cal, edge), [1, 2]);
-        assert_eq!(cal.next_due(edge + 1), None);
+        assert_eq!(next_due(&mut cal, edge + 1), None);
     }
 
     #[test]
@@ -217,10 +247,10 @@ mod tests {
         cal.set(0, edge - 1);
         cal.set(0, edge + 5);
         cal.set(0, edge - 2);
-        assert_eq!(cal.next_due(0), Some(edge - 2));
+        assert_eq!(next_due(&mut cal, 0), Some(edge - 2));
         assert_eq!(due_at(&mut cal, edge - 2), [0]);
         assert!(due_at(&mut cal, edge - 1).is_empty());
-        assert_eq!(cal.next_due(edge), None);
+        assert_eq!(next_due(&mut cal, edge), None);
         assert!(due_at(&mut cal, edge + 5).is_empty());
     }
 
@@ -232,11 +262,11 @@ mod tests {
 
         // At cursor 200, cycle 300 is congruent (mod 256) to a cycle
         // behind the cursor; it must still fire at 300, exactly once.
-        assert_eq!(cal.next_due(200), Some(300));
+        assert_eq!(next_due(&mut cal, 200), Some(300));
         assert_eq!(due_at(&mut cal, 300), [0]);
-        assert_eq!(cal.next_due(301), Some(2_000));
+        assert_eq!(next_due(&mut cal, 301), Some(2_000));
         assert_eq!(due_at(&mut cal, 2_000), [1]);
-        assert_eq!(cal.next_due(2_001), None);
+        assert_eq!(next_due(&mut cal, 2_001), None);
     }
 
     #[test]
@@ -249,9 +279,8 @@ mod tests {
         let mut fired = 0;
         while now < 12_000 {
             cal.set(0, now + 3);
-            let next = cal.next_due(now + 1).unwrap();
             let mut due = Vec::new();
-            cal.take_due(next, &mut due);
+            let next = cal.take_next(now + 1, NEVER, &mut due).unwrap();
             for t in due {
                 if t == 1 {
                     fired += 1;
@@ -269,13 +298,11 @@ mod tests {
         cal.set(0, 5);
         cal.set(1, 50);
         // The cursor skips past token 0's wake without taking it.
-        assert_eq!(cal.next_due(10), Some(50));
+        assert_eq!(next_due(&mut cal, 10), Some(50));
         assert_eq!(cal.wake_of(0), 5);
         assert_eq!(due_at(&mut cal, 50), [1]);
-        assert_eq!(cal.next_due(51), None);
+        assert_eq!(next_due(&mut cal, 51), None);
     }
-
-    const TOKENS: u32 = 6;
 
     /// The reference model's wake of `token`.
     fn model_wake(model: &BTreeSet<(u64, u32)>, token: u32) -> u64 {
@@ -295,22 +322,26 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
-        /// Random `set`/`set_min`/`clear`/`next_due`/`take_due`
+        /// Random `set`/`set_min`/`clear`/`next_due`/`take_next`
         /// sequences agree with an ordered-set model of `(cycle, token)`
-        /// wakes. Op fields: `(kind, token, offset, size)`; a wake is
-        /// the cursor plus an offset below `2^size` (so 0..2^20 cycles
-        /// ahead), or `NEVER` for size 0.
+        /// wakes, on calendars of up to 70 tokens (more than a machine
+        /// word has bits). Op fields: `(kind, token, offset, size)`; a
+        /// wake is the cursor plus an offset below `2^size` (so 0..2^20
+        /// cycles ahead), or `NEVER` for size 0; `take_next` takes that
+        /// cycle as its limit.
         #[test]
         fn calendar_matches_ordered_set_model(
+            tokens in 1u32..=70,
             ops in prop::collection::vec(
-                (0u8..5, 0u32..TOKENS, 0u64..1 << 20, 0u32..21),
+                (0u8..5, 0u32..70, 0u64..1 << 20, 0u32..21),
                 1..200,
             ),
         ) {
-            let mut cal = EventCalendar::new(TOKENS as usize, 0);
+            let mut cal = EventCalendar::new(tokens as usize, 0);
             let mut model = BTreeSet::new();
             let mut cursor = 0u64;
             for (kind, token, offset, size) in ops {
+                let token = token % tokens;
                 let cycle = match size {
                     0 => NEVER,
                     s => cursor + offset % (1 << s),
@@ -335,26 +366,32 @@ mod tests {
                         // pending wakes (which are then ignored).
                         let now = if cycle == NEVER { cursor } else { cycle };
                         let want = model.range((now, 0)..).next().map(|&(c, _)| c);
-                        prop_assert_eq!(cal.next_due(now), want);
+                        prop_assert_eq!(next_due(&mut cal, now), want);
                         cursor = now;
                     }
                     _ => {
-                        // Take at the next due cycle, as the run loop does.
-                        let Some(&(now, _)) = model.range((cursor, 0)..).next() else {
-                            continue;
-                        };
-                        let want: Vec<u32> =
-                            model.range((now, 0)..=(now, u32::MAX)).map(|&(_, t)| t).collect();
-                        for &t in &want {
-                            model.remove(&(now, t));
+                        // Take the next due cycle before a limit, as the
+                        // run loop does with its deadline.
+                        let (start, limit) = (cursor, cycle);
+                        let next = model
+                            .range((cursor, 0)..)
+                            .next()
+                            .map(|&(c, _)| c)
+                            .filter(|&c| c < limit);
+                        let mut want = Vec::new();
+                        if let Some(now) = next {
+                            want.extend(model.range((now, 0)..=(now, u32::MAX)).map(|&(_, t)| t));
+                            for &t in &want {
+                                model.remove(&(now, t));
+                            }
+                            cursor = now;
                         }
-                        let mut got = Vec::new();
-                        cal.take_due(now, &mut got);
+                        let mut got = vec![u32::MAX];
+                        prop_assert_eq!(cal.take_next(start, limit, &mut got), next);
                         prop_assert_eq!(got, want);
-                        cursor = now;
                     }
                 }
-                for t in 0..TOKENS {
+                for t in 0..tokens {
                     prop_assert_eq!(cal.wake_of(t), model_wake(&model, t));
                 }
             }

@@ -18,7 +18,7 @@
 //! (as in real controllers).
 
 use crate::arena::{TxnArena, TxnId};
-use crate::axi::{Dir, Response};
+use crate::axi::{Dir, Request, Response};
 use crate::stats::LatencyStats;
 use crate::time::Cycle;
 use std::collections::VecDeque;
@@ -171,13 +171,26 @@ impl DramConfig {
     /// Decomposes a byte address into (bank, row) coordinates.
     ///
     /// Rows are interleaved across banks at row granularity, the mapping
-    /// used by Zynq US+ defaults (bank bits above column bits).
+    /// used by Zynq US+ defaults (bank bits above column bits). Needs the
+    /// power-of-two `row_bytes` that [`validate`](Self::validate)
+    /// requires: the row index is a shift, and the bank split is a mask
+    /// when `banks` is a power of two too.
     #[inline]
     pub fn map(&self, addr: u64) -> (usize, u64) {
-        let row_index = addr / self.row_bytes;
-        let bank = (row_index % self.banks as u64) as usize;
-        let row = row_index / self.banks as u64;
-        (bank, row)
+        debug_assert!(
+            self.row_bytes.is_power_of_two(),
+            "row_bytes must be a power of two"
+        );
+        let row_index = addr >> self.row_bytes.trailing_zeros();
+        let banks = self.banks as u64;
+        if banks.is_power_of_two() {
+            (
+                (row_index & (banks - 1)) as usize,
+                row_index >> banks.trailing_zeros(),
+            )
+        } else {
+            ((row_index % banks) as usize, row_index / banks)
+        }
     }
 }
 
@@ -202,10 +215,13 @@ struct Queued {
     arrived: Cycle,
 }
 
+/// An issued transaction waiting for its completion cycle.
 #[derive(Debug, Clone, Copy)]
 struct InService {
     txn: TxnId,
     complete_at: Cycle,
+    /// Its position in the walk order (`DramController::walk_order`).
+    slot: u32,
 }
 
 /// Aggregate counters exposed by the controller.
@@ -251,7 +267,19 @@ pub struct DramController {
     banks: Vec<BankState>,
     bus_free_at: Cycle,
     last_dir: Option<Dir>,
-    in_service: Vec<InService>,
+    /// Issued transactions in issue order, which is completion order:
+    /// each transfer starts at or after the previous one's end (refresh
+    /// only pushes the bus later) and lasts at least one beat, so
+    /// `complete_at` strictly increases from front to back.
+    in_service: VecDeque<InService>,
+    /// The order the state walk lists `in_service` in, as issue numbers
+    /// (see `retired`): the order of a vector that pushes on issue and
+    /// swap-removes on completion. The snapshot stream of a busy cycle
+    /// is defined in that order (`tests/golden/state_stream.txt` pins
+    /// it), so fingerprints stay comparable across versions.
+    walk_order: Vec<u64>,
+    /// Issue number of the front of `in_service` (completions so far).
+    retired: u64,
     next_refresh: Cycle,
     hit_streak: u32,
     draining_writes: bool,
@@ -288,7 +316,9 @@ impl DramController {
             banks,
             bus_free_at: Cycle::ZERO,
             last_dir: None,
-            in_service: Vec::new(),
+            in_service: VecDeque::new(),
+            walk_order: Vec::new(),
+            retired: 0,
             next_refresh,
             hit_streak: 0,
             draining_writes: false,
@@ -321,15 +351,17 @@ impl DramController {
     /// Panics if the queue is full; callers must check [`Self::has_space`].
     pub fn enqueue(&mut self, txn: TxnId, arena: &TxnArena, now: Cycle) {
         assert!(self.has_space(), "DRAM queue overflow");
-        let addr = arena.addr(txn);
+        let Request {
+            addr, beats, dir, ..
+        } = arena.request(txn);
         let (bank, row) = self.cfg.map(addr);
         self.queue.push_back(Queued {
             txn,
             addr,
             bank,
             row,
-            beats: arena.beats(txn),
-            dir: arena.dir(txn),
+            beats,
+            dir,
             arrived: now,
         });
     }
@@ -410,25 +442,23 @@ impl DramController {
     /// slice borrows an internal buffer that is overwritten by the next
     /// call.
     pub fn tick(&mut self, now: Cycle, arena: &mut TxnArena) -> &[Response] {
-        // 1. Collect completions.
+        // 1. Collect completions, which leave in issue order.
         self.completed_buf.clear();
-        let mut i = 0;
-        while i < self.in_service.len() {
-            if self.in_service[i].complete_at <= now {
-                let s = self.in_service.swap_remove(i);
-                let request = arena.take(s.txn);
-                self.stats.bytes_completed += request.bytes();
-                match request.dir {
-                    Dir::Read => self.stats.reads += 1,
-                    Dir::Write => self.stats.writes += 1,
-                }
-                self.completed_buf.push(Response {
-                    request,
-                    completed_at: s.complete_at,
-                });
-            } else {
-                i += 1;
+        while let Some(s) = self.in_service.front().copied() {
+            if s.complete_at > now {
+                break;
             }
+            self.retire_front(s.slot);
+            let request = arena.take(s.txn);
+            self.stats.bytes_completed += request.bytes();
+            match request.dir {
+                Dir::Read => self.stats.reads += 1,
+                Dir::Write => self.stats.writes += 1,
+            }
+            self.completed_buf.push(Response {
+                request,
+                completed_at: s.complete_at,
+            });
         }
 
         // 2. All-bank refresh.
@@ -464,7 +494,7 @@ impl DramController {
         let mut merge = |c: Cycle| {
             wake = Some(wake.map_or(c, |w: Cycle| w.min(c)));
         };
-        for s in &self.in_service {
+        if let Some(s) = self.in_service.front() {
             merge(s.complete_at.max(now));
         }
         if !self.queue.is_empty() {
@@ -512,10 +542,40 @@ impl DramController {
         bank.ready_at = data_end;
         bank.open_row = Some(row);
         self.stats.bus_busy_cycles += beats;
-        self.in_service.push(InService {
+        let complete_at = data_end + self.cfg.transport_latency;
+        debug_assert!(
+            self.in_service
+                .back()
+                .is_none_or(|s| s.complete_at < complete_at),
+            "DRAM completions must leave in issue order"
+        );
+        self.in_service.push_back(InService {
             txn: q.txn,
-            complete_at: data_end + self.cfg.transport_latency,
+            complete_at,
+            slot: self.walk_order.len() as u32,
         });
+        self.walk_order
+            .push(self.retired + self.in_service.len() as u64 - 1);
+    }
+
+    /// Pops the front of the in-service set, whose walk position is
+    /// `slot`: the last walk entry moves into that position.
+    fn retire_front(&mut self, slot: u32) {
+        self.in_service.pop_front();
+        self.retired += 1;
+        let last = self.walk_order.pop().expect("walk order tracks the set");
+        if (slot as usize) < self.walk_order.len() {
+            self.walk_order[slot as usize] = last;
+            self.in_service[(last - self.retired) as usize].slot = slot;
+        }
+    }
+
+    /// The in-service set in the order the state walk lists it.
+    fn in_service_walked(&self) -> impl Iterator<Item = &InService> + '_ {
+        let front = self.retired;
+        self.walk_order
+            .iter()
+            .map(move |&issue| &self.in_service[(issue - front) as usize])
     }
 
     /// True when no request is queued or in flight.
@@ -551,7 +611,7 @@ impl DramController {
             w.flag(d, Dir::Write, Dir::Read);
         }
         let n = w.drained(self.in_service.len(), "dram in-service set");
-        for s in self.in_service.iter().take(n) {
+        for s in self.in_service_walked().take(n) {
             w.plain(&mut s.txn.index());
             w.plain(&mut s.complete_at.get());
         }
@@ -608,6 +668,7 @@ impl DramController {
 mod tests {
     use super::*;
     use crate::axi::{Dir, MasterId, Request};
+    use proptest::prelude::*;
 
     fn cfg_no_refresh() -> DramConfig {
         DramConfig {
@@ -1023,5 +1084,98 @@ mod tests {
             efficiency > 0.85,
             "streaming efficiency too low: {efficiency}"
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The shift-and-mask mapping equals the division it replaces,
+        /// for power-of-two and other bank counts.
+        #[test]
+        fn map_matches_the_division_reference(
+            banks in 1usize..=32,
+            row_shift in 6u32..16,
+            addrs in prop::collection::vec(0u64..=u64::MAX, 1..32),
+        ) {
+            let cfg = DramConfig {
+                banks,
+                row_bytes: 1 << row_shift,
+                ..DramConfig::default()
+            };
+            for addr in addrs {
+                let row_index = addr / cfg.row_bytes;
+                let want = ((row_index % banks as u64) as usize, row_index / banks as u64);
+                prop_assert_eq!(cfg.map(addr), want);
+            }
+        }
+
+        /// Completions leave in issue order with strictly increasing
+        /// `complete_at` (what lets `tick` pop the front and
+        /// `next_activity` read it), over random streams: banks, rows,
+        /// both directions, every burst length, refresh with a storm,
+        /// read priority on and off. The walk keeps listing the
+        /// in-service set as a vector that pushes on issue and
+        /// swap-removes on completion would hold it.
+        #[test]
+        fn completions_leave_in_issue_order(
+            banks in 1usize..=16,
+            read_priority in prop::bool::ANY,
+            storm in prop::bool::ANY,
+            reqs in prop::collection::vec(
+                (0u64..64, 1u16..=crate::axi::MAX_BURST_BEATS, prop::bool::ANY, 0u64..24),
+                1..120,
+            ),
+        ) {
+            let storms = if storm {
+                vec![RefreshStorm { start: 3_000, end: 9_000, interval: 400 }]
+            } else {
+                Vec::new()
+            };
+            let mut d = DramController::new(DramConfig {
+                banks,
+                read_priority,
+                t_refi: 1_500,
+                t_rfc: 120,
+                storms,
+                ..DramConfig::default()
+            });
+            let mut a = TxnArena::new();
+            let (mut issued, mut completed) = (Vec::new(), Vec::new());
+            // The stream's old home: push on issue, swap-remove on completion.
+            let mut legacy: Vec<(TxnId, Cycle)> = Vec::new();
+            let mut pending = reqs.iter().enumerate().peekable();
+            let (mut now, mut next_arrival) = (Cycle::ZERO, Cycle::ZERO);
+            while pending.peek().is_some() || !d.is_idle() {
+                if let Some(&(serial, &(row, beats, write, gap))) = pending.peek() {
+                    if now >= next_arrival && d.has_space() {
+                        let dir = if write { Dir::Write } else { Dir::Read };
+                        let r = req(0, serial as u64, row * d.config().row_bytes, beats, dir);
+                        enq(&mut d, &mut a, r, now);
+                        pending.next();
+                        next_arrival = now + gap;
+                    }
+                }
+                let (before, done) = (d.in_service.len(), completed.len());
+                for r in d.tick(now, &mut a) {
+                    prop_assert!(r.completed_at <= now);
+                    let at = legacy.iter().position(|&(_, c)| c == r.completed_at);
+                    prop_assert!(at.is_some(), "completion at {:?} was never issued", r.completed_at);
+                    legacy.swap_remove(at.unwrap());
+                    completed.push((r.request.serial, r.completed_at));
+                }
+                if d.in_service.len() + (completed.len() - done) > before {
+                    let s = *d.in_service.back().unwrap();
+                    issued.push((a.request(s.txn).serial, s.complete_at));
+                    legacy.push((s.txn, s.complete_at));
+                }
+                let walked: Vec<(TxnId, Cycle)> =
+                    d.in_service_walked().map(|s| (s.txn, s.complete_at)).collect();
+                prop_assert_eq!(walked, legacy.clone());
+                now += 1;
+                prop_assert!(now.get() < 10_000_000, "DRAM did not drain");
+            }
+            prop_assert_eq!(&completed, &issued);
+            prop_assert!(completed.windows(2).all(|w| w[0].1 < w[1].1));
+        }
     }
 }

@@ -206,6 +206,14 @@ impl Crossbar {
         }
         w.drained(self.queued, "xbar");
         w.plain(&mut self.rr_next);
+        if self.rr_next > 0 && self.rr_next >= self.ports.len() {
+            w.bad(format!(
+                "xbar round-robin cursor {} out of range for {} port(s)",
+                self.rr_next,
+                self.ports.len()
+            ));
+            self.rr_next = 0;
+        }
         for &weight in &self.weights {
             w.fixed(weight, "xbar port weight");
         }
@@ -230,8 +238,10 @@ impl Crossbar {
         }
         let n = self.ports.len();
         let winner = match self.cfg.arbitration {
-            Arbitration::RoundRobin => (0..n)
-                .map(|k| (self.rr_next + k) % n)
+            // The cursor is always below `n` (or 0), so the probe order
+            // `rr_next..n` then `0..rr_next` wraps without a division.
+            Arbitration::RoundRobin => (self.rr_next..n)
+                .chain(0..self.rr_next)
                 .find(|&p| !self.ports[p].is_empty()),
             Arbitration::FixedPriority => (0..n).find(|&p| !self.ports[p].is_empty()),
             Arbitration::WeightedRoundRobin => self.swrr_pick(),
@@ -241,7 +251,7 @@ impl Crossbar {
             self.queued -= 1;
             dram.enqueue(txn, arena, now);
             if matches!(self.cfg.arbitration, Arbitration::RoundRobin) {
-                self.rr_next = (p + 1) % n;
+                self.rr_next = if p + 1 == n { 0 } else { p + 1 };
             }
         }
         winner
@@ -331,6 +341,35 @@ mod tests {
             assert_eq!(x.port_len(MasterId::new(m)), 0);
         }
         assert_eq!(x.queued(), 0);
+    }
+
+    /// Round robin skips empty ports and wraps past the last one, and
+    /// a stream whose cursor names no port is refused at load.
+    #[test]
+    fn round_robin_wraps_and_loads_only_a_valid_cursor() {
+        let mut x = Crossbar::new(XbarConfig::default(), 4);
+        let mut d = dram();
+        let mut a = TxnArena::new();
+        for (m, s) in [(3, 0), (1, 0), (3, 1), (0, 0)] {
+            push(&mut x, &mut a, m, s);
+        }
+        let order: Vec<_> = (0..4).map(|t| x.tick(Cycle::new(t), &mut d, &a)).collect();
+        assert_eq!(order, [Some(0), Some(1), Some(3), Some(3)]);
+        assert_eq!(x.rr_next, 0);
+
+        let loads = |rr_next: usize| {
+            let mut src = Crossbar::new(XbarConfig::default(), 4);
+            src.rr_next = rr_next;
+            let mut w = fgqos_snap::StateWalker::recording();
+            src.visit_state(&mut w);
+            let bytes = w.take_bytes();
+            let mut dst = Crossbar::new(XbarConfig::default(), 4);
+            let mut w = fgqos_snap::StateWalker::loader(&bytes);
+            dst.visit_state(&mut w);
+            w.finish_load().map(|()| dst.rr_next)
+        };
+        assert_eq!(loads(3), Ok(3));
+        assert!(loads(4).is_err());
     }
 
     #[test]

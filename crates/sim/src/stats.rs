@@ -100,9 +100,13 @@ const SUBS: usize = 16;
 /// ```
 #[derive(Debug, Clone)]
 pub struct LatencyStats {
-    // Copy-on-write so forked runs share the warm-up histogram until
-    // their first sample (see `fgqos_snap::CowVec`).
-    buckets: CowVec<u64>,
+    // Counts of buckets `first..first + bins.len()`, which is always
+    // exactly the live range `bucket_index(min)..=bucket_index(max)`
+    // (empty with no samples): plain owned storage, so a sample bumps a
+    // bucket with no shared-ownership check, and a clone (every fork)
+    // copies only the occupied buckets.
+    bins: Vec<u64>,
+    first: usize,
     count: u64,
     sum: u128,
     min: u64,
@@ -119,7 +123,8 @@ impl LatencyStats {
     /// Creates an empty distribution.
     pub fn new() -> Self {
         LatencyStats {
-            buckets: CowVec::new(vec![0; GROUPS * SUBS]),
+            bins: Vec::new(),
+            first: 0,
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -149,6 +154,42 @@ impl LatencyStats {
         (SUBS as u64 + sub) << shift
     }
 
+    /// The count of bucket `index`, widening the stored range to cover
+    /// it first when it lies outside.
+    #[inline]
+    fn bin_mut(&mut self, index: usize) -> &mut u64 {
+        let k = index.wrapping_sub(self.first);
+        if k < self.bins.len() {
+            return &mut self.bins[k];
+        }
+        self.widen(index)
+    }
+
+    #[cold]
+    fn widen(&mut self, index: usize) -> &mut u64 {
+        if self.bins.is_empty() {
+            self.first = index;
+        } else if index < self.first {
+            let grow = self.first - index;
+            self.bins.splice(0..0, std::iter::repeat_n(0, grow));
+            self.first = index;
+        }
+        let k = index - self.first;
+        if k >= self.bins.len() {
+            self.bins.resize(k + 1, 0);
+        }
+        &mut self.bins[k]
+    }
+
+    /// The stored buckets as `(bucket_index, count)`, ascending.
+    fn indexed_bins(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let first = self.first;
+        self.bins
+            .iter()
+            .enumerate()
+            .map(move |(k, &c)| (first + k, c))
+    }
+
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, value: u64) {
@@ -156,7 +197,7 @@ impl LatencyStats {
         self.sum += value as u128;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-        self.buckets[Self::bucket_index(value)] += 1;
+        *self.bin_mut(Self::bucket_index(value)) += 1;
     }
 
     /// Number of recorded samples.
@@ -203,7 +244,7 @@ impl LatencyStats {
         }
         let target = ((self.count as f64) * q).ceil().max(1.0) as u64;
         let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
+        for (i, c) in self.indexed_bins() {
             seen += c;
             if seen >= target {
                 return Self::bucket_value(i).min(self.max).max(self.min);
@@ -227,18 +268,17 @@ impl LatencyStats {
     /// assert_eq!(buckets.len(), 2);
     /// ```
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_value(i), c))
+        self.indexed_bins()
+            .filter(|&(_, c)| c > 0)
+            .map(|(i, c)| (Self::bucket_value(i), c))
     }
 
-    /// Resets the distribution in place without reallocating the bucket
-    /// array (used by per-window latency recording, which reuses one
+    /// Resets the distribution in place without freeing the bucket
+    /// storage (used by per-window latency recording, which reuses one
     /// scratch histogram per window).
     pub fn clear(&mut self) {
-        self.buckets.make_mut().fill(0);
+        self.bins.clear();
+        self.first = 0;
         self.count = 0;
         self.sum = 0;
         self.min = u64::MAX;
@@ -247,8 +287,8 @@ impl LatencyStats {
 
     /// Merges another distribution into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
-        for (a, b) in self.buckets.make_mut().iter_mut().zip(other.buckets.iter()) {
-            *a += b;
+        for (i, c) in other.indexed_bins() {
+            *self.bin_mut(i) += c;
         }
         self.count += other.count;
         self.sum += other.sum;
@@ -266,8 +306,8 @@ impl LatencyStats {
     }
 
     /// Walks the distribution's state (see [`StateWalker`]): summary
-    /// fields, then the non-empty buckets as index/count pairs, scanning
-    /// only the buckets between min and max. The pairs carry no length
+    /// fields, then the non-empty buckets as index/count pairs (only the
+    /// buckets between min and max are stored). The pairs carry no length
     /// prefix; a loader reads them until their counts sum to the
     /// recorded total, with strictly increasing indices inside the
     /// min/max range — any deviation, or a min above the max of a
@@ -284,8 +324,10 @@ impl LatencyStats {
                 self.min, self.max, self.count
             ));
         }
+        // The stored range is the live range; a loader rebuilds it there.
         let live = self.live_buckets();
-        w.histogram(&mut self.buckets, self.count, live);
+        self.first = live.start;
+        w.histogram(&mut self.bins, self.count, live);
     }
 }
 
@@ -461,7 +503,9 @@ mod tests {
         w.counter(&mut s.sum);
         w.plain(&mut s.min);
         w.plain(&mut s.max);
-        for (i, &c) in s.buckets.iter().enumerate().filter(|(_, &c)| c > 0) {
+        let mut buckets = vec![0; GROUPS * SUBS];
+        buckets[s.first..s.first + s.bins.len()].copy_from_slice(&s.bins);
+        for (i, &c) in buckets.iter().enumerate().filter(|(_, &c)| c > 0) {
             w.plain(&mut { i });
             w.counter(&mut { c });
         }
@@ -527,6 +571,97 @@ mod tests {
         fn ranged_walk_writes_the_full_scan_bytes(values in samples()) {
             ranged_walk_matches_full_scan(&values)?;
         }
+    }
+
+    /// The recorded walk bytes of `s`.
+    fn walk_bytes(s: &mut LatencyStats) -> Vec<u8> {
+        let mut w = StateWalker::recording();
+        s.visit_state(&mut w);
+        w.take_bytes()
+    }
+
+    /// Count, a spread of percentiles and the walk bytes.
+    fn summary(s: &mut LatencyStats) -> (u64, Vec<u64>, Vec<u8>) {
+        let qs = [0.0, 0.1, 0.5, 0.9, 0.99, 1.0].map(|q| s.percentile(q));
+        (s.count(), qs.to_vec(), walk_bytes(s))
+    }
+
+    fn recorded(values: &[u64]) -> LatencyStats {
+        let mut s = LatencyStats::new();
+        for &v in values {
+            s.record(v);
+        }
+        s
+    }
+
+    #[test]
+    fn clone_records_independently_of_its_source() {
+        let warm = [40, 41, 300, 7, 5_000];
+        let (src_tail, clone_tail) = ([2, 90_000, 41], [1 << 40, 0, 65, 65]);
+        let mut src = recorded(&warm);
+        let mut copy = src.clone();
+        for v in src_tail {
+            src.record(v);
+        }
+        for v in clone_tail {
+            copy.record(v);
+        }
+        // Each equals a cold histogram of its own sample sequence.
+        let mut want_src = recorded(&[&warm[..], &src_tail[..]].concat());
+        let mut want_copy = recorded(&[&warm[..], &clone_tail[..]].concat());
+        assert_eq!(summary(&mut src), summary(&mut want_src));
+        assert_eq!(summary(&mut copy), summary(&mut want_copy));
+        assert_ne!(walk_bytes(&mut src), walk_bytes(&mut copy));
+    }
+
+    #[test]
+    fn clone_stores_only_the_live_buckets() {
+        let s = recorded(&[100, 120, 130]);
+        let copy = s.clone();
+        assert_eq!(copy.bins.len(), copy.live_buckets().len());
+        assert!(
+            copy.bins.len() < GROUPS * SUBS / 32,
+            "{} buckets copied",
+            copy.bins.len()
+        );
+        assert!(LatencyStats::new().clone().bins.is_empty());
+    }
+
+    #[test]
+    fn bins_reaching_the_top_bucket_load() {
+        for values in [
+            &[u64::MAX][..],
+            &[3, u64::MAX, 1 << 62, 900],
+            &[0, u64::MAX],
+        ] {
+            let mut s = recorded(values);
+            assert_eq!(s.live_buckets().end, GROUPS * SUBS);
+            let bytes = walk_bytes(&mut s);
+            let mut loaded = LatencyStats::new();
+            let mut w = StateWalker::loader(&bytes);
+            loaded.visit_state(&mut w);
+            w.finish_load().expect("a top-bucket histogram loads");
+            assert_eq!(summary(&mut loaded), summary(&mut s));
+            // The loaded copy keeps recording like the original.
+            for t in [&mut loaded, &mut s] {
+                t.record(12);
+            }
+            assert_eq!(summary(&mut loaded), summary(&mut s));
+        }
+    }
+
+    #[test]
+    fn merge_and_clear_keep_the_stored_range_live() {
+        let mut a = recorded(&[500, 600]);
+        let b = recorded(&[3, 1 << 30]);
+        a.merge(&b);
+        assert_eq!(a.first..a.first + a.bins.len(), a.live_buckets());
+        let mut want = recorded(&[500, 600, 3, 1 << 30]);
+        assert_eq!(summary(&mut a), summary(&mut want));
+        a.clear();
+        assert!(a.bins.is_empty());
+        a.record(9);
+        assert_eq!(summary(&mut a), summary(&mut recorded(&[9])));
     }
 
     #[test]

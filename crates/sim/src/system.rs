@@ -588,13 +588,8 @@ impl Soc {
         self.leap.settled = false;
         let mut cal = self.build_calendar();
         let mut due = Vec::new();
-        while self.cycle < deadline {
-            let next_exec = cal.next_due(self.cycle.get()).unwrap_or(NEVER);
-            if next_exec >= deadline.get() {
-                break;
-            }
+        while let Some(next_exec) = cal.take_next(self.cycle.get(), deadline.get(), &mut due) {
             let now = Cycle::new(next_exec);
-            cal.take_due(next_exec, &mut due);
             self.execute_cycle(now, &mut cal, &due);
             self.cycle = now + 1;
             if self.stopped(stop, deadline) {

@@ -18,9 +18,12 @@
 //!   A fork is a `clone` plus one walk in fork mode
 //!   ([`StateWalker::forker`]), which passes every handle a component
 //!   declares with [`StateWalker::shared`] through the context.
-//! - [`CowVec`] — copy-on-write vector for the large stat arrays
-//!   (latency histograms, per-window series), so forking N runs from one
-//!   snapshot does not copy N × the warm-up history until a fork writes.
+//! - [`CowVec`] — copy-on-write vector for the per-window series, so
+//!   forking N runs from one snapshot does not copy N × the warm-up
+//!   history until a fork writes. Latency histograms are not
+//!   copy-on-write: they are written on every transaction, so they own
+//!   their buckets and store only the occupied range, which a fork
+//!   copies.
 //!
 //! [`SnapshotError`] is the common error type for fallible snapshot and
 //! fork operations.
@@ -159,9 +162,10 @@ impl ForkCtx {
 /// A copy-on-write vector: clones of a `CowVec` share one allocation
 /// until one of them writes.
 ///
-/// Used for the large stat arrays (latency histograms, per-window
-/// series) so that forking N runs from one warm snapshot shares the
-/// warm-up history instead of copying it N times. Reads go through
+/// Used for the per-window series, which grow by one entry per window,
+/// so that forking N runs from one warm snapshot shares the warm-up
+/// history instead of copying it N times. It suits data written rarely:
+/// every write pays an atomic reference-count check. Reads go through
 /// `Deref<Target = [T]>`; writes go through [`make_mut`](Self::make_mut)
 /// or `IndexMut`, which clone the allocation only while it is shared.
 #[derive(Debug, Clone)]

@@ -606,25 +606,25 @@ impl<'a> StateWalker<'a> {
         }
     }
 
-    /// A copy-on-write histogram whose bins sum to `total`, streamed
-    /// sparsely: `(bin, count)` for every non-zero bin, counts typed as
-    /// counters. Every non-zero bin lies in `live` (the caller knows the
-    /// occupied range, e.g. from its min and max), so a write scans only
-    /// `live`. A loader rebuilds it, requiring ascending bins inside
-    /// `live` whose counts sum to exactly `total`; a fork keeps sharing
-    /// it and walks nothing.
-    pub fn histogram(&mut self, v: &mut CowVec<u64>, total: u64, live: Range<usize>) {
+    /// A histogram whose bins sum to `total`, stored as the counts of
+    /// the bins in `live` only (`bins[k]` counts bin `live.start + k`;
+    /// the caller knows the occupied range, e.g. from its min and max).
+    /// It streams sparsely: `(bin, count)` for every non-zero bin,
+    /// counts typed as counters. A loader rebuilds `bins` for `live`,
+    /// requiring ascending bins inside `live` whose counts sum to
+    /// exactly `total`; a fork walks nothing (the clone owns its copy).
+    pub fn histogram(&mut self, bins: &mut Vec<u64>, total: u64, live: Range<usize>) {
         match self.mode {
             Mode::Fork { .. } => {}
             Mode::Load { .. } => {
-                let bins = v.make_mut();
-                bins.fill(0);
+                bins.clear();
+                bins.resize(live.len(), 0);
                 let (mut acc, mut next) = (0u64, 0usize);
                 while acc < total {
                     let (mut i, mut c) = (0usize, 0u64);
                     self.plain(&mut i);
                     self.plain(&mut c);
-                    if i >= bins.len() || i < next || c == 0 || c > total - acc {
+                    if i < next || c == 0 || c > total - acc {
                         return self.bad(format!(
                             "histogram bin ({i}, {c}) inconsistent with total {total}"
                         ));
@@ -634,22 +634,16 @@ impl<'a> StateWalker<'a> {
                             "histogram bin ({i}, {c}) outside the live bins {live:?}"
                         ));
                     }
-                    bins[i] = c;
+                    bins[i - live.start] = c;
                     acc += c;
                     next = i + 1;
                 }
             }
             _ => {
-                debug_assert!(
-                    v[..live.start]
-                        .iter()
-                        .chain(&v[live.end..])
-                        .all(|&c| c == 0),
-                    "histogram bin outside the live bins {live:?}"
-                );
+                debug_assert_eq!(bins.len(), live.len(), "histogram bins are not {live:?}");
                 let start = live.start;
-                for (i, &c) in v[live].iter().enumerate().filter(|(_, &c)| c > 0) {
-                    self.plain(&mut { start + i });
+                for (k, &c) in bins.iter().enumerate().filter(|(_, &c)| c > 0) {
+                    self.plain(&mut { start + k });
                     self.counter(&mut { c });
                 }
             }

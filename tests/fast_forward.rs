@@ -375,6 +375,32 @@ fn wide_machines_match_naive_at_16_and_32_masters() {
     }
 }
 
+/// 68 masters give the calendar 70 wake tokens, more than a machine
+/// word has bits: the run loop's one pass over the wake array must take
+/// every due token past the first 64 too. Both cores agree, mid-flight
+/// and at completion.
+#[test]
+fn machine_with_more_tokens_than_a_word_matches_naive() {
+    let specs = wide_specs(68);
+    let mut naive = build_soc(&specs, true);
+    naive.set_naive(true);
+    let mut fast = build_soc(&specs, true);
+    for horizon in [20_000, 30_000] {
+        naive.run(horizon);
+        fast.run(horizon);
+        assert_eq!(
+            fingerprint(&naive),
+            fingerprint(&fast),
+            "at {}",
+            naive.now()
+        );
+    }
+    let done_naive = naive.run_until_all_done(5_000_000);
+    assert!(done_naive.is_some(), "68 masters deadlocked");
+    assert_eq!(fast.run_until_all_done(5_000_000), done_naive);
+    assert_eq!(fingerprint(&naive), fingerprint(&fast));
+}
+
 /// Builds the closed-loop stack: a critical reader with a monitor-only
 /// regulator, TC-regulated best-effort streams, a software policy
 /// reprogramming budgets each control period, and an IRQ dispatcher

@@ -797,3 +797,34 @@ fn histogram_outside_its_min_max_is_refused() {
     // The untouched values still load.
     patched(min, max).expect("the original histogram loads");
 }
+
+/// A fork owns its latency histograms: one fork recording samples
+/// changes neither the snapshot nor a sibling fork (count, percentiles
+/// and walk bytes), and the sibling then records exactly what the first
+/// fork did.
+#[test]
+fn forked_histograms_record_independently() {
+    let (snap, _encoded, _specs) = encoded_test_blob();
+    let mut first = snap.fork();
+    let at_boundary = (stats_fingerprint(&first), report_bytes(&first));
+    first.run(60_000);
+    let after_run = (stats_fingerprint(&first), report_bytes(&first));
+    assert_ne!(
+        after_run, at_boundary,
+        "the fork must have recorded samples"
+    );
+
+    let mut sibling = snap.fork();
+    assert_eq!(sibling.fingerprint(), snap.fingerprint());
+    assert_eq!(
+        (stats_fingerprint(&sibling), report_bytes(&sibling)),
+        at_boundary
+    );
+    sibling.run(60_000);
+    assert_eq!(
+        (stats_fingerprint(&sibling), report_bytes(&sibling)),
+        after_run
+    );
+    assert_eq!(sibling.fingerprint(), first.fingerprint());
+    assert_eq!(snap.fork().fingerprint(), snap.fingerprint());
+}
