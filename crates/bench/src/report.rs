@@ -73,6 +73,14 @@ impl Report {
         &self.blocks
     }
 
+    /// The value of the first context line named `key`, if any.
+    pub fn context_value(&self, key: &str) -> Option<&str> {
+        self.blocks.iter().find_map(|b| match b {
+            Block::Context { key: k, value } if k == key => Some(value.as_str()),
+            _ => None,
+        })
+    }
+
     /// Appends the experiment banner.
     pub fn banner(&mut self, id: &str, title: &str) {
         self.blocks.push(Block::Banner {
@@ -318,6 +326,14 @@ mod tests {
         // And through the text form of the artifact.
         let parsed = fgqos_sim::json::Value::parse(&doc.to_pretty()).unwrap();
         assert_eq!(Report::from_json(&parsed).unwrap(), r);
+    }
+
+    #[test]
+    fn context_value_reads_the_first_matching_line() {
+        let mut r = sample();
+        r.context("seed", 7);
+        assert_eq!(r.context_value("seed"), Some("42"));
+        assert_eq!(r.context_value("col_a"), None, "cells are not context");
     }
 
     #[test]

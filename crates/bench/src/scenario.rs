@@ -243,6 +243,14 @@ fn cap_cycles(c: u64, line: usize, what: &str) -> Result<u64, ParseScenarioError
     }
 }
 
+/// Parses a register write's value token (`4K`, `0x…`, `on`/`off`) for
+/// `key` (`budget`, `period` or `enable`) exactly as a `.fgq` `[phase]`
+/// line does, screened by [`ProgramOp::parse`]. `fgqos ctl` reads its
+/// token with this, so both accept and refuse the same tokens.
+pub fn parse_write_token(key: &str, token: &str) -> Result<ProgramOp, String> {
+    parse_write(key, token, 0).map_err(|e| e.message)
+}
+
 /// Parses a register write's value token (`4K`, `0x…`, `on`/`off`) and
 /// screens it with [`ProgramOp::parse`].
 fn parse_write(key: &str, token: &str, line: usize) -> Result<ProgramOp, ParseScenarioError> {

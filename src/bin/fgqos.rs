@@ -79,6 +79,8 @@
 //!   --window N        telemetry window in cycles (default 10000); also
 //!                     the granularity at which control writes apply
 //!   --pace MS         host sleep after each frame (sim-invisible pacing)
+//!                     (--cycles, --window and --pace shape a new run;
+//!                     `watch --run ID` refuses them)
 //!   --json            print raw frame objects instead of summary lines
 //!   --verify-replay   after the run, fetch the control journal and
 //!                     verify the synthesized replay scenario reproduces
@@ -88,7 +90,8 @@
 //!   --run ID          live run to control (required)
 //!   --master NAME     best-effort master whose regulator is written
 //!   --budget N / --period N / --enable on|off   exactly one register
-//!                     write; it applies at the next window boundary
+//!                     write, in the `.fgq` token syntax (`4K`, `0x1000`);
+//!                     it applies at the next window boundary
 //!   --addr HOST:PORT  server address (default 127.0.0.1:7171)
 //!
 //! Exit status: 0 on success (including `--help`), 1 on runtime errors
@@ -100,11 +103,11 @@ use fgqos::bench::report::Report;
 use fgqos::hunt::{run_hunt, HuntOptions};
 use fgqos::hunt_engine::Objective;
 use fgqos::runner::{
-    assertion_outcome, evaluate_expectations, live_replay_report, scenario_report,
-    serve_batch_executor, serve_batch_executor_with_store, serve_executor, serve_live_executor,
-    serve_snapshot_executor, AssertionResult, LiveOptions, RunError, RunOptions,
+    assertion_outcome, assertion_text, live_replay_report, scenario_report, scenario_run,
+    scenario_text, serve_batch_executor, serve_batch_executor_with_store, serve_executor,
+    serve_live_executor, serve_snapshot_executor, LiveOptions, RunOptions,
 };
-use fgqos::scenario::{load_scenario_text, ScenarioSpec};
+use fgqos::scenario::{load_scenario_text, parse_write_token, ScenarioSpec};
 use fgqos::serve::admission::AdmissionConfig;
 use fgqos::serve::client::{Client, ClientError, SubmitOptions};
 use fgqos::serve::coordinator::CoordinatorConfig;
@@ -113,11 +116,11 @@ use fgqos::serve::protocol::{
     ControlSet, LiveSpec, DEFAULT_LIVE_WINDOW, DEFAULT_MAX_FRAME_BYTES, SERVE_VERSION,
 };
 use fgqos::serve::server::{start_fleet, start_live, ServeConfig, ServerHandle};
-use fgqos::sim::axi::MasterId;
 use fgqos::sim::json::Value;
 use std::ffi::OsString;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 const DEFAULT_ADDR: &str = "127.0.0.1:7171";
@@ -219,484 +222,385 @@ fn usage() -> &'static str {
                     [--admit-budget N] [--admit-period-ms N] [--admit-depth N] [--blob-dir DIR]
        fgqos submit <scenario-file> [--addr HOST:PORT] [--cycles N] [--until-done NAME]
                     [--client NAME] [--deadline-ms N] [--timeout-ms N]
-       fgqos watch (<scenario-file> | --run ID) [--addr HOST:PORT] [--cycles N] [--window N]
+       fgqos watch <scenario-file> [--addr HOST:PORT] [--cycles N] [--window N]
                    [--pace MS] [--json] [--verify-replay]
+       fgqos watch --run ID [--addr HOST:PORT] [--json] [--verify-replay]
        fgqos ctl --run ID --master NAME (--budget N | --period N | --enable on|off)
                  [--addr HOST:PORT]
        fgqos shutdown [--addr HOST:PORT]
        fgqos --version"
 }
 
-fn value_of(argv: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
-    argv.next().ok_or_else(|| format!("{flag} needs a value"))
+/// One subcommand's command line: the flags it accepts and what it
+/// builds from them. Every subcommand goes through the one argv loop in
+/// [`Grammar::parse`].
+struct Grammar {
+    /// The subcommand word (`""` for a plain run).
+    name: &'static str,
+    /// Takes one positional scenario file.
+    path: bool,
+    /// Flags without a value, space-separated.
+    switches: &'static str,
+    /// Flags that take the next argument as their value, space-separated.
+    values: &'static str,
+    /// Builds the command from what the loop collected.
+    build: fn(Parsed) -> Result<Cmd, String>,
 }
 
-fn num_of<T: std::str::FromStr>(
-    argv: &mut impl Iterator<Item = String>,
-    flag: &str,
-) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    value_of(argv, flag)?
-        .parse()
-        .map_err(|e| format!("bad {flag} value: {e}"))
+/// The plain `fgqos <scenario-file>` run: the grammar for any first
+/// argument that is not a subcommand.
+const RUN: Grammar = Grammar {
+    name: "",
+    path: true,
+    switches: "--json --quiet --histogram",
+    values: "--cycles --until-done",
+    build: run_args,
+};
+
+const SUBCOMMANDS: [Grammar; 8] = [
+    Grammar {
+        name: "check",
+        path: true,
+        switches: "",
+        values: "",
+        build: |p| {
+            let scenario_path = p.path.ok_or("check needs a scenario file")?;
+            Ok(Cmd::Check { scenario_path })
+        },
+    },
+    Grammar {
+        name: "hunt",
+        path: true,
+        switches: "--quiet",
+        values: "--seed --evals --explore --top-k --mutants --bisect --objective \
+                 --warmup --cycles --addr --out --fgq",
+        build: hunt_args,
+    },
+    Grammar {
+        name: "serve",
+        path: false,
+        switches: "",
+        values: "--addr --threads --max-frame --admit-budget --admit-period-ms --admit-depth \
+                 --deadline-ms --cache-dir --blob-dir --workers",
+        build: |p| {
+            let (admission, admit_overridden) = admission(&p)?;
+            Ok(Cmd::Serve(ServeArgs {
+                addr: p.get("--addr")?.unwrap_or_else(|| DEFAULT_ADDR.into()),
+                threads: p.get("--threads")?.unwrap_or(0),
+                max_frame_bytes: p.get("--max-frame")?.unwrap_or(DEFAULT_MAX_FRAME_BYTES),
+                admission,
+                admit_overridden,
+                default_deadline_ms: p.get("--deadline-ms")?,
+                cache_dir: p.get("--cache-dir")?,
+                blob_dir: p.get("--blob-dir")?,
+                workers: p.get("--workers")?,
+            }))
+        },
+    },
+    Grammar {
+        name: "worker",
+        path: false,
+        switches: "",
+        values: "--connect --addr --threads --max-frame --admit-budget --admit-period-ms \
+                 --admit-depth --blob-dir",
+        build: |p| {
+            Ok(Cmd::Worker(WorkerArgs {
+                addr: p.get("--addr")?.unwrap_or_else(|| "127.0.0.1:0".into()),
+                threads: p.get("--threads")?.unwrap_or(0),
+                max_frame_bytes: p.get("--max-frame")?.unwrap_or(DEFAULT_MAX_FRAME_BYTES),
+                admission: admission(&p)?.0,
+                blob_dir: p.get("--blob-dir")?,
+                connect: p
+                    .get("--connect")?
+                    .ok_or("worker needs --connect HOST:PORT")?,
+            }))
+        },
+    },
+    Grammar {
+        name: "submit",
+        path: true,
+        switches: "",
+        values: "--addr --cycles --until-done --client --deadline-ms --timeout-ms",
+        build: |p| {
+            Ok(Cmd::Submit(SubmitArgs {
+                addr: p.get("--addr")?.unwrap_or_else(|| DEFAULT_ADDR.into()),
+                cycles: p.get("--cycles")?,
+                until_done: p.get("--until-done")?,
+                client: p.get("--client")?,
+                deadline_ms: p.get("--deadline-ms")?,
+                timeout_ms: p.get("--timeout-ms")?.unwrap_or(60_000),
+                scenario_path: p.path.ok_or("submit needs a scenario file")?,
+            }))
+        },
+    },
+    Grammar {
+        name: "watch",
+        path: true,
+        switches: "--json --verify-replay",
+        values: "--run --addr --cycles --window --pace",
+        build: watch_args,
+    },
+    Grammar {
+        name: "ctl",
+        path: false,
+        switches: "",
+        values: "--run --master --budget --period --enable --addr",
+        build: ctl_args,
+    },
+    Grammar {
+        name: "shutdown",
+        path: false,
+        switches: "",
+        values: "--addr",
+        build: |p| {
+            let addr = p.get("--addr")?.unwrap_or_else(|| DEFAULT_ADDR.into());
+            Ok(Cmd::Shutdown { addr })
+        },
+    },
+];
+
+/// The flags and scenario path one subcommand's argv gave, in order.
+struct Parsed {
+    path: Option<String>,
+    flags: Vec<(&'static str, Option<String>)>,
 }
 
-fn parse_run(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut scenario_path = None;
-    let mut cycles = None;
-    let mut until_done = None;
-    let mut json = false;
-    let mut quiet = false;
-    let mut histogram = false;
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--cycles" => cycles = Some(num_of(&mut argv, "--cycles")?),
-            "--until-done" => until_done = Some(value_of(&mut argv, "--until-done")?),
-            "--json" => json = true,
-            "--quiet" => quiet = true,
-            "--histogram" => histogram = true,
-            "--help" | "-h" => return Ok(Cmd::Help),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option {other:?}\n{}", usage()));
-            }
-            other => {
-                if scenario_path.replace(other.to_string()).is_some() {
+impl Grammar {
+    /// The one argv loop: `Ok(Cmd::Help)` on `--help`/`-h`, a usage
+    /// error on an unknown option, a flag missing its value or a second
+    /// scenario file.
+    fn parse(&self, mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
+        let mut p = Parsed {
+            path: None,
+            flags: Vec::new(),
+        };
+        while let Some(arg) = argv.next() {
+            let known = |list: &'static str| list.split_whitespace().find(|f| *f == arg);
+            if arg == "--help" || arg == "-h" {
+                return Ok(Cmd::Help);
+            } else if let Some(flag) = known(self.switches) {
+                p.flags.push((flag, None));
+            } else if let Some(flag) = known(self.values) {
+                let value = argv.next().ok_or_else(|| format!("{flag} needs a value"))?;
+                p.flags.push((flag, Some(value)));
+            } else if self.path && !arg.starts_with('-') {
+                if p.path.replace(arg).is_some() {
                     return Err(format!("more than one scenario file given\n{}", usage()));
                 }
+            } else {
+                let what = match self.name {
+                    "" => "option".to_string(),
+                    name => format!("{name} option"),
+                };
+                return Err(format!("unknown {what} {arg:?}\n{}", usage()));
             }
         }
+        (self.build)(p)
     }
-    let scenario_path = scenario_path.ok_or_else(|| usage().to_string())?;
+}
+
+impl Parsed {
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The value of `flag`, parsed; the last of repeated flags wins, and
+    /// every one given must parse.
+    fn get<T: FromStr>(&self, flag: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let mut last = None;
+        for (_, value) in self.flags.iter().filter(|(f, _)| *f == flag) {
+            let value = value.as_deref().unwrap_or_default();
+            last = Some(
+                value
+                    .parse()
+                    .map_err(|e| format!("bad {flag} value: {e}"))?,
+            );
+        }
+        Ok(last)
+    }
+
+    /// [`Parsed::get`] into `slot`, which keeps its value when the flag
+    /// is absent.
+    fn set<T: FromStr>(&self, flag: &str, slot: &mut T) -> Result<(), String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        if let Some(value) = self.get(flag)? {
+            *slot = value;
+        }
+        Ok(())
+    }
+}
+
+fn parse_args(argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
+    let mut argv = argv.peekable();
+    let grammar = match argv.peek().map(String::as_str) {
+        None => return Err(usage().to_string()),
+        Some("--help" | "-h") => return Ok(Cmd::Help),
+        Some("--version" | "-V") => return Ok(Cmd::Version),
+        Some(first) => match SUBCOMMANDS.iter().find(|g| g.name == first) {
+            Some(g) => {
+                argv.next();
+                g
+            }
+            None => &RUN,
+        },
+    };
+    grammar.parse(argv)
+}
+
+fn run_args(p: Parsed) -> Result<Cmd, String> {
     Ok(Cmd::Run(RunArgs {
-        scenario_path,
-        cycles,
-        until_done,
-        json,
-        quiet,
-        histogram,
+        cycles: p.get("--cycles")?,
+        until_done: p.get("--until-done")?,
+        json: p.has("--json"),
+        quiet: p.has("--quiet"),
+        histogram: p.has("--histogram"),
+        scenario_path: p.path.ok_or_else(|| usage().to_string())?,
     }))
 }
 
-fn parse_check(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut scenario_path = None;
-    for arg in argv.by_ref() {
-        match arg.as_str() {
-            "--help" | "-h" => return Ok(Cmd::Help),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option {other:?}\n{}", usage()));
-            }
-            other => {
-                if scenario_path.replace(other.to_string()).is_some() {
-                    return Err(format!("more than one scenario file given\n{}", usage()));
-                }
-            }
-        }
-    }
-    let scenario_path = scenario_path.ok_or("check needs a scenario file".to_string())?;
-    Ok(Cmd::Check { scenario_path })
-}
-
-fn parse_hunt(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut scenario_path = None;
+fn hunt_args(p: Parsed) -> Result<Cmd, String> {
     let mut options = HuntOptions::default();
-    let mut out = None;
-    let mut fgq = None;
-    let mut quiet = false;
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--seed" => options.config.seed = num_of(&mut argv, "--seed")?,
-            "--evals" => options.config.evals = num_of(&mut argv, "--evals")?,
-            "--explore" => options.config.explore = num_of(&mut argv, "--explore")?,
-            "--top-k" => options.config.top_k = num_of(&mut argv, "--top-k")?,
-            "--mutants" => options.config.mutants_per_parent = num_of(&mut argv, "--mutants")?,
-            "--bisect" => options.config.bisect = num_of(&mut argv, "--bisect")?,
-            "--objective" => {
-                options.config.objective = Objective::parse(&value_of(&mut argv, "--objective")?)?
-            }
-            "--warmup" => options.warmup = num_of(&mut argv, "--warmup")?,
-            "--cycles" => options.tail_cycles = num_of(&mut argv, "--cycles")?,
-            "--addr" => options.addr = Some(value_of(&mut argv, "--addr")?),
-            "--out" => out = Some(PathBuf::from(value_of(&mut argv, "--out")?)),
-            "--fgq" => fgq = Some(PathBuf::from(value_of(&mut argv, "--fgq")?)),
-            "--quiet" => quiet = true,
-            "--help" | "-h" => return Ok(Cmd::Help),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown hunt option {other:?}\n{}", usage()));
-            }
-            other => {
-                if scenario_path.replace(other.to_string()).is_some() {
-                    return Err(format!("more than one scenario file given\n{}", usage()));
-                }
-            }
-        }
+    let c = &mut options.config;
+    p.set("--seed", &mut c.seed)?;
+    p.set("--evals", &mut c.evals)?;
+    p.set("--explore", &mut c.explore)?;
+    p.set("--top-k", &mut c.top_k)?;
+    p.set("--mutants", &mut c.mutants_per_parent)?;
+    p.set("--bisect", &mut c.bisect)?;
+    if let Some(objective) = p.get::<String>("--objective")? {
+        c.objective = Objective::parse(&objective)?;
     }
-    let scenario_path = scenario_path.ok_or("hunt needs a scenario file".to_string())?;
+    p.set("--warmup", &mut options.warmup)?;
+    p.set("--cycles", &mut options.tail_cycles)?;
+    options.addr = p.get("--addr")?;
     Ok(Cmd::Hunt(HuntArgs {
-        scenario_path,
         options,
-        out,
-        fgq,
-        quiet,
+        out: p.get("--out")?,
+        fgq: p.get("--fgq")?,
+        quiet: p.has("--quiet"),
+        scenario_path: p.path.ok_or("hunt needs a scenario file")?,
     }))
 }
 
-fn parse_serve(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut args = ServeArgs {
-        addr: DEFAULT_ADDR.to_string(),
-        threads: 0,
-        max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-        admission: AdmissionConfig::default(),
-        admit_overridden: false,
-        default_deadline_ms: None,
-        cache_dir: None,
-        blob_dir: None,
-        workers: None,
-    };
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--addr" => args.addr = value_of(&mut argv, "--addr")?,
-            "--threads" => args.threads = num_of(&mut argv, "--threads")?,
-            "--max-frame" => args.max_frame_bytes = num_of(&mut argv, "--max-frame")?,
-            "--admit-budget" => {
-                args.admission.budget_bytes = num_of(&mut argv, "--admit-budget")?;
-                args.admit_overridden = true;
-            }
-            "--admit-period-ms" => {
-                // The ingress regulator runs at 1 cycle = 1 µs.
-                let ms: u32 = num_of(&mut argv, "--admit-period-ms")?;
-                args.admission.period_cycles = ms.saturating_mul(1_000).max(1);
-                args.admit_overridden = true;
-            }
-            "--admit-depth" => {
-                args.admission.depth_bytes = num_of(&mut argv, "--admit-depth")?;
-                args.admit_overridden = true;
-            }
-            "--deadline-ms" => args.default_deadline_ms = Some(num_of(&mut argv, "--deadline-ms")?),
-            "--cache-dir" => args.cache_dir = Some(value_of(&mut argv, "--cache-dir")?.into()),
-            "--blob-dir" => args.blob_dir = Some(value_of(&mut argv, "--blob-dir")?.into()),
-            "--workers" => args.workers = Some(num_of(&mut argv, "--workers")?),
-            "--help" | "-h" => return Ok(Cmd::Help),
-            other => return Err(format!("unknown serve option {other:?}\n{}", usage())),
-        }
+/// The `--admit-*` flags of `serve` and `worker`, and whether any was
+/// given.
+fn admission(p: &Parsed) -> Result<(AdmissionConfig, bool), String> {
+    let mut a = AdmissionConfig::default();
+    p.set("--admit-budget", &mut a.budget_bytes)?;
+    if let Some(ms) = p.get::<u32>("--admit-period-ms")? {
+        // The ingress regulator runs at 1 cycle = 1 µs.
+        a.period_cycles = ms.saturating_mul(1_000).max(1);
     }
-    Ok(Cmd::Serve(args))
+    p.set("--admit-depth", &mut a.depth_bytes)?;
+    let given = ["--admit-budget", "--admit-period-ms", "--admit-depth"];
+    Ok((a, given.iter().any(|f| p.has(f))))
 }
 
-fn parse_worker(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut connect = None;
-    let mut args = WorkerArgs {
-        addr: "127.0.0.1:0".to_string(),
-        connect: String::new(),
-        threads: 0,
-        max_frame_bytes: DEFAULT_MAX_FRAME_BYTES,
-        admission: AdmissionConfig::default(),
-        blob_dir: None,
+fn watch_args(p: Parsed) -> Result<Cmd, String> {
+    let args = WatchArgs {
+        run: p.get("--run")?,
+        addr: p.get("--addr")?.unwrap_or_else(|| DEFAULT_ADDR.into()),
+        cycles: p.get("--cycles")?,
+        window: p.get("--window")?.unwrap_or(DEFAULT_LIVE_WINDOW),
+        pace_ms: p.get("--pace")?.unwrap_or(0),
+        json: p.has("--json"),
+        verify_replay: p.has("--verify-replay"),
+        scenario_path: p.path.clone(),
     };
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--connect" => connect = Some(value_of(&mut argv, "--connect")?),
-            "--addr" => args.addr = value_of(&mut argv, "--addr")?,
-            "--threads" => args.threads = num_of(&mut argv, "--threads")?,
-            "--max-frame" => args.max_frame_bytes = num_of(&mut argv, "--max-frame")?,
-            "--admit-budget" => args.admission.budget_bytes = num_of(&mut argv, "--admit-budget")?,
-            "--admit-period-ms" => {
-                let ms: u32 = num_of(&mut argv, "--admit-period-ms")?;
-                args.admission.period_cycles = ms.saturating_mul(1_000).max(1);
-            }
-            "--admit-depth" => args.admission.depth_bytes = num_of(&mut argv, "--admit-depth")?,
-            "--blob-dir" => args.blob_dir = Some(value_of(&mut argv, "--blob-dir")?.into()),
-            "--help" | "-h" => return Ok(Cmd::Help),
-            other => return Err(format!("unknown worker option {other:?}\n{}", usage())),
-        }
-    }
-    args.connect = connect.ok_or("worker needs --connect HOST:PORT".to_string())?;
-    Ok(Cmd::Worker(args))
-}
-
-fn parse_submit(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut scenario_path = None;
-    let mut args = SubmitArgs {
-        scenario_path: String::new(),
-        addr: DEFAULT_ADDR.to_string(),
-        cycles: None,
-        until_done: None,
-        client: None,
-        deadline_ms: None,
-        timeout_ms: 60_000,
-    };
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--addr" => args.addr = value_of(&mut argv, "--addr")?,
-            "--cycles" => args.cycles = Some(num_of(&mut argv, "--cycles")?),
-            "--until-done" => args.until_done = Some(value_of(&mut argv, "--until-done")?),
-            "--client" => args.client = Some(value_of(&mut argv, "--client")?),
-            "--deadline-ms" => args.deadline_ms = Some(num_of(&mut argv, "--deadline-ms")?),
-            "--timeout-ms" => args.timeout_ms = num_of(&mut argv, "--timeout-ms")?,
-            "--help" | "-h" => return Ok(Cmd::Help),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown submit option {other:?}\n{}", usage()));
-            }
-            other => {
-                if scenario_path.replace(other.to_string()).is_some() {
-                    return Err(format!("more than one scenario file given\n{}", usage()));
-                }
-            }
-        }
-    }
-    args.scenario_path = scenario_path.ok_or("submit needs a scenario file".to_string())?;
-    Ok(Cmd::Submit(args))
-}
-
-fn parse_watch(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut args = WatchArgs {
-        scenario_path: None,
-        run: None,
-        addr: DEFAULT_ADDR.to_string(),
-        cycles: None,
-        window: DEFAULT_LIVE_WINDOW,
-        pace_ms: 0,
-        json: false,
-        verify_replay: false,
-    };
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--run" => args.run = Some(num_of(&mut argv, "--run")?),
-            "--addr" => args.addr = value_of(&mut argv, "--addr")?,
-            "--cycles" => args.cycles = Some(num_of(&mut argv, "--cycles")?),
-            "--window" => args.window = num_of(&mut argv, "--window")?,
-            "--pace" => args.pace_ms = num_of(&mut argv, "--pace")?,
-            "--json" => args.json = true,
-            "--verify-replay" => args.verify_replay = true,
-            "--help" | "-h" => return Ok(Cmd::Help),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown watch option {other:?}\n{}", usage()));
-            }
-            other => {
-                if args.scenario_path.replace(other.to_string()).is_some() {
-                    return Err(format!("more than one scenario file given\n{}", usage()));
-                }
-            }
-        }
-    }
     match (&args.scenario_path, args.run) {
         (None, None) => Err("watch needs a scenario file or --run ID".to_string()),
         (Some(_), Some(_)) => Err("watch takes a scenario file or --run ID, not both".to_string()),
-        _ => {
-            if args.window == 0 {
-                return Err("--window must be at least 1".to_string());
-            }
-            Ok(Cmd::Watch(args))
-        }
+        (None, Some(_)) => match ["--cycles", "--window", "--pace"]
+            .into_iter()
+            .find(|f| p.has(f))
+        {
+            // These shape a new run; an existing run already has them.
+            Some(flag) => Err(format!("watch --run takes no {flag}\n{}", usage())),
+            None => Ok(Cmd::Watch(args)),
+        },
+        (Some(_), None) if args.window == 0 => Err("--window must be at least 1".to_string()),
+        (Some(_), None) => Ok(Cmd::Watch(args)),
     }
 }
 
-fn parse_ctl(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut run = None;
-    let mut master = None;
-    let mut set: Option<ControlSet> = None;
-    let put = |s: ControlSet, set: &mut Option<ControlSet>| {
-        if set.replace(s).is_some() {
+fn ctl_args(p: Parsed) -> Result<Cmd, String> {
+    let mut set = None;
+    for (flag, token) in &p.flags {
+        let Some(key) = flag
+            .strip_prefix("--")
+            .filter(|k| ["budget", "period", "enable"].contains(k))
+        else {
+            continue;
+        };
+        // The `.fgq` token syntax (`4K`, `0x1000`, `on`/`off`), screened
+        // by the one register-write validator.
+        let write = parse_write_token(key, token.as_deref().unwrap_or_default())
+            .map_err(|e| format!("bad {flag} value: {e}"))?;
+        if set.replace(write).is_some() {
             return Err("ctl takes exactly one of --budget/--period/--enable".to_string());
         }
-        Ok(())
-    };
-    let mut addr = DEFAULT_ADDR.to_string();
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--run" => run = Some(num_of(&mut argv, "--run")?),
-            "--master" => master = Some(value_of(&mut argv, "--master")?),
-            flag @ ("--budget" | "--period" | "--enable") => {
-                // Token syntax: a decimal integer or `on`/`off`; the
-                // write itself is screened by the one validator.
-                let token = value_of(&mut argv, flag)?;
-                let value = match token.parse::<u64>() {
-                    Ok(n) => Value::from(n),
-                    Err(_) => Value::str(token),
-                };
-                let write = ControlSet::parse(&flag[2..], Some(&value))
-                    .map_err(|e| format!("bad {flag} value: {e}"))?;
-                put(write, &mut set)?;
-            }
-            "--addr" => addr = value_of(&mut argv, "--addr")?,
-            "--help" | "-h" => return Ok(Cmd::Help),
-            other => return Err(format!("unknown ctl option {other:?}\n{}", usage())),
-        }
     }
-    let run = run.ok_or("ctl needs --run ID".to_string())?;
-    let master = master.ok_or("ctl needs --master NAME".to_string())?;
-    let set = set.ok_or("ctl needs one of --budget/--period/--enable".to_string())?;
     Ok(Cmd::Ctl(CtlArgs {
-        run,
-        master,
-        set,
-        addr,
+        run: p.get("--run")?.ok_or("ctl needs --run ID")?,
+        master: p.get("--master")?.ok_or("ctl needs --master NAME")?,
+        set: set.ok_or("ctl needs one of --budget/--period/--enable")?,
+        addr: p.get("--addr")?.unwrap_or_else(|| DEFAULT_ADDR.into()),
     }))
 }
 
-fn parse_shutdown(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    let mut addr = DEFAULT_ADDR.to_string();
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--addr" => addr = value_of(&mut argv, "--addr")?,
-            "--help" | "-h" => return Ok(Cmd::Help),
-            other => return Err(format!("unknown shutdown option {other:?}\n{}", usage())),
-        }
-    }
-    Ok(Cmd::Shutdown { addr })
+/// Reads `path` and parses it, with `file:line:` diagnostics.
+fn load(path: &str) -> Result<(String, ScenarioSpec), String> {
+    let text = load_scenario_text(path).map_err(|e| e.diagnostic(path))?;
+    let spec = ScenarioSpec::parse(&text).map_err(|e| e.diagnostic(path))?;
+    Ok((text, spec))
 }
 
-fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Cmd, String> {
-    match argv.next() {
-        None => Err(usage().to_string()),
-        Some(first) => match first.as_str() {
-            "--help" | "-h" => Ok(Cmd::Help),
-            "--version" | "-V" => Ok(Cmd::Version),
-            "check" => parse_check(argv),
-            "hunt" => parse_hunt(argv),
-            "serve" => parse_serve(argv),
-            "worker" => parse_worker(argv),
-            "submit" => parse_submit(argv),
-            "watch" => parse_watch(argv),
-            "ctl" => parse_ctl(argv),
-            "shutdown" => parse_shutdown(argv),
-            _ => parse_run(std::iter::once(first).chain(argv)),
-        },
+/// Resolves a run's length and stop master: command-line flags beat the
+/// scenario's own `cycles`/`until_done` directives, which beat the
+/// defaults.
+fn run_options(spec: &ScenarioSpec, cycles: Option<u64>, until_done: Option<String>) -> RunOptions {
+    RunOptions {
+        cycles: cycles.or(spec.cycles).unwrap_or(DEFAULT_CYCLES),
+        until_done: until_done.or_else(|| spec.until_done.clone()),
     }
 }
 
-/// Prints per-assertion verdict lines; `Err` when any assertion failed
-/// (which the caller turns into exit status 1).
-fn assertion_verdicts(results: &[AssertionResult]) -> Result<(), String> {
-    if results.is_empty() {
-        return Ok(());
+/// `Err` when the report's `expect` assertions did not all hold (which
+/// the caller turns into exit status 1). `of_total` names the total too,
+/// as the text outputs do.
+fn assertions_hold(report: &Report, of_total: bool) -> Result<(), String> {
+    match assertion_outcome(report) {
+        Some((passed, failed)) if failed > 0 => Err(if of_total {
+            format!("{failed} of {} assertion(s) failed", passed + failed)
+        } else {
+            format!("{failed} assertion(s) failed")
+        }),
+        _ => Ok(()),
     }
-    println!("\nassertions:");
-    for r in results {
-        println!(
-            "  {} expect {}  [{}]",
-            if r.pass { "PASS" } else { "FAIL" },
-            r.text,
-            r.measured
-        );
-    }
-    let failed = results.iter().filter(|r| !r.pass).count();
-    if failed > 0 {
-        return Err(format!("{failed} of {} assertion(s) failed", results.len()));
-    }
-    Ok(())
 }
 
 fn run(args: RunArgs) -> Result<(), String> {
-    let text =
-        load_scenario_text(&args.scenario_path).map_err(|e| e.diagnostic(&args.scenario_path))?;
-    // CLI flags beat the scenario's own `cycles`/`until_done` directives,
-    // which beat the historical defaults.
-    let spec = ScenarioSpec::parse(&text).map_err(|e| e.diagnostic(&args.scenario_path))?;
-    let cycles = args.cycles.or(spec.cycles).unwrap_or(DEFAULT_CYCLES);
-    let until_done = args.until_done.clone().or_else(|| spec.until_done.clone());
-    let opts = RunOptions {
-        cycles,
-        until_done: until_done.clone(),
-    };
+    let (text, spec) = load(&args.scenario_path)?;
+    let opts = run_options(&spec, args.cycles, args.until_done);
+    let (report, soc) = scenario_run(&text, &opts).map_err(|e| e.to_string())?;
     if args.json {
-        let report = scenario_report(&text, &opts).map_err(|e| match e {
-            RunError::Parse(p) => p.diagnostic(&args.scenario_path),
-            RunError::Run(m) => m,
-        })?;
         println!("{}", report.to_json().to_pretty());
-        if let Some((_, failed)) = assertion_outcome(&report) {
-            if failed > 0 {
-                return Err(format!("{failed} assertion(s) failed"));
-            }
-        }
-        return Ok(());
-    }
-
-    // The classic text path keeps its historical layout (and the
-    // --histogram / --quiet extras the report document doesn't carry).
-    let (mut soc, fabric) = spec.build();
-    let ran = match &until_done {
-        Some(name) => {
-            let id = soc
-                .master_id(name)
-                .ok_or_else(|| format!("--until-done: no master named {name:?}"))?;
-            match soc.run_until_done(id, cycles) {
-                Some(t) => {
-                    println!("master {name:?} finished at {t}");
-                    t.get()
-                }
-                None => {
-                    println!("master {name:?} did not finish within {cycles} cycles");
-                    soc.now().get()
-                }
-            }
-        }
-        None => {
-            soc.run(cycles);
-            cycles
-        }
-    };
-
-    println!("\nsimulated {ran} cycles at {}", soc.freq());
-    println!(
-        "{:<12} {:>10} {:>14} {:>12} {:>9} {:>9} {:>9}",
-        "master", "txns", "bytes", "bandwidth", "p50", "p99", "max"
-    );
-    for i in 0..soc.master_count() {
-        let id = MasterId::new(i);
-        let st = soc.master_stats(id);
-        let name = spec.masters[i].name.clone();
-        println!(
-            "{:<12} {:>10} {:>14} {:>12} {:>9} {:>9} {:>9}",
-            name,
-            st.completed_txns,
-            st.bytes_completed,
-            format!("{}", soc.master_bandwidth(id)),
-            st.latency.percentile(0.50),
-            st.latency.percentile(0.99),
-            st.latency.max(),
+    } else {
+        print!(
+            "{}",
+            scenario_text(&report, args.quiet, args.histogram.then_some(&soc))
         );
     }
-    let d = soc.dram_stats();
-    println!(
-        "\ndram: {} bytes, row-hit ratio {:.2}, bus utilization {:.2}, {} refreshes",
-        d.bytes_completed,
-        d.row_hit_ratio(),
-        d.bus_busy_cycles as f64 / ran.max(1) as f64,
-        d.refreshes,
-    );
-    if args.histogram {
-        for i in 0..soc.master_count() {
-            let id = MasterId::new(i);
-            let st = soc.master_stats(id);
-            if st.latency.count() == 0 {
-                continue;
-            }
-            println!("\nlatency histogram for {}:", spec.masters[i].name);
-            let peak = st
-                .latency
-                .nonzero_buckets()
-                .map(|(_, c)| c)
-                .max()
-                .unwrap_or(1);
-            for (lo, count) in st.latency.nonzero_buckets() {
-                let bar = "#".repeat((count * 40 / peak).max(1) as usize);
-                println!("{lo:>9} {count:>9} {bar}");
-            }
-        }
-    }
-    if !args.quiet {
-        println!("\nqos fabric:");
-        print!("{}", fabric.report());
-    }
-    assertion_verdicts(&evaluate_expectations(&spec, &soc, &fabric))
+    assertions_hold(&report, !args.json)
 }
 
 fn check(path: &str) -> Result<(), String> {
-    let text = load_scenario_text(path).map_err(|e| e.diagnostic(path))?;
-    let spec = ScenarioSpec::parse(&text).map_err(|e| e.diagnostic(path))?;
+    let (text, spec) = load(path)?;
     let mut extras = String::new();
     if spec.reclaim.is_some() {
         extras.push_str(", reclaim policy");
@@ -712,24 +616,16 @@ fn check(path: &str) -> Result<(), String> {
         spec.masters.len(),
         if spec.masters.len() == 1 { "" } else { "s" },
     );
-    let (mut soc, fabric) = spec.build();
     if spec.expects.is_empty() {
         return Ok(());
     }
     // Assertions make `check` a run: the scenario's own `cycles` /
     // `until_done` directives (or the usual default) drive it, and a
     // failed expectation fails the check.
-    let cycles = spec.cycles.unwrap_or(DEFAULT_CYCLES);
-    match &spec.until_done {
-        Some(name) => {
-            let id = soc
-                .master_id(name)
-                .expect("until_done master validated at parse time");
-            let _ = soc.run_until_done(id, cycles);
-        }
-        None => soc.run(cycles),
-    }
-    assertion_verdicts(&evaluate_expectations(&spec, &soc, &fabric))
+    let report =
+        scenario_report(&text, &run_options(&spec, None, None)).map_err(|e| e.to_string())?;
+    print!("{}", assertion_text(&report));
+    assertions_hold(&report, true)
 }
 
 fn hunt(args: HuntArgs) -> Result<(), String> {
@@ -953,14 +849,11 @@ fn worker(args: WorkerArgs) -> Result<(), String> {
 }
 
 fn submit(args: SubmitArgs) -> Result<(), String> {
-    let text =
-        load_scenario_text(&args.scenario_path).map_err(|e| e.diagnostic(&args.scenario_path))?;
     // Run-control directives are resolved client-side so the wire job is
     // fully explicit; the flattened (extends-resolved) text is what the
     // server hashes for its cache.
-    let spec = ScenarioSpec::parse(&text).map_err(|e| e.diagnostic(&args.scenario_path))?;
-    let cycles = args.cycles.or(spec.cycles).unwrap_or(DEFAULT_CYCLES);
-    let until_done = args.until_done.clone().or(spec.until_done);
+    let (text, spec) = load(&args.scenario_path)?;
+    let RunOptions { cycles, until_done } = run_options(&spec, args.cycles, args.until_done);
     let mut client =
         Client::connect(&args.addr).map_err(|e| format!("cannot connect to {}: {e}", args.addr))?;
     let opts = SubmitOptions {
@@ -988,16 +881,10 @@ fn submit(args: SubmitArgs) -> Result<(), String> {
     println!("{}", report.to_pretty());
     // The document carries the assertion summary across the wire; the
     // exit status must match a local run of the same scenario.
-    if let Some((_, failed)) = Report::from_json(&report)
-        .ok()
-        .as_ref()
-        .and_then(assertion_outcome)
-    {
-        if failed > 0 {
-            return Err(format!("{failed} assertion(s) failed"));
-        }
+    match Report::from_json(&report) {
+        Ok(report) => assertions_hold(&report, false),
+        Err(_) => Ok(()),
     }
-    Ok(())
 }
 
 /// One human-readable line per streamed frame: window span, per-master
@@ -1030,15 +917,6 @@ fn frame_line(doc: &Value) -> String {
     line
 }
 
-/// Reads a `u64` context line (e.g. `cycles`) back out of a report.
-fn report_context_u64(report: &Report, key: &str) -> Option<u64> {
-    use fgqos::bench::report::Block;
-    report.blocks().iter().find_map(|b| match b {
-        Block::Context { key: k, value } if k == key => value.parse().ok(),
-        _ => None,
-    })
-}
-
 /// Verifies a finished run's determinism contract client-side: replays
 /// the journal doc's synthesized scenario as one monolithic local run
 /// and byte-compares the rendered report against the server's.
@@ -1050,7 +928,9 @@ fn verify_replay(doc: &Value) -> Result<(), String> {
     let report = doc.get("report").ok_or("journal carries no final report")?;
     let parsed =
         Report::from_json(report).map_err(|e| format!("bad report in journal doc: {e}"))?;
-    let cycles = report_context_u64(&parsed, "cycles")
+    let cycles = parsed
+        .context_value("cycles")
+        .and_then(|v| v.parse().ok())
         .ok_or("report in journal doc has no cycles context")?;
     let opts = LiveOptions {
         cycles,
@@ -1073,14 +953,12 @@ fn watch(args: WatchArgs) -> Result<(), String> {
         Client::connect(&args.addr).map_err(|e| format!("cannot connect to {}: {e}", args.addr))?;
     let run = match &args.scenario_path {
         Some(path) => {
-            let text = load_scenario_text(path).map_err(|e| e.diagnostic(path))?;
             // Parse client-side: a bad scenario fails here with line
             // numbers instead of as a server error string.
-            let spec = ScenarioSpec::parse(&text).map_err(|e| e.diagnostic(path))?;
-            let cycles = args.cycles.or(spec.cycles).unwrap_or(DEFAULT_CYCLES);
+            let (text, spec) = load(path)?;
             let live = LiveSpec {
+                cycles: run_options(&spec, args.cycles, None).cycles,
                 scenario: text,
-                cycles,
                 window: args.window,
                 pace_ms: args.pace_ms,
             };
@@ -1456,6 +1334,14 @@ mod tests {
         assert!(args(&["check"]).is_err());
         assert!(args(&["serve", "--bogus"]).is_err());
         assert!(args(&["submit"]).is_err());
+        // `watch --run` follows a run that already has its length,
+        // window and pace.
+        for flag in ["--cycles", "--window", "--pace"] {
+            assert!(
+                args(&["watch", "--run", "7", flag, "5"]).is_err(),
+                "watch --run {flag} must be refused"
+            );
+        }
     }
 
     #[test]
@@ -1484,8 +1370,6 @@ mod tests {
             "7",
             "--addr",
             "127.0.0.1:9",
-            "--window",
-            "5000",
             "--json",
             "--verify-replay",
         ]) else {
@@ -1493,8 +1377,13 @@ mod tests {
         };
         assert_eq!(w.run, Some(7));
         assert_eq!(w.addr, "127.0.0.1:9");
-        assert_eq!(w.window, 5_000);
         assert!(w.json && w.verify_replay);
+
+        let Ok(Cmd::Watch(w)) = args(&["watch", "s.fgq", "--window", "5000", "--pace", "3"]) else {
+            panic!("expected watch");
+        };
+        assert_eq!(w.window, 5_000);
+        assert_eq!(w.pace_ms, 3);
 
         assert!(args(&["watch"]).is_err(), "needs a scenario or --run");
         assert!(

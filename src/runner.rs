@@ -1,10 +1,11 @@
 //! Scenario execution into structured [`Report`] documents.
 //!
-//! The `fgqos` CLI historically rendered its results with ad-hoc
-//! `println!` calls. This module runs the same simulation but captures
-//! the outcome as a `fgqos.exp-report` document — the shared currency of
-//! the `exp_*` binaries, `fgqos --json`, and the `fgqos-serve` result
-//! cache (which requires byte-deterministic output for equal inputs).
+//! A run's outcome is a `fgqos.exp-report` document — the shared
+//! currency of the `exp_*` binaries, `fgqos --json`, and the
+//! `fgqos-serve` result cache (which requires byte-deterministic output
+//! for equal inputs). The `fgqos` CLI's text is a rendering of the same
+//! document ([`scenario_text`]), so served and direct runs agree on what
+//! a user reads too.
 
 use crate::scenario::{
     ExpectKind, ExpectSpec, LatencyMetric, ParseScenarioError, Role, ScenarioSpec,
@@ -20,6 +21,7 @@ use fgqos_serve::protocol::{BatchPoint, BatchSpec, JobSpec, LiveSpec};
 use fgqos_serve::{BatchExecutor, Executor, LiveExecutor, SnapshotExecutor};
 use fgqos_sim::axi::{MasterId, BEAT_BYTES, MAX_BURST_BEATS};
 use fgqos_sim::json::Value;
+use fgqos_sim::master::MasterStats;
 use fgqos_sim::snapshot::SocSnapshot;
 use fgqos_sim::system::{Soc, WindowBoundary};
 use fgqos_sim::{BlobStore, ForkCtx, SnapshotBlob, StateWalker};
@@ -61,6 +63,12 @@ impl std::error::Error for RunError {}
 /// lets `fgqos-serve` cache results content-addressed and still promise
 /// byte-identical responses.
 pub fn scenario_report(text: &str, opts: &RunOptions) -> Result<Report, RunError> {
+    scenario_run(text, opts).map(|(report, _)| report)
+}
+
+/// [`scenario_report`] plus the finished [`Soc`] it ran on, for output
+/// the document does not carry (the CLI's `--histogram`).
+pub fn scenario_run(text: &str, opts: &RunOptions) -> Result<(Report, Soc), RunError> {
     let spec = ScenarioSpec::parse(text).map_err(RunError::Parse)?;
     let (mut soc, fabric) = spec.build();
 
@@ -71,37 +79,57 @@ pub fn scenario_report(text: &str, opts: &RunOptions) -> Result<Report, RunError
     );
     report.context("cycles", opts.cycles);
 
-    let ran = match &opts.until_done {
+    let ran = run_for(
+        &mut report,
+        &mut soc,
+        opts.cycles,
+        opts.until_done.as_deref(),
+        "",
+    )?;
+    leap_block(&mut report, &soc);
+    stats_tables(&mut report, &spec, &soc, &fabric, ran);
+    assertion_block(&mut report, &spec, &soc, &fabric);
+    Ok((report, soc))
+}
+
+/// Runs `soc` for `cycles`, or until master `until_done` finishes within
+/// them, recording that master and when it finished (or a note that it
+/// did not, with `from` saying where the budget counts from), then the
+/// cycle the run ended at and the clock in `report`. Returns that cycle.
+fn run_for(
+    report: &mut Report,
+    soc: &mut Soc,
+    cycles: u64,
+    until_done: Option<&str>,
+    from: &str,
+) -> Result<u64, RunError> {
+    let ran = match until_done {
+        None => {
+            soc.run(cycles);
+            soc.now().get()
+        }
         Some(name) => {
             let id = soc
                 .master_id(name)
                 .ok_or_else(|| RunError::Run(format!("--until-done: no master named {name:?}")))?;
             report.context("until_done", name);
-            match soc.run_until_done(id, opts.cycles) {
+            match soc.run_until_done(id, cycles) {
                 Some(t) => {
                     report.context("finished_at", t);
                     t.get()
                 }
                 None => {
                     report.note(format!(
-                        "master {name:?} did not finish within {} cycles",
-                        opts.cycles
+                        "master {name:?} did not finish within {cycles} cycles{from}"
                     ));
                     soc.now().get()
                 }
             }
         }
-        None => {
-            soc.run(opts.cycles);
-            opts.cycles
-        }
     };
     report.context("simulated_cycles", ran);
     report.context("clock", soc.freq());
-    leap_block(&mut report, &soc);
-    stats_tables(&mut report, &spec, &soc, &fabric, ran);
-    assertion_block(&mut report, &spec, &soc, &fabric);
-    Ok(report)
+    Ok(ran)
 }
 
 /// Appends steady-state leap telemetry to a scenario report.
@@ -130,14 +158,13 @@ fn leap_block(report: &mut Report, soc: &Soc) {
 const ISOLATION_OVERSHOOT_SLACK: u64 = MAX_BURST_BEATS as u64 * BEAT_BYTES;
 
 /// Outcome of one `expect` directive after a run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AssertionResult {
+struct AssertionResult {
     /// The directive as written in the scenario (without the keyword).
-    pub text: String,
+    text: String,
     /// Human-readable measured value backing the verdict.
-    pub measured: String,
+    measured: String,
     /// Whether the directive holds (negation already applied).
-    pub pass: bool,
+    pass: bool,
 }
 
 /// Evaluates every `expect` directive of `spec` against the finished run.
@@ -145,7 +172,7 @@ pub struct AssertionResult {
 /// Targets were validated at parse time (the master exists and has the
 /// role the metric needs), so lookups here cannot fail. Results come back
 /// in declaration order.
-pub fn evaluate_expectations(
+fn evaluate_expectations(
     spec: &ScenarioSpec,
     soc: &Soc,
     fabric: &QosFabric,
@@ -269,18 +296,8 @@ fn assertion_block(report: &mut Report, spec: &ScenarioSpec, soc: &Soc, fabric: 
 /// directives, `None` otherwise. This is how the CLI decides its exit
 /// status for reports that crossed the serve wire as documents.
 pub fn assertion_outcome(report: &Report) -> Option<(u64, u64)> {
-    let mut passed = None;
-    let mut failed = None;
-    for b in report.blocks() {
-        if let Block::Context { key, value } = b {
-            match key.as_str() {
-                "assertions_passed" => passed = value.parse().ok(),
-                "assertions_failed" => failed = value.parse().ok(),
-                _ => {}
-            }
-        }
-    }
-    Some((passed?, failed?))
+    let count = |key| report.context_value(key)?.parse().ok();
+    Some((count("assertions_passed")?, count("assertions_failed")?))
 }
 
 /// The shared result body: per-master table, DRAM summary and the QoS
@@ -314,6 +331,113 @@ fn stats_tables(report: &mut Report, spec: &ScenarioSpec, soc: &Soc, fabric: &Qo
     for line in fabric.report().lines() {
         report.note(line);
     }
+}
+
+/// Column widths of the `fgqos <file>` master table; the name column is
+/// left-aligned, the numbers right-aligned.
+const MASTER_COLUMNS: [usize; 7] = [12, 10, 14, 12, 9, 9, 9];
+
+/// The blank-separated sections [`stats_tables`] and [`assertion_block`]
+/// write: head with the master table, DRAM note, `qos fabric:` notes,
+/// then the assertion block (empty when the scenario has no `expect`).
+fn sections(report: &Report) -> [&[Block]; 4] {
+    let mut split = report.blocks().split(|b| *b == Block::Blank);
+    [(); 4].map(|_| split.next().unwrap_or_default())
+}
+
+/// Renders a [`scenario_report`] document in the `fgqos <file>` text
+/// layout, so the text a user reads is a function of the document.
+/// `quiet` drops the fabric notes; `histograms` adds each master's
+/// latency distribution (which the document does not carry) after the
+/// DRAM line.
+pub fn scenario_text(report: &Report, quiet: bool, histograms: Option<&Soc>) -> String {
+    let ctx = |key| report.context_value(key).unwrap_or_default();
+    let mut out = String::new();
+    if let Some(name) = report.context_value("until_done") {
+        out.push_str(&match report.context_value("finished_at") {
+            Some(t) => format!("master {name:?} finished at {t}\n"),
+            None => format!(
+                "master {name:?} did not finish within {} cycles\n",
+                ctx("cycles")
+            ),
+        });
+    }
+    out.push_str(&format!(
+        "\nsimulated {} cycles at {}\n",
+        ctx("simulated_cycles"),
+        ctx("clock")
+    ));
+    let [table, dram, fabric, _] = sections(report);
+    for b in table {
+        if let Block::Header(cells) | Block::Row(cells) = b {
+            for (i, (cell, width)) in cells.iter().zip(MASTER_COLUMNS).enumerate() {
+                out.push_str(&match i {
+                    0 => format!("{cell:<width$}"),
+                    _ => format!(" {cell:>width$}"),
+                });
+            }
+            out.push('\n');
+        }
+    }
+    for b in dram {
+        if let Block::Note(text) = b {
+            out.push_str(&format!("\n{text}\n"));
+        }
+    }
+    if let Some(soc) = histograms {
+        out.push_str(&latency_histograms(soc));
+    }
+    if !quiet {
+        out.push('\n');
+        for b in fabric {
+            if let Block::Note(text) = b {
+                out.push_str(&format!("{text}\n"));
+            }
+        }
+    }
+    out + &assertion_text(report)
+}
+
+/// The `assertions:` verdict lines of a report, as `fgqos <file>` and
+/// `fgqos check` print them; empty when the scenario has no `expect`.
+pub fn assertion_text(report: &Report) -> String {
+    let [.., assertions] = sections(report);
+    if assertions.is_empty() {
+        return String::new();
+    }
+    let mut out = String::from("\nassertions:\n");
+    for b in assertions {
+        if let Block::Row(cells) = b {
+            if let [text, measured, verdict] = &cells[..] {
+                out.push_str(&format!("  {verdict} expect {text}  [{measured}]\n"));
+            }
+        }
+    }
+    out
+}
+
+/// Each master's latency distribution as a bar chart of its non-empty
+/// buckets (`fgqos --histogram`); masters that completed nothing are
+/// skipped.
+fn latency_histograms(soc: &Soc) -> String {
+    let mut out = String::new();
+    for i in 0..soc.master_count() {
+        let id = MasterId::new(i);
+        let latency = &soc.master_stats(id).latency;
+        if latency.count() == 0 {
+            continue;
+        }
+        out.push_str(&format!(
+            "\nlatency histogram for {}:\n",
+            soc.master_name(id)
+        ));
+        let peak = latency.nonzero_buckets().map(|(_, c)| c).max().unwrap_or(1);
+        for (lo, count) in latency.nonzero_buckets() {
+            let bar = "#".repeat((count * 40 / peak).max(1) as usize);
+            out.push_str(&format!("{lo:>9} {count:>9} {bar}\n"));
+        }
+    }
+    out
 }
 
 /// Slack appended to a batch's `warmup` while searching for a quiesced
@@ -507,33 +631,13 @@ fn point_report(
     report.context("boundary", boundary);
     report.context("period", point.period);
     report.context("budget", point.budget);
-    let ran = match &spec.until_done {
-        Some(name) => {
-            let id = soc
-                .master_id(name)
-                .ok_or_else(|| RunError::Run(format!("--until-done: no master named {name:?}")))?;
-            report.context("until_done", name);
-            match soc.run_until_done(id, spec.cycles) {
-                Some(t) => {
-                    report.context("finished_at", t);
-                    t.get()
-                }
-                None => {
-                    report.note(format!(
-                        "master {name:?} did not finish within {} cycles of the boundary",
-                        spec.cycles
-                    ));
-                    soc.now().get()
-                }
-            }
-        }
-        None => {
-            soc.run(spec.cycles);
-            soc.now().get()
-        }
-    };
-    report.context("simulated_cycles", ran);
-    report.context("clock", soc.freq());
+    let ran = run_for(
+        &mut report,
+        soc,
+        spec.cycles,
+        spec.until_done.as_deref(),
+        " of the boundary",
+    )?;
     stats_tables(&mut report, parsed, soc, fabric, ran);
     assertion_block(&mut report, parsed, soc, fabric);
     Ok(report)
@@ -660,17 +764,20 @@ struct MasterCum {
     fifo: u64,
 }
 
+impl MasterCum {
+    fn of(st: &MasterStats) -> Self {
+        MasterCum {
+            bytes: st.bytes_completed,
+            txns: st.completed_txns,
+            gate: st.gate_stall_cycles,
+            fifo: st.fifo_stall_cycles,
+        }
+    }
+}
+
 fn cum_snapshot(soc: &Soc) -> Vec<MasterCum> {
     (0..soc.master_count())
-        .map(|i| {
-            let st = soc.master_stats(MasterId::new(i));
-            MasterCum {
-                bytes: st.bytes_completed,
-                txns: st.completed_txns,
-                gate: st.gate_stall_cycles,
-                fifo: st.fifo_stall_cycles,
-            }
-        })
+        .map(|i| MasterCum::of(soc.master_stats(MasterId::new(i))))
         .collect()
 }
 
@@ -698,12 +805,7 @@ fn live_frame(
     let mut masters = Value::arr();
     for (i, prev_cum) in prev.iter_mut().enumerate().take(soc.master_count()) {
         let st = soc.master_stats(MasterId::new(i));
-        let cum = MasterCum {
-            bytes: st.bytes_completed,
-            txns: st.completed_txns,
-            gate: st.gate_stall_cycles,
-            fifo: st.fifo_stall_cycles,
-        };
+        let cum = MasterCum::of(st);
         let mut m = Value::obj();
         m.set("name", Value::str(spec.masters[i].name.clone()));
         m.set("bytes", Value::from(cum.bytes - prev_cum.bytes));

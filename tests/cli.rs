@@ -323,3 +323,50 @@ fn version_pins_every_format_version() {
         assert_eq!(stdout, expected, "{flag} output drifted");
     }
 }
+
+/// The text a user reads is a rendering of the report document: for
+/// every shipped scenario, `fgqos <f>` and `fgqos <f> --quiet` print
+/// exactly what `runner::scenario_text` makes of the `--json` document.
+#[test]
+fn text_output_renders_the_json_report() {
+    use fgqos::bench::report::Report;
+    use fgqos::runner::scenario_text;
+    use fgqos::sim::json::Value;
+
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("scenarios/ lists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "fgq"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty());
+    for file in files {
+        let run = |extra: &[&str]| {
+            let out = fgqos()
+                .arg(&file)
+                .args(extra)
+                .output()
+                .expect("binary runs");
+            // Exit 1 is a failed `expect`, which still prints the report.
+            assert!(
+                matches!(out.status.code(), Some(0 | 1)),
+                "{} {extra:?}: {}",
+                file.display(),
+                String::from_utf8_lossy(&out.stderr)
+            );
+            String::from_utf8(out.stdout).expect("utf-8 stdout")
+        };
+        let doc = Value::parse(run(&["--json"]).trim_end()).expect("--json prints JSON");
+        let report = Report::from_json(&doc).expect("--json prints a report");
+        for quiet in [false, true] {
+            let flags: &[&str] = if quiet { &["--quiet"] } else { &[] };
+            assert_eq!(
+                run(flags),
+                scenario_text(&report, quiet, None),
+                "{} {flags:?}",
+                file.display()
+            );
+        }
+    }
+}

@@ -394,10 +394,12 @@ fn check_json_and_submit_agree_on_assertions() {
         let check_fail = fgqos(&["check", fail_file]);
         let json_fail = fgqos(&[fail_file, "--json"]);
         let submit_fail = fgqos(&["submit", fail_file, "--addr", &addr]);
+        let text_fail = fgqos(&[fail_file]);
         for (name, out) in [
             ("check", &check_fail),
             ("--json", &json_fail),
             ("submit", &submit_fail),
+            ("text run", &text_fail),
         ] {
             assert_eq!(
                 out.status.code(),
@@ -410,6 +412,13 @@ fn check_json_and_submit_agree_on_assertions() {
         assert!(
             stderr.contains("assertion(s) failed"),
             "failure diagnostic names the assertions: {stderr}"
+        );
+        let stdout = String::from_utf8_lossy(&text_fail.stdout);
+        assert!(
+            stdout
+                .lines()
+                .any(|l| l.trim_start().starts_with("FAIL expect")),
+            "the text run prints the failed verdict: {stdout}"
         );
     }
 
