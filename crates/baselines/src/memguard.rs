@@ -171,6 +171,11 @@ impl PortGate for MemGuardGate {
         self.stall_cycles += cycles;
     }
 
+    fn completion_can_admit(&self) -> bool {
+        // The throttle lifts only at a tick boundary.
+        false
+    }
+
     fn label(&self) -> &'static str {
         "memguard"
     }

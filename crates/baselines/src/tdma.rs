@@ -151,6 +151,11 @@ impl PortGate for TdmaGate {
         self.stall_cycles += cycles;
     }
 
+    fn completion_can_admit(&self) -> bool {
+        // A pure function of time.
+        false
+    }
+
     fn label(&self) -> &'static str {
         "tdma"
     }

@@ -145,6 +145,11 @@ impl PortGate for LeakyBucketRegulator {
         }
     }
 
+    fn completion_can_admit(&self) -> bool {
+        // Tokens refill with time, never on completion.
+        false
+    }
+
     fn label(&self) -> &'static str {
         "leaky-bucket"
     }

@@ -284,6 +284,12 @@ impl PortGate for TcRegulator {
             .write64(Reg::StallLo, Reg::StallHi, self.stall_cycles);
     }
 
+    fn completion_can_admit(&self) -> bool {
+        // Completion charging only adds window bytes: a denied port stays
+        // denied until its window rolls.
+        false
+    }
+
     fn label(&self) -> &'static str {
         "tc-regulator"
     }

@@ -171,6 +171,11 @@ impl PortGate for SharedBudgetGate {
         self.stall_cycles += cycles;
     }
 
+    fn completion_can_admit(&self) -> bool {
+        // The group budget frees only when its window rolls.
+        false
+    }
+
     fn label(&self) -> &'static str {
         "shared-budget"
     }

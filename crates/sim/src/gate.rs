@@ -54,14 +54,25 @@ impl GateDecision {
 ///   which the gate's admission decision or externally visible state
 ///   (telemetry registers, window counters) can change *on its own* —
 ///   that is, assuming no request is accepted and no completion arrives
-///   in between, since both of those execute a full cycle anyway. The
-///   default is `Some(now)`, which declares "I may change every cycle"
-///   and disables skipping for the owning master — always safe.
+///   in between. An accept executes a full cycle; a completion is
+///   delivered on an executed cycle but does **not** by itself make the
+///   owning master execute the next one (see below). The default is
+///   `Some(now)`, which declares "I may change every cycle" and disables
+///   skipping for the owning master — always safe.
 /// * [`PortGate::on_denied_skip`] replicates the per-cycle accounting a
 ///   denying gate would have done over `cycles` skipped retry cycles
 ///   (stall counters, status registers). Any gate that returns a
 ///   `next_activity` later than `now` while it is denying must implement
 ///   it; the default is a no-op.
+/// * [`PortGate::completion_can_admit`] declares whether
+///   [`on_complete`](PortGate::on_complete) can turn a denial into an
+///   accept (an in-flight cap can; a byte budget, a time slot or a
+///   software throttle cannot). Only then does a completion to a denied
+///   master force a retry on the next cycle; otherwise the master sleeps
+///   until the denial's latched flip cycle, and the retries it skips
+///   are replayed through `on_denied_skip`. The default `true` is always
+///   safe. A gate declaring `false` must keep both its decision and its
+///   `next_activity` unchanged by `on_complete` while it is denying.
 pub trait PortGate: CloneGate {
     /// Called once per simulation cycle before any admission attempt.
     ///
@@ -86,6 +97,14 @@ pub trait PortGate: CloneGate {
     /// Accounts for `cycles` skipped cycles during which the master
     /// would have retried a request this gate kept denying.
     fn on_denied_skip(&mut self, _cycles: u64) {}
+
+    /// Whether a completion on this port can turn a denial into an
+    /// accept (see the trait-level contract). The default `true` makes
+    /// every completion to a denied master force a retry on the next
+    /// cycle — always safe.
+    fn completion_can_admit(&self) -> bool {
+        true
+    }
 
     /// Short human-readable label for reports.
     fn label(&self) -> &'static str {
@@ -146,6 +165,10 @@ impl PortGate for Box<dyn PortGate> {
 
     fn on_denied_skip(&mut self, cycles: u64) {
         self.as_mut().on_denied_skip(cycles);
+    }
+
+    fn completion_can_admit(&self) -> bool {
+        self.as_ref().completion_can_admit()
     }
 
     fn label(&self) -> &'static str {

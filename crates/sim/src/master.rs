@@ -364,7 +364,8 @@ pub struct Master {
     // Fast-forward bookkeeping: whether the most recent gate attempt for
     // the currently staged request was a denial, and whether a completion
     // has touched the gate/source since that attempt (which may flip a
-    // capacity-based denial without any gate-internal schedule).
+    // capacity-based denial without any gate-internal schedule, if the
+    // gate declares `completion_can_admit`).
     last_denied: bool,
     gate_dirty: bool,
     // The gate's flip cycle, latched *at the denied cycle*. A time-pure
@@ -385,8 +386,9 @@ pub struct Master {
     // `source.next_activity`: this flag forces a wake on the cycle after
     // a push (and at reset) so the pull lands where naive's would.
     pull_pending: bool,
-    // Last cycle `tick` ran; `catch_up` replicates the per-cycle stall
-    // accounting of the cycles skipped since.
+    // Last cycle `tick` ran (or up to which a delivery flushed the
+    // skipped cycles); `catch_up` replicates the per-cycle stall
+    // accounting and flag effects of the cycles skipped since.
     last_tick: Cycle,
     stats: MasterStats,
 }
@@ -546,9 +548,17 @@ impl Master {
     }
 
     /// Earliest cycle `>= now` at which ticking this master could change
-    /// any state, assuming no response is delivered and no crossbar pop
-    /// frees its ingress FIFO in between (the event loop wakes the
-    /// master for both).
+    /// any state other than the flags the event loop replays over
+    /// skipped cycles (`gate_dirty`, `pull_pending`), assuming no response is delivered and no crossbar pop
+    /// frees its ingress FIFO in between.
+    ///
+    /// The event loop wakes a FIFO-blocked master on the cycle after a
+    /// crossbar pop from its port; any other master ignores pops. A
+    /// completion re-queries this method: with nothing staged the master
+    /// executes the next cycle regardless (its pull must land on the
+    /// naive cycle), a denied master retries early only if its gate
+    /// declares [`completion_can_admit`](PortGate::completion_can_admit),
+    /// and a master at its outstanding cap becomes ready to attempt.
     pub fn next_activity(&self, now: Cycle) -> Option<Cycle> {
         // Gate-internal schedules (window rolls, telemetry registers)
         // must run at their naive cycles even when the master itself has
@@ -562,7 +572,7 @@ impl Master {
                 // crossbar pop from this port (FIFO space) — both are
                 // executed cycles that explicitly wake this master.
                 None
-            } else if self.last_denied && !self.gate_dirty {
+            } else if self.last_denied && !(self.gate_dirty && self.gate.completion_can_admit()) {
                 // The denial can only flip at the gate's latched edge.
                 self.retry_at.map(|c| c.max(now))
             } else {
@@ -584,36 +594,77 @@ impl Master {
         }
     }
 
-    /// Replicates the per-cycle stall accounting of every naive cycle in
+    /// Replicates the per-cycle effects of every naive cycle in
     /// `(last_tick, now)` — the cycles the event loop skipped for this
-    /// master. Called immediately before a wake tick at `now`, and once
-    /// more at run end (with `now` = final cycle) to flush the tail.
+    /// master. Called immediately before a wake tick at `now`, before a
+    /// completion is delivered to a master that did not tick that cycle,
+    /// and once more at run end (with `now` = final cycle) to flush the
+    /// tail.
     ///
-    /// A skipped cycle has exactly one of three per-cycle effects in
-    /// naive stepping: a FIFO-blocked staged request burns a fifo-stall
-    /// cycle (the gate is never consulted behind a full FIFO), a
-    /// gate-denied staged request burns a gate-stall cycle plus the
-    /// gate's own per-denied-cycle accounting, or nothing (idle, draining
-    /// or waiting sleep states touch no counters).
+    /// A skipped cycle has exactly one of four effects in naive
+    /// stepping:
+    ///
+    /// * a FIFO-blocked staged request burns a fifo-stall cycle (the gate
+    ///   is never consulted behind a full FIFO);
+    /// * a gate-denied staged request burns a gate-stall cycle plus the
+    ///   gate's own per-denied-cycle accounting, and its retry clears
+    ///   `gate_dirty` (the denial a completion could not flip is
+    ///   re-established);
+    /// * an empty tick (nothing staged, nothing to pull: draining at the
+    ///   outstanding cap or exhausted) clears `pull_pending`;
+    /// * nothing (a staged request waiting for its issue cycle or for the
+    ///   outstanding cap).
+    ///
+    /// Replaying the flags keeps the walked state equal to naive
+    /// stepping's at every flush point, quiesced boundaries included.
     pub(crate) fn catch_up(&mut self, now: Cycle) {
         let span = now.get().saturating_sub(self.last_tick.get() + 1);
-        if span == 0 || self.staged.is_none() {
+        if span == 0 {
             return;
         }
-        if self.fifo_blocked {
+        if self.staged.is_none() {
+            self.pull_pending = false;
+        } else if self.fifo_blocked {
             self.stats.fifo_stall_cycles += span;
         } else if self.last_denied {
             self.stats.gate_stall_cycles += span;
             self.gate.on_denied_skip(span);
+            self.gate_dirty = false;
         }
     }
 
-    /// Flushes skipped-cycle accounting up to (but not including)
-    /// `final_cycle` and records it as caught up, so statistics read
-    /// between runs match naive stepping exactly.
-    pub(crate) fn finish_fast_run(&mut self, final_cycle: Cycle) {
-        self.catch_up(final_cycle);
-        self.last_tick = Cycle::new(final_cycle.get().saturating_sub(1)).max(self.last_tick);
+    /// Flushes skipped-cycle effects for every cycle before `end` and
+    /// records them as caught up, so state read at `end` (between runs,
+    /// or by a delivery at `end - 1`) matches naive stepping exactly.
+    pub(crate) fn flush_until(&mut self, end: Cycle) {
+        self.catch_up(end);
+        self.last_tick = Cycle::new(end.get().saturating_sub(1)).max(self.last_tick);
+    }
+
+    /// Whether the most recent tick ended stalled on interconnect FIFO
+    /// space: only then can a crossbar pop from this port change what
+    /// the master does next.
+    pub(crate) fn fifo_blocked(&self) -> bool {
+        self.fifo_blocked
+    }
+
+    /// Event-calendar delivery of a completion at `now`, returning the
+    /// earliest cycle after `now` this master must execute.
+    ///
+    /// Naive stepping ticks the master at `now` before the DRAM phase,
+    /// so the cycles it skipped are flushed through `now` first. A
+    /// master with nothing staged executes `now + 1`, where naive pulls
+    /// from its source; any other master re-queries
+    /// [`next_activity`](Self::next_activity).
+    pub(crate) fn deliver(&mut self, response: &Response, now: Cycle) -> Option<Cycle> {
+        let next = now + 1;
+        self.flush_until(next);
+        self.on_response(response, now);
+        if self.staged.is_none() {
+            Some(next)
+        } else {
+            self.next_activity(next)
+        }
     }
 
     /// Delivers a completion belonging to this master.

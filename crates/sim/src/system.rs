@@ -493,12 +493,15 @@ impl Soc {
         // Phase 3: crossbar arbitration. Ticked whenever backlogged (the
         // tick is a pure no-op when the DRAM queue is full, exactly as in
         // naive stepping). A pop frees FIFO space the owning master can
-        // use from the next cycle on.
+        // use from the next cycle on; only a FIFO-blocked master can
+        // act on it.
         let mut popped = None;
         if self.xbar.queued() > 0 {
             popped = self.xbar.tick(now, &mut self.dram, &self.arena);
             if let Some(p) = popped {
-                cal.set_min(p as u32, next.get());
+                if self.masters[p].fifo_blocked() {
+                    cal.set_min(p as u32, next.get());
+                }
             }
         }
 
@@ -509,8 +512,8 @@ impl Soc {
             let responses = self.dram.tick(now, &mut self.arena);
             for response in responses {
                 let idx = response.request.master.index();
-                self.masters[idx].on_response(response, now);
-                cal.set_min(idx as u32, next.get());
+                let wake = self.masters[idx].deliver(response, now);
+                cal.set_min(idx as u32, wake.map_or(NEVER, |c| c.get()));
             }
             let wake = self.dram.next_activity(next).map_or(NEVER, |c| c.get());
             cal.set(dram_tok, wake);
@@ -540,7 +543,7 @@ impl Soc {
     /// each had ticked through `final_cycle - 1`.
     fn flush_fast_stats(&mut self, final_cycle: Cycle) {
         for m in &mut self.masters {
-            m.finish_fast_run(final_cycle);
+            m.flush_until(final_cycle);
         }
     }
 
@@ -890,7 +893,10 @@ impl Soc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::GateDecision;
     use crate::master::SequentialSource;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn no_refresh() -> SocConfig {
         SocConfig {
@@ -1008,6 +1014,185 @@ mod tests {
     #[should_panic(expected = "at least one master")]
     fn empty_soc_rejected() {
         let _ = SocBuilder::new(no_refresh()).build();
+    }
+
+    /// Host-side counts of one gate's calls, shared with the test.
+    #[derive(Debug, Default)]
+    struct Calls {
+        ticks: AtomicU64,
+        denials: AtomicU64,
+    }
+
+    /// A byte budget refilled every `period` cycles that counts master
+    /// ticks (`on_cycle`) and denied `try_accept` calls, and declares
+    /// through `admits` whether a completion can flip a denial.
+    #[derive(Debug, Clone)]
+    struct CountingBudget {
+        period: u64,
+        budget: u64,
+        used: u64,
+        start: u64,
+        stalls: u64,
+        admits: bool,
+        calls: Arc<Calls>,
+    }
+
+    impl CountingBudget {
+        fn new(period: u64, budget: u64, admits: bool) -> (Self, Arc<Calls>) {
+            let calls = Arc::new(Calls::default());
+            let gate = CountingBudget {
+                period,
+                budget,
+                used: 0,
+                start: 0,
+                stalls: 0,
+                admits,
+                calls: Arc::clone(&calls),
+            };
+            (gate, calls)
+        }
+    }
+
+    impl PortGate for CountingBudget {
+        fn on_cycle(&mut self, now: Cycle) {
+            self.calls.ticks.fetch_add(1, Ordering::Relaxed);
+            if now.get() >= self.start + self.period {
+                self.start += (now.get() - self.start) / self.period * self.period;
+                self.used = 0;
+            }
+        }
+
+        fn try_accept(&mut self, request: &crate::axi::Request, _now: Cycle) -> GateDecision {
+            if self.used + request.bytes() <= self.budget {
+                self.used += request.bytes();
+                GateDecision::Accept
+            } else {
+                self.calls.denials.fetch_add(1, Ordering::Relaxed);
+                self.stalls += 1;
+                GateDecision::Deny
+            }
+        }
+
+        fn next_activity(&self, now: Cycle) -> Option<Cycle> {
+            Some(Cycle::new(self.start + self.period).max(now))
+        }
+
+        fn on_denied_skip(&mut self, cycles: u64) {
+            self.stalls += cycles;
+        }
+
+        fn completion_can_admit(&self) -> bool {
+            self.admits
+        }
+
+        fn collect_metrics(&self, prefix: &str, registry: &mut MetricsRegistry) {
+            registry.counter(format!("{prefix}.stalls"), self.stalls);
+            registry.counter(format!("{prefix}.window_start"), self.start);
+        }
+    }
+
+    /// Every statistic and gate counter both cores must agree on.
+    fn outcome(soc: &Soc) -> String {
+        soc.collect_metrics().to_csv()
+    }
+
+    /// Four 256 B readers (outstanding 8) behind 1 KiB-per-2000-cycle
+    /// budgets: each window opens with a four-request burst, then the
+    /// port is denied until the window rolls while its four completions
+    /// arrive.
+    fn budget_soc(admits: bool, naive: bool) -> (Soc, Vec<Arc<Calls>>) {
+        let mut b = SocBuilder::new(no_refresh());
+        let mut calls = Vec::new();
+        for i in 0..4u64 {
+            let (gate, c) = CountingBudget::new(2_000, 1_024, admits);
+            calls.push(c);
+            b = b.gated_master(
+                format!("r{i}"),
+                SequentialSource::reads(i << 28, 256, u64::MAX).with_footprint(1 << 20),
+                MasterKind::Accelerator,
+                gate,
+            );
+        }
+        let mut soc = b.build();
+        soc.set_naive(naive);
+        soc.set_leap(false);
+        (soc, calls)
+    }
+
+    #[test]
+    fn completions_do_not_retry_a_denial_they_cannot_flip() {
+        const CYCLES: u64 = 200_000;
+        let windows = CYCLES / 2_000;
+        let denials = |calls: &[Arc<Calls>]| -> Vec<u64> {
+            calls
+                .iter()
+                .map(|c| c.denials.load(Ordering::Relaxed))
+                .collect()
+        };
+
+        let (mut naive, _) = budget_soc(false, true);
+        naive.run(CYCLES);
+        let (mut fast, calls) = budget_soc(false, false);
+        fast.run(CYCLES);
+        assert_eq!(outcome(&fast), outcome(&naive));
+        // One denied attempt per window per master: the one that finds
+        // the budget spent. The four completions that follow leave the
+        // port asleep until the window rolls.
+        for (i, &d) in denials(&calls).iter().enumerate() {
+            assert!(
+                (windows - 1..=windows).contains(&d),
+                "master {i}: {d} denied attempts over {windows} windows"
+            );
+        }
+
+        // A gate that declares completions can admit is retried after
+        // every completion: one more denied attempt per completion.
+        let (mut eager, calls) = budget_soc(true, false);
+        eager.run(CYCLES);
+        assert_eq!(outcome(&eager), outcome(&naive));
+        for (i, &d) in denials(&calls).iter().enumerate() {
+            assert!(
+                d >= 4 * windows,
+                "master {i}: {d} denied attempts over {windows} windows"
+            );
+        }
+    }
+
+    #[test]
+    fn a_master_at_its_cap_sleeps_through_its_own_crossbar_pop() {
+        // One outstanding request: every push leaves the master at its
+        // cap with nothing staged, and the crossbar pops the request
+        // into DRAM right away. Only the completion can change what the
+        // master does, so it executes once per transaction: the cycle
+        // after each completion, where it pulls and pushes the next.
+        const TXNS: u64 = 500;
+        let build = |naive: bool| {
+            let (gate, calls) = CountingBudget::new(1_000, u64::MAX, false);
+            let mut soc = SocBuilder::new(no_refresh())
+                .master_full(
+                    "cpu",
+                    SequentialSource::reads(0, 256, TXNS).with_footprint(1 << 20),
+                    MasterKind::Cpu,
+                    gate,
+                    1,
+                )
+                .build();
+            soc.set_naive(naive);
+            soc.set_leap(false);
+            (soc, calls)
+        };
+        let (mut naive, _) = build(true);
+        let (mut fast, calls) = build(false);
+        let at = fast.run_until_all_done(10_000_000);
+        assert_eq!(at, naive.run_until_all_done(10_000_000));
+        assert_eq!(outcome(&fast), outcome(&naive));
+        let ticks = calls.ticks.load(Ordering::Relaxed);
+        // Plus the gate's window rolls while a request is in flight.
+        let windows = at.expect("the reader drains").get() / 1_000;
+        assert!(
+            ticks <= TXNS + windows + 1,
+            "{ticks} master ticks for {TXNS} transactions over {windows} windows"
+        );
     }
 
     #[test]

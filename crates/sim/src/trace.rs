@@ -216,6 +216,10 @@ impl<G: PortGate + Clone + 'static> PortGate for TracingGate<G> {
         self.inner.on_denied_skip(cycles);
     }
 
+    fn completion_can_admit(&self) -> bool {
+        self.inner.completion_can_admit()
+    }
+
     fn label(&self) -> &'static str {
         self.inner.label()
     }

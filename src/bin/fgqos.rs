@@ -1110,6 +1110,56 @@ mod tests {
         parse_args(list.iter().map(|s| s.to_string()))
     }
 
+    /// `usage()` split into entries, one per `fgqos ...` line plus its
+    /// indented continuation lines, each keyed by its subcommand word
+    /// (`""` for the plain run) and tokenized on whitespace and the
+    /// `[ ] ( ) |` grouping marks.
+    fn usage_entries() -> Vec<(&'static str, Vec<&'static str>)> {
+        let mut entries: Vec<(&str, Vec<&str>)> = Vec::new();
+        for line in usage().lines() {
+            let line = line.trim_start_matches("usage:").trim();
+            let tokens = line.split(|c: char| c.is_whitespace() || "[]()|".contains(c));
+            let tokens = tokens.filter(|t| !t.is_empty());
+            match line.strip_prefix("fgqos ") {
+                Some(rest) => {
+                    let word = rest.split_whitespace().next().unwrap_or_default();
+                    let name = if word.starts_with('<') { "" } else { word };
+                    entries.push((name, tokens.collect()));
+                }
+                None => entries
+                    .last_mut()
+                    .expect("usage starts with an fgqos line")
+                    .1
+                    .extend(tokens),
+            }
+        }
+        entries
+    }
+
+    #[test]
+    fn usage_documents_every_flag_on_its_subcommand_line() {
+        let entries = usage_entries();
+        for g in std::iter::once(&RUN).chain(&SUBCOMMANDS) {
+            let mine: Vec<&Vec<&str>> = entries
+                .iter()
+                .filter(|(name, _)| *name == g.name)
+                .map(|(_, tokens)| tokens)
+                .collect();
+            assert!(!mine.is_empty(), "usage has no line for {:?}", g.name);
+            for flag in g
+                .switches
+                .split_whitespace()
+                .chain(g.values.split_whitespace())
+            {
+                assert!(
+                    mine.iter().any(|tokens| tokens.contains(&flag)),
+                    "usage does not document {flag} on the {:?} line",
+                    g.name
+                );
+            }
+        }
+    }
+
     #[test]
     fn parses_run_defaults() {
         let Ok(Cmd::Run(a)) = args(&["scen.fgq"]) else {
