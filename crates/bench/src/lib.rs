@@ -1,4 +1,4 @@
-//! # fgqos-bench — experiment harnesses and micro-benchmarks
+//! # fgqos-bench — experiment harnesses and the perf-ratio gate
 //!
 //! One binary per paper table/figure (see `DESIGN.md` for the experiment
 //! index and `EXPERIMENTS.md` for paper-vs-measured records):
@@ -20,18 +20,23 @@
 //! This library crate also hosts the `.fgq` scenario DSL ([`scenario`]),
 //! the one system description every consumer builds through, and the
 //! shared harness utilities ([`corun`], [`sweep`], [`table`]) used by
-//! those binaries and by the Criterion benches. The co-run experiments
-//! render their systems as `.fgq` text ([`corun::CoRun::fgq`]) and build
-//! them through [`scenario::ScenarioSpec`]. The binaries evaluate their
-//! grids through [`sweep::run_parallel`], so wall-clock scales with the
-//! machine while row order stays deterministic. `exp_granularity` is the
-//! exception: its points share one long warm-up, which it runs once and
-//! forks per point, serially. No binary takes command-line flags.
+//! those binaries. The co-run experiments render their systems as `.fgq`
+//! text ([`corun::CoRun::fgq`]) and build them through
+//! [`scenario::ScenarioSpec`]. The binaries evaluate their grids through
+//! [`sweep::run_parallel`], so wall-clock scales with the machine while
+//! row order stays deterministic. `exp_granularity` is the exception: its
+//! points share one long warm-up, which it runs once and forks per point,
+//! serially. No binary takes command-line flags.
+//!
+//! One more binary, `perf_smoke`, is CI's speed gate: it times pairs of
+//! runs of the committed `scenarios/*.fgq` files inside one process and
+//! checks their ratios (calendar/naive, leap on/off, cold warm-up against
+//! a fork and a blob load), so the gate holds however fast the host is
+//! that day.
 
 pub mod corun;
 pub mod report;
 pub mod rng;
 pub mod scenario;
-pub mod scenarios;
 pub mod sweep;
 pub mod table;

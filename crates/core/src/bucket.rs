@@ -9,8 +9,8 @@
 //! more than depth + rate·Δ bytes in any interval").
 //!
 //! The paper's IP uses windows — this variant exists for the design-space
-//! ablation (`exp_ablations` / `benches/ablations.rs`): same average
-//! bandwidth, different burst structure.
+//! ablation (`exp_ablations`): same average bandwidth, different burst
+//! structure.
 
 use crate::regulator::OvershootPolicy;
 use fgqos_sim::axi::Request;

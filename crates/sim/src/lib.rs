@@ -125,7 +125,7 @@ pub use trace::{ChromeTraceBuilder, Trace, TraceEvent, TracingGate};
 // state walk and rebind driver handles without depending on `fgqos-snap`
 // directly.
 pub use fgqos_snap::{
-    fnv64, BlobStore, CowVec, ForkCtx, SharedFork, SnapDecodeError, SnapshotBlob, SnapshotError,
+    fnv64, BlobStore, ForkCtx, SharedFork, SnapDecodeError, SnapshotBlob, SnapshotError,
     StateWalker, TypedSnapshot,
 };
 

@@ -6,7 +6,7 @@
 //! attached to every master for arbitrarily long runs.
 
 use crate::time::{Bandwidth, Cycle, Freq};
-use fgqos_snap::{CowVec, StateWalker};
+use fgqos_snap::StateWalker;
 use std::ops::Range;
 
 /// Accumulates transferred bytes over an interval and converts the count
@@ -348,13 +348,11 @@ pub struct WindowRecorder {
     window_cycles: u64,
     current_window: u64,
     current_value: u64,
-    // Copy-on-write so forked runs share the warm-up series until they
-    // close their first window.
-    windows: CowVec<u64>,
+    windows: Vec<u64>,
     /// Scratch histogram for the current window; `Some` enables per-window
     /// latency summaries (see [`WindowRecorder::with_latency`]).
     lat_scratch: Option<LatencyStats>,
-    lat_windows: CowVec<WindowLatency>,
+    lat_windows: Vec<WindowLatency>,
 }
 
 /// Per-window latency summary produced by a [`WindowRecorder`] in latency
@@ -382,9 +380,9 @@ impl WindowRecorder {
             window_cycles,
             current_window: 0,
             current_value: 0,
-            windows: CowVec::default(),
+            windows: Vec::new(),
             lat_scratch: None,
-            lat_windows: CowVec::default(),
+            lat_windows: Vec::new(),
         }
     }
 
@@ -478,15 +476,21 @@ impl WindowRecorder {
         }
         w.plain(&mut self.current_window);
         w.plain(&mut self.current_value);
-        w.cow_vec(&mut self.windows, |w, v| w.plain(v));
+        let n = w.len(self.windows.len());
+        self.windows.resize(n, 0);
+        for v in &mut self.windows {
+            w.plain(v);
+        }
         if let Some(s) = w.option(&mut self.lat_scratch) {
             s.visit_state(w);
         }
-        w.cow_vec(&mut self.lat_windows, |w, lw| {
+        let n = w.len(self.lat_windows.len());
+        self.lat_windows.resize(n, WindowLatency::default());
+        for lw in &mut self.lat_windows {
             w.plain(&mut lw.count);
             w.plain(&mut lw.p50);
             w.plain(&mut lw.p99);
-        });
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Snapshot/fork primitives shared by the simulator and its drivers.
 //!
 //! The crate is deliberately tiny and dependency-free: it provides the
-//! three mechanisms every snapshottable component needs, without knowing
+//! two mechanisms every snapshottable component needs, without knowing
 //! anything about the components themselves.
 //!
 //! - [`StateWalker`] — the one field walk every component implements
@@ -18,12 +18,9 @@
 //!   A fork is a `clone` plus one walk in fork mode
 //!   ([`StateWalker::forker`]), which passes every handle a component
 //!   declares with [`StateWalker::shared`] through the context.
-//! - [`CowVec`] — copy-on-write vector for the per-window series, so
-//!   forking N runs from one snapshot does not copy N × the warm-up
-//!   history until a fork writes. Latency histograms are not
-//!   copy-on-write: they are written on every transaction, so they own
-//!   their buckets and store only the occupied range, which a fork
-//!   copies.
+//!
+//! Latency histograms and per-window series are plain owned vectors: a
+//! fork copies them (histograms store only their occupied range).
 //!
 //! [`SnapshotError`] is the common error type for fallible snapshot and
 //! fork operations.
@@ -42,7 +39,6 @@ pub use wire::{BlobStore, SnapDecodeError, SnapReader, SnapshotBlob};
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
-use std::ops::{Deref, Index, IndexMut};
 use std::sync::{Arc, Mutex};
 
 /// Errors from snapshot capture and fork operations.
@@ -159,85 +155,6 @@ impl ForkCtx {
     }
 }
 
-/// A copy-on-write vector: clones of a `CowVec` share one allocation
-/// until one of them writes.
-///
-/// Used for the per-window series, which grow by one entry per window,
-/// so that forking N runs from one warm snapshot shares the warm-up
-/// history instead of copying it N times. It suits data written rarely:
-/// every write pays an atomic reference-count check. Reads go through
-/// `Deref<Target = [T]>`; writes go through [`make_mut`](Self::make_mut)
-/// or `IndexMut`, which clone the allocation only while it is shared.
-#[derive(Debug, Clone)]
-pub struct CowVec<T> {
-    inner: Arc<Vec<T>>,
-}
-
-impl<T> CowVec<T> {
-    /// Wraps an owned vector.
-    pub fn new(v: Vec<T>) -> Self {
-        CowVec { inner: Arc::new(v) }
-    }
-
-    /// True when another clone currently shares the allocation.
-    pub fn is_shared(&self) -> bool {
-        Arc::strong_count(&self.inner) > 1
-    }
-}
-
-impl<T: Clone> CowVec<T> {
-    /// Mutable access to the underlying vector, cloning the allocation
-    /// first if it is shared.
-    pub fn make_mut(&mut self) -> &mut Vec<T> {
-        Arc::make_mut(&mut self.inner)
-    }
-
-    /// Appends an element (copy-on-write).
-    pub fn push(&mut self, v: T) {
-        self.make_mut().push(v);
-    }
-}
-
-impl<T> Default for CowVec<T> {
-    fn default() -> Self {
-        CowVec::new(Vec::new())
-    }
-}
-
-impl<T> Deref for CowVec<T> {
-    type Target = [T];
-    fn deref(&self) -> &[T] {
-        &self.inner
-    }
-}
-
-impl<T, I: std::slice::SliceIndex<[T]>> Index<I> for CowVec<T> {
-    type Output = I::Output;
-    fn index(&self, i: I) -> &I::Output {
-        &self.inner[i]
-    }
-}
-
-impl<T: Clone> IndexMut<usize> for CowVec<T> {
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        &mut self.make_mut()[i]
-    }
-}
-
-impl<T: PartialEq> PartialEq for CowVec<T> {
-    fn eq(&self, other: &Self) -> bool {
-        *self.inner == *other.inner
-    }
-}
-
-impl<T: Eq> Eq for CowVec<T> {}
-
-impl<T> From<Vec<T>> for CowVec<T> {
-    fn from(v: Vec<T>) -> Self {
-        CowVec::new(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,26 +192,6 @@ mod tests {
         let fb = ctx.fork_arc(&b);
         assert!(!Arc::ptr_eq(&fa, &fb));
         assert_eq!(ctx.len(), 2);
-    }
-
-    #[test]
-    fn cow_vec_shares_until_write() {
-        let mut a = CowVec::new(vec![1u64, 2, 3]);
-        let b = a.clone();
-        assert!(a.is_shared());
-        a[1] = 20;
-        assert!(!a.is_shared());
-        assert_eq!(&a[..], &[1, 20, 3]);
-        assert_eq!(&b[..], &[1, 2, 3]);
-    }
-
-    #[test]
-    fn cow_vec_push_and_eq() {
-        let mut a: CowVec<u32> = CowVec::default();
-        a.push(5);
-        let b = CowVec::new(vec![5]);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 1);
     }
 
     #[test]

@@ -53,7 +53,7 @@
 
 use crate::typed::{FieldKind, FieldSpan, TypedSnapshot};
 use crate::wire::{SnapDecodeError, SnapReader};
-use crate::{CowVec, ForkCtx, SharedFork, SnapshotError};
+use crate::{ForkCtx, SharedFork, SnapshotError};
 use std::any::Any;
 use std::fmt;
 use std::ops::Range;
@@ -577,33 +577,6 @@ impl<'a> StateWalker<'a> {
     /// [`Default`] placeholder.
     pub fn option<'t, T: Default>(&mut self, v: &'t mut Option<T>) -> Option<&'t mut T> {
         self.option_with(v, T::default)
-    }
-
-    /// A length-prefixed copy-on-write series. Writing walks clones of
-    /// the elements, so fingerprinting a fork never un-shares the
-    /// allocation; a loader rebuilds the series from the stream; a fork
-    /// keeps sharing it and walks nothing.
-    pub fn cow_vec<T: Clone + Default>(
-        &mut self,
-        v: &mut CowVec<T>,
-        mut each: impl FnMut(&mut Self, &mut T),
-    ) {
-        let n = self.len(v.len());
-        match self.mode {
-            Mode::Load { .. } => {
-                let mut items = vec![T::default(); n];
-                for x in &mut items {
-                    each(self, x);
-                }
-                *v = CowVec::new(items);
-            }
-            Mode::Fork { .. } => {}
-            _ => {
-                for x in v.iter() {
-                    each(self, &mut x.clone());
-                }
-            }
-        }
     }
 
     /// A histogram whose bins sum to `total`, stored as the counts of

@@ -63,7 +63,8 @@
 //! Worker options:
 //!   --connect HOST:PORT  coordinator to register with (required)
 //!   --addr HOST:PORT  worker listen address (default 127.0.0.1:0)
-//!   --threads / --max-frame / --admit-* / --blob-dir   as for serve
+//!   --threads N / --max-frame N / --blob-dir DIR   as for serve
+//!   --admit-budget N / --admit-period-ms N / --admit-depth N   as for serve
 //!
 //! Submit options:
 //!   --addr HOST:PORT  server address (default 127.0.0.1:7171)
@@ -92,6 +93,9 @@
 //!   --budget N / --period N / --enable on|off   exactly one register
 //!                     write, in the `.fgq` token syntax (`4K`, `0x1000`);
 //!                     it applies at the next window boundary
+//!   --addr HOST:PORT  server address (default 127.0.0.1:7171)
+//!
+//! Shutdown options:
 //!   --addr HOST:PORT  server address (default 127.0.0.1:7171)
 //!
 //! Exit status: 0 on success (including `--help`), 1 on runtime errors
@@ -1154,6 +1158,60 @@ mod tests {
                 assert!(
                     mine.iter().any(|tokens| tokens.contains(&flag)),
                     "usage does not document {flag} on the {:?} line",
+                    g.name
+                );
+            }
+        }
+    }
+
+    /// The module doc's option sections (`Run options:`, `Hunt
+    /// options:`, ...), each keyed like [`usage_entries`] and tokenized
+    /// on whitespace and the `[ ] ( ) | / , `` marks.
+    fn doc_sections() -> Vec<(String, Vec<&'static str>)> {
+        let mut sections: Vec<(String, Vec<&str>)> = Vec::new();
+        let mut open = false;
+        let doc = include_str!("fgqos.rs")
+            .lines()
+            .map_while(|l| l.strip_prefix("//!"));
+        for line in doc.map(str::trim) {
+            let heading = line
+                .split_once(" options")
+                .filter(|(word, _)| line.ends_with(':') && !word.contains(' '));
+            if let Some((word, _)) = heading {
+                let name = if word == "Run" { "" } else { word };
+                sections.push((name.to_lowercase(), Vec::new()));
+                open = true;
+            } else if line.is_empty() {
+                open = false;
+            } else if open {
+                let tokens = line.split(|c: char| c.is_whitespace() || "[]()|/,`".contains(c));
+                let section = sections.last_mut().expect("a heading opened it");
+                section.1.extend(tokens.filter(|t| !t.is_empty()));
+            }
+        }
+        sections
+    }
+
+    #[test]
+    fn module_doc_lists_every_flag_under_its_subcommand() {
+        let sections = doc_sections();
+        for g in std::iter::once(&RUN).chain(&SUBCOMMANDS) {
+            let flags: Vec<&str> = g
+                .switches
+                .split_whitespace()
+                .chain(g.values.split_whitespace())
+                .collect();
+            if flags.is_empty() {
+                continue;
+            }
+            let (_, tokens) = sections
+                .iter()
+                .find(|(name, _)| name == g.name)
+                .unwrap_or_else(|| panic!("module doc has no options section for {:?}", g.name));
+            for flag in flags {
+                assert!(
+                    tokens.contains(&flag),
+                    "module doc does not list {flag} under the {:?} options",
                     g.name
                 );
             }

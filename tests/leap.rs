@@ -14,55 +14,17 @@ use fgqos::baselines::prelude::*;
 use fgqos::core::prelude::*;
 use fgqos::prelude::*;
 use fgqos::sim::axi::{Dir, MasterId};
-use fgqos::sim::master::TrafficSource;
 use fgqos::sim::snapshot::SocSnapshot;
-use fgqos::sim::stats::LatencyStats;
 use fgqos::sim::system::Soc;
 use fgqos::sim::SnapshotBlob;
 use fgqos::workloads::prelude::*;
 use proptest::prelude::*;
 
+mod common;
+use common::stats_fingerprint;
+
 /// Bound for quiesce searches (same rationale as `tests/snapshot.rs`).
 const QUIESCE_BOUND: u64 = 20_000_000;
-
-/// Full histogram snapshot: count, min, max and every non-empty bucket.
-type LatKey = (u64, u64, u64, Vec<(u64, u64)>);
-
-fn lat_key(l: &LatencyStats) -> LatKey {
-    (l.count(), l.min(), l.max(), l.nonzero_buckets().collect())
-}
-
-type MasterKey = (u64, u64, u64, u64, u64, LatKey, LatKey);
-type DramKey = (u64, u64, u64, u64, u64, u64, u64, LatKey);
-
-fn stats_fingerprint(soc: &Soc) -> (Vec<MasterKey>, DramKey) {
-    let masters = (0..soc.master_count())
-        .map(|i| {
-            let st = soc.master_stats(MasterId::new(i));
-            (
-                st.issued_txns,
-                st.completed_txns,
-                st.bytes_completed,
-                st.gate_stall_cycles,
-                st.fifo_stall_cycles,
-                lat_key(&st.latency),
-                lat_key(&st.service_latency),
-            )
-        })
-        .collect();
-    let d = soc.dram_stats();
-    let dram = (
-        d.bytes_completed,
-        d.reads,
-        d.writes,
-        d.row_hits,
-        d.row_misses,
-        d.bus_busy_cycles,
-        d.refreshes,
-        lat_key(&d.queue_wait),
-    );
-    (masters, dram)
-}
 
 /// A saturated TC-regulated SoC: unbounded greedy streams, tight byte
 /// budgets, DRAM refresh on — the workload class the leap engine exists

@@ -11,74 +11,21 @@
 
 use fgqos::core::prelude::*;
 use fgqos::prelude::*;
-use fgqos::sim::axi::{Dir, MasterId};
+use fgqos::sim::axi::MasterId;
 use fgqos::sim::gate::OpenGate;
 use fgqos::sim::json::Value;
-use fgqos::sim::master::TrafficSource;
 use fgqos::sim::metrics::MetricValue;
-use fgqos::sim::stats::LatencyStats;
 use fgqos::sim::system::Soc;
 use fgqos::sim::trace::{Trace, TraceEvent, TracingGate};
-use fgqos::workloads::prelude::*;
 use proptest::prelude::*;
 use std::path::Path;
 
-/// One randomly drawn master of the equivalence scenarios.
-#[derive(Debug, Clone, Copy)]
-struct MasterSpec {
-    gate_sel: u8,
-    src_sel: u8,
-    seed: u64,
-    p1: u64,
-    p2: u64,
-}
+mod common;
+use common::{make_gate, make_source, master_kind, master_specs, stats_fingerprint, MasterSpec};
 
-fn master_specs() -> impl Strategy<Value = Vec<MasterSpec>> {
-    prop::collection::vec(
-        (0u8..3, 0u8..3, 0u64..1_000, 0u64..10_000, 0u64..10_000).prop_map(
-            |(gate_sel, src_sel, seed, p1, p2)| MasterSpec {
-                gate_sel,
-                src_sel,
-                seed,
-                p1,
-                p2,
-            },
-        ),
-        1..4,
-    )
-}
-
-fn make_source(i: usize, m: MasterSpec) -> Box<dyn TrafficSource> {
-    let base = (i as u64) << 28;
-    match m.src_sel {
-        0 => {
-            let spec = TrafficSpec {
-                gap: m.p1 % 64,
-                ..TrafficSpec::stream(base, 1 << 20, 256, Dir::Read)
-            }
-            .with_total(150);
-            Box::new(SpecSource::new(spec, m.seed))
-        }
-        1 => {
-            let spec = TrafficSpec::stream(base, 1 << 20, 128, Dir::Write)
-                .with_burst(BurstShape {
-                    on_cycles: 50 + m.p1 % 200,
-                    off_cycles: 1 + m.p2 % 400,
-                })
-                .with_total(120);
-            Box::new(SpecSource::new(spec, m.seed))
-        }
-        _ => {
-            let spec =
-                TrafficSpec::latency_sensitive(base, 1 << 20, 64, 10 + m.p1 % 300).with_total(100);
-            Box::new(SpecSource::new(spec, m.seed))
-        }
-    }
-}
-
-/// Builds the SoC; `observe` wraps every gate in a [`TracingGate`] and
-/// turns on per-window latency recording — the run under test must not
-/// be able to tell the difference.
+/// Builds the machine `specs` draw; `observe` wraps every gate in a
+/// [`TracingGate`] and turns on per-window latency recording — the run
+/// under test must not be able to tell the difference.
 fn build_soc(specs: &[MasterSpec], observe: Option<&Trace>) -> Soc {
     let cfg = SocConfig {
         dram: DramConfig {
@@ -92,82 +39,18 @@ fn build_soc(specs: &[MasterSpec], observe: Option<&Trace>) -> Soc {
         b = b.record_windows_with_latency(1_000);
     }
     for (i, &m) in specs.iter().enumerate() {
-        let name = format!("m{i}");
-        let kind = if m.src_sel == 2 {
-            MasterKind::Cpu
-        } else {
-            MasterKind::Accelerator
-        };
-        let src = make_source(i, m);
-        macro_rules! gated {
-            ($gate:expr) => {
-                match observe {
-                    Some(trace) => {
-                        b.gated_master(name, src, kind, TracingGate::new($gate, trace.clone()))
-                    }
-                    None => b.gated_master(name, src, kind, $gate),
-                }
-            };
-        }
-        b = match m.gate_sel {
-            0 => gated!(OpenGate),
-            1 => {
-                let (reg, _driver) = TcRegulator::create(RegulatorConfig {
-                    period_cycles: 128 + (m.p1 % 2_000) as u32,
-                    budget_bytes: 512 + (m.p2 % 8_000) as u32,
-                    enabled: true,
-                    ..RegulatorConfig::default()
-                });
-                gated!(reg)
-            }
-            _ => gated!(fgqos::baselines::memguard::MemGuardGate::new(
-                fgqos::baselines::memguard::MemGuardConfig {
-                    tick_cycles: 500 + m.p1 % 4_000,
-                    budget_bytes: 256 + m.p2 % 4_000,
-                    irq_latency_cycles: m.p1 % 300,
-                }
-            )),
+        let (name, src, kind, gate) = (
+            format!("m{i}"),
+            make_source(i, m),
+            master_kind(m),
+            make_gate(m),
+        );
+        b = match observe {
+            Some(trace) => b.gated_master(name, src, kind, TracingGate::new(gate, trace.clone())),
+            None => b.gated_master(name, src, kind, gate),
         };
     }
     b.build()
-}
-
-type LatKey = (u64, u64, u64, Vec<(u64, u64)>);
-
-fn lat_key(l: &LatencyStats) -> LatKey {
-    (l.count(), l.min(), l.max(), l.nonzero_buckets().collect())
-}
-
-type MasterKey = (u64, u64, u64, u64, u64, LatKey, LatKey);
-type DramKey = (u64, u64, u64, u64, u64, u64, u64, LatKey);
-
-fn fingerprint(soc: &Soc) -> (Vec<MasterKey>, DramKey) {
-    let masters = (0..soc.master_count())
-        .map(|i| {
-            let st = soc.master_stats(MasterId::new(i));
-            (
-                st.issued_txns,
-                st.completed_txns,
-                st.bytes_completed,
-                st.gate_stall_cycles,
-                st.fifo_stall_cycles,
-                lat_key(&st.latency),
-                lat_key(&st.service_latency),
-            )
-        })
-        .collect();
-    let d = soc.dram_stats();
-    let dram = (
-        d.bytes_completed,
-        d.reads,
-        d.writes,
-        d.row_hits,
-        d.row_misses,
-        d.bus_busy_cycles,
-        d.refreshes,
-        lat_key(&d.queue_wait),
-    );
-    (masters, dram)
 }
 
 proptest! {
@@ -192,7 +75,7 @@ proptest! {
         prop_assert_eq!(a, b, "completion cycles diverge for {:?}", specs);
         prop_assert!(a.is_some(), "scenario deadlocked: {:?}", specs);
         prop_assert_eq!(
-            fingerprint(&bare), fingerprint(&observed),
+            stats_fingerprint(&bare), stats_fingerprint(&observed),
             "stats diverge for {:?}", specs
         );
 

@@ -17,9 +17,7 @@
 //!   byte-identical to the local `--json` one.
 
 use fgqos::scenario::{load_scenario_text, ScenarioSpec};
-use fgqos::sim::axi::MasterId;
 use fgqos::sim::snapshot::SocSnapshot;
-use fgqos::sim::stats::LatencyStats;
 use fgqos::sim::system::Soc;
 use fgqos::sim::SnapshotBlob;
 use proptest::prelude::*;
@@ -29,49 +27,8 @@ use std::process::{Command, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Full histogram snapshot: count, min, max and every non-empty bucket.
-type LatKey = (u64, u64, u64, Vec<(u64, u64)>);
-
-fn lat_key(l: &LatencyStats) -> LatKey {
-    (l.count(), l.min(), l.max(), l.nonzero_buckets().collect())
-}
-
-type MasterKey = (u64, u64, u64, u64, u64, LatKey, LatKey);
-type DramKey = (u64, u64, u64, u64, u64, u64, u64, LatKey);
-
-/// Statistics-level fingerprint. `Soc::fingerprint()` folds the core
-/// selector into its stream (naive and calendar state never compare
-/// equal by design), so cross-core equivalence is asserted over the
-/// architectural statistics instead — the same observables
-/// `tests/fast_forward.rs` pins for hand-built SoCs.
-fn stats_fingerprint(soc: &Soc) -> (Vec<MasterKey>, DramKey) {
-    let masters = (0..soc.master_count())
-        .map(|i| {
-            let st = soc.master_stats(MasterId::new(i));
-            (
-                st.issued_txns,
-                st.completed_txns,
-                st.bytes_completed,
-                st.gate_stall_cycles,
-                st.fifo_stall_cycles,
-                lat_key(&st.latency),
-                lat_key(&st.service_latency),
-            )
-        })
-        .collect();
-    let d = soc.dram_stats();
-    let dram = (
-        d.bytes_completed,
-        d.reads,
-        d.writes,
-        d.row_hits,
-        d.row_misses,
-        d.bus_busy_cycles,
-        d.refreshes,
-        lat_key(&d.queue_wait),
-    );
-    (masters, dram)
-}
+mod common;
+use common::stats_fingerprint;
 
 /// A phased, faulted two-master scenario with every free knob supplied
 /// by the caller. The fault family is chosen by `fault_sel` so the

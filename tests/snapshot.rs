@@ -12,232 +12,24 @@
 //! budget groups, software policy controllers and both execution cores
 //! (event calendar and `FGQOS_NAIVE`-style cycle stepping).
 
-use fgqos::baselines::prelude::*;
 use fgqos::bench::report::Report;
 use fgqos::core::prelude::*;
 use fgqos::prelude::*;
 use fgqos::sim::axi::{Dir, MasterId};
-use fgqos::sim::master::TrafficSource;
 use fgqos::sim::snapshot::SocSnapshot;
-use fgqos::sim::stats::LatencyStats;
 use fgqos::sim::system::Soc;
 use fgqos::sim::{fnv64, ForkCtx, SnapDecodeError, SnapshotBlob};
 use fgqos::workloads::prelude::*;
 use proptest::prelude::*;
+
+mod common;
+use common::{build_policy_soc, build_soc, master_specs, stats_fingerprint, MasterSpec};
 
 /// Bound for the quiesce search. Every generated workload is bounded
 /// (a few hundred transactions per master), so the pipeline always
 /// drains well inside this budget; hitting it is a bug, not a flaky
 /// scenario.
 const QUIESCE_BOUND: u64 = 20_000_000;
-
-/// One randomly drawn master: a gate family, a source family and two
-/// free parameters shaping both (same construction as
-/// `tests/fast_forward.rs`).
-#[derive(Debug, Clone, Copy)]
-struct MasterSpec {
-    gate_sel: u8,
-    src_sel: u8,
-    seed: u64,
-    p1: u64,
-    p2: u64,
-}
-
-fn master_specs() -> impl Strategy<Value = Vec<MasterSpec>> {
-    prop::collection::vec(
-        (0u8..6, 0u8..6, 0u64..1_000, 0u64..10_000, 0u64..10_000).prop_map(
-            |(gate_sel, src_sel, seed, p1, p2)| MasterSpec {
-                gate_sel,
-                src_sel,
-                seed,
-                p1,
-                p2,
-            },
-        ),
-        1..4,
-    )
-}
-
-fn make_source(i: usize, m: MasterSpec) -> Box<dyn TrafficSource> {
-    let base = (i as u64) << 28;
-    match m.src_sel {
-        0 => {
-            let spec = TrafficSpec {
-                gap: m.p1 % 64,
-                ..TrafficSpec::stream(base, 1 << 20, 256, Dir::Read)
-            }
-            .with_total(200);
-            Box::new(SpecSource::new(spec, m.seed))
-        }
-        1 => {
-            let spec = TrafficSpec::stream(base, 1 << 20, 128, Dir::Read)
-                .with_write_ratio(0.3)
-                .with_burst(BurstShape {
-                    on_cycles: 50 + m.p1 % 200,
-                    off_cycles: 1 + m.p2 % 400,
-                })
-                .with_total(150);
-            Box::new(SpecSource::new(spec, m.seed))
-        }
-        2 => {
-            let spec =
-                TrafficSpec::latency_sensitive(base, 1 << 20, 64, 10 + m.p1 % 300).with_total(120);
-            Box::new(SpecSource::new(spec, m.seed))
-        }
-        3 => {
-            let spec = TrafficSpec {
-                gap: m.p1 % 100,
-                ..TrafficSpec::stream(base, 1 << 20, 256, Dir::Read)
-            }
-            .with_total(60);
-            let records = TraceSource::from_spec(spec, m.seed, 60).records().to_vec();
-            Box::new(TraceSource::with_loops(records, 2))
-        }
-        4 => {
-            let kernel = Kernel::all()[(m.p1 % 6) as usize];
-            Box::new(kernel.source(base, 1, m.seed))
-        }
-        _ => {
-            // A cached core: a small footprint mixes hits and misses.
-            let spec =
-                TrafficSpec::latency_sensitive(base, 16 << 10, 64, 10 + m.p1 % 300).with_total(200);
-            let cache = CacheConfig {
-                size_bytes: 4 << 10,
-                ..CacheConfig::default()
-            };
-            Box::new(CachedSource::new(SpecSource::new(spec, m.seed), cache))
-        }
-    }
-}
-
-fn add_master(b: SocBuilder, i: usize, m: MasterSpec) -> SocBuilder {
-    let name = format!("m{i}");
-    let kind = if m.src_sel == 2 {
-        MasterKind::Cpu
-    } else {
-        MasterKind::Accelerator
-    };
-    let src = make_source(i, m);
-    match m.gate_sel {
-        0 => b.master(name, src, kind),
-        1 => {
-            let (reg, _driver) = TcRegulator::create(RegulatorConfig {
-                period_cycles: 128 + (m.p1 % 2_000) as u32,
-                budget_bytes: 512 + (m.p2 % 8_000) as u32,
-                enabled: true,
-                ..RegulatorConfig::default()
-            });
-            b.gated_master(name, src, kind, reg)
-        }
-        2 => b.gated_master(
-            name,
-            src,
-            kind,
-            MemGuardGate::new(MemGuardConfig {
-                tick_cycles: 500 + m.p1 % 4_000,
-                budget_bytes: 256 + m.p2 % 4_000,
-                irq_latency_cycles: m.p1 % 300,
-            }),
-        ),
-        3 => {
-            let slot = 200 + m.p1 % 800;
-            let slots = 2 + (m.p2 % 3) as usize;
-            let mine = (m.p1 % slots as u64) as usize;
-            let guard = m.p2 % (slot / 4);
-            b.gated_master(
-                name,
-                src,
-                kind,
-                TdmaGate::new(TdmaSchedule::new(slot, slots), vec![mine], guard),
-            )
-        }
-        4 => b.gated_master(
-            name,
-            src,
-            kind,
-            OtRegulatorGate::new(OtRegulatorConfig {
-                max_outstanding: 1 + (m.p1 % 8) as usize,
-                txns_per_period: if m.p2.is_multiple_of(2) {
-                    1 + (m.p2 % 6) as u32
-                } else {
-                    0
-                },
-                period_cycles: 500 + m.p1 % 2_000,
-            }),
-        ),
-        _ => b.gated_master(
-            name,
-            src,
-            kind,
-            LeakyBucketRegulator::new(BucketConfig {
-                budget_bytes: 512 + (m.p2 % 4_000) as u32,
-                period_cycles: 128 + (m.p1 % 2_000) as u32,
-                depth_bytes: 512 + (m.p1 % 4_000) as u32,
-                ..BucketConfig::default()
-            }),
-        ),
-    }
-}
-
-fn build_soc(specs: &[MasterSpec], refresh: bool, naive: bool) -> Soc {
-    let cfg = SocConfig {
-        dram: DramConfig {
-            t_refi: if refresh {
-                DramConfig::default().t_refi
-            } else {
-                0
-            },
-            ..DramConfig::default()
-        },
-        ..SocConfig::default()
-    };
-    let mut b = SocBuilder::new(cfg);
-    for (i, &m) in specs.iter().enumerate() {
-        b = add_master(b, i, m);
-    }
-    let mut soc = b.build();
-    soc.set_naive(naive);
-    soc
-}
-
-/// Full histogram snapshot: count, min, max and every non-empty bucket.
-type LatKey = (u64, u64, u64, Vec<(u64, u64)>);
-
-fn lat_key(l: &LatencyStats) -> LatKey {
-    (l.count(), l.min(), l.max(), l.nonzero_buckets().collect())
-}
-
-type MasterKey = (u64, u64, u64, u64, u64, LatKey, LatKey);
-type DramKey = (u64, u64, u64, u64, u64, u64, u64, LatKey);
-
-fn stats_fingerprint(soc: &Soc) -> (Vec<MasterKey>, DramKey) {
-    let masters = (0..soc.master_count())
-        .map(|i| {
-            let st = soc.master_stats(MasterId::new(i));
-            (
-                st.issued_txns,
-                st.completed_txns,
-                st.bytes_completed,
-                st.gate_stall_cycles,
-                st.fifo_stall_cycles,
-                lat_key(&st.latency),
-                lat_key(&st.service_latency),
-            )
-        })
-        .collect();
-    let d = soc.dram_stats();
-    let dram = (
-        d.bytes_completed,
-        d.reads,
-        d.writes,
-        d.row_hits,
-        d.row_misses,
-        d.bus_busy_cycles,
-        d.refreshes,
-        lat_key(&d.queue_wait),
-    );
-    (masters, dram)
-}
 
 /// Renders the Soc's observable outcome as a `fgqos.exp-report`
 /// document and returns its compact JSON bytes — the same currency the
@@ -430,85 +222,13 @@ proptest! {
     }
 }
 
-/// Builds the closed-loop policy stack *without* the IRQ dispatcher
-/// (interrupt dispatchers hold closures and are unforkable by design):
-/// a critical reader behind a monitor-only regulator, TC-regulated
-/// best-effort streams, and a software policy reprogramming budgets
-/// each control period.
-fn build_policy_soc(seed: u64, control_period: u64, use_feedback: bool) -> Soc {
-    let cfg = SocConfig {
-        dram: DramConfig {
-            t_refi: 0,
-            ..DramConfig::default()
-        },
-        ..SocConfig::default()
-    };
-    let (crit_reg, crit_driver) = TcRegulator::create(RegulatorConfig {
-        period_cycles: 1_000,
-        budget_bytes: u32::MAX,
-        enabled: true,
-        ..RegulatorConfig::default()
-    });
-    let crit_spec = TrafficSpec::latency_sensitive(0, 1 << 20, 64, 50 + seed % 200).with_total(150);
-    let mut b = SocBuilder::new(cfg).gated_master(
-        "critical",
-        SpecSource::new(crit_spec, seed),
-        MasterKind::Cpu,
-        crit_reg,
-    );
-
-    let mut be_drivers = Vec::new();
-    for i in 0..2u64 {
-        let (reg, driver) = TcRegulator::create(RegulatorConfig {
-            period_cycles: 1_000,
-            budget_bytes: 2_048,
-            enabled: true,
-            ..RegulatorConfig::default()
-        });
-        let spec = TrafficSpec::stream((i + 1) << 28, 1 << 20, 256, Dir::Read).with_total(300);
-        b = b.gated_master(
-            format!("be{i}"),
-            SpecSource::new(spec, seed ^ (i + 1)),
-            MasterKind::Accelerator,
-            reg,
-        );
-        be_drivers.push(driver);
-    }
-
-    if use_feedback {
-        b = b.controller(FeedbackController::new(
-            crit_driver,
-            2_000,
-            be_drivers,
-            2_048,
-            256,
-            8_192,
-            256,
-            control_period,
-        ));
-    } else {
-        b = b.controller(ReclaimPolicy::new(
-            crit_driver,
-            be_drivers,
-            ReclaimConfig {
-                critical_reserved: 4_096,
-                be_base: 1_024,
-                control_period,
-                gain: 2,
-                busy_threshold: Some(2_048),
-            },
-        ));
-    }
-    b.build()
-}
-
 /// Software policy controllers fork with their driver handles rebound:
 /// the forked policy keeps reprogramming the forked regulators, and the
 /// continuation matches a cold run bit-for-bit.
 #[test]
 fn policy_controllers_fork_matches_cold() {
     for use_feedback in [false, true] {
-        let mut warm = build_policy_soc(7, 5_000, use_feedback);
+        let mut warm = build_policy_soc(7, 5_000, use_feedback, None);
         warm.run(20_000);
         let tq = warm
             .quiesce_point(QUIESCE_BOUND)
@@ -518,7 +238,7 @@ fn policy_controllers_fork_matches_cold() {
         let mut fork = snap.fork();
         fork.run(200_000);
 
-        let mut cold = build_policy_soc(7, 5_000, use_feedback);
+        let mut cold = build_policy_soc(7, 5_000, use_feedback, None);
         cold.run(20_000);
         assert_eq!(cold.quiesce_point(QUIESCE_BOUND), Some(tq));
         cold.run(200_000);
